@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Fixed corpus of `compute` / `uncertainty` commands, for before/after checks.
+
+    PYTHONPATH=src python scripts/cli_corpus.py new.json [--against old.json]
+
+Runs every command through dho.cli.main in one process and writes argv, exit
+code (or the type of an uncaught exception) and stdout as JSON.  With
+--against, prints how many outputs are byte-identical to the old file and the
+worst relative deviation of any float; differing argv or exit codes abort.
+"""
+
+import argparse
+import contextlib
+import io
+import json
+
+from dho import cli
+
+
+def _hyper(D, nr, mu):
+    return json.dumps({"kind": "hyper", "D": D, "omega": 1.0, "nr": nr, "mu": mu})
+
+
+SMALL = [_hyper(2, 3, [2]), _hyper(3, 2, [1, 0]), _hyper(4, 1, [1, 1, 0]),
+         _hyper(5, 2, [2, 1, 0, 0]), _hyper(6, 1, [1, 0, 0, 0, 0])]
+LARGE = [_hyper(3, 100, [0, 0]), _hyper(3, 200, [3, 1]), _hyper(6, 100, [0, 0, 0, 0, 0])]
+CART = [json.dumps({"kind": "cartesian", "omega": w, "n": n})
+        for w, n in ((1.0, [8]), (2.0, [3, 2]), (0.5, [1, 0, 2]))]
+# kept here rather than read from cli.QUANTITIES so the corpus stays fixed
+# while the program under comparison changes
+SERVED = {"energy": ("closed",), "heisenberg": ("closed", "asymptotic"),
+          "fisher": ("closed", "oracle"), "disequilibrium": ("closed", "oracle"),
+          "moment": ("closed", "oracle", "asymptotic"),
+          "shannon": ("closed", "oracle", "asymptotic"),
+          "renyi": ("closed", "oracle", "asymptotic")}
+EXTRA = {"moment": ["--k", "1"], "heisenberg": ["--k", "2"], "renyi": ["--q", "2"]}
+
+
+def corpus():
+    """Every served quantity x engine pair on three small hyperspherical states
+    (rotating through SMALL), one large one and, where served, one Cartesian."""
+    runs = []
+    for i, (quantity, engine) in enumerate((q, e) for q, es in SERVED.items() for e in es):
+        states = [SMALL[(i + j) % len(SMALL)] for j in range(3)]
+        if engine != "oracle" and quantity != "disequilibrium":  # O(n_r^4) closed sum
+            states.append(LARGE[i % len(LARGE)])
+        if quantity in ("energy", "shannon", "renyi"):
+            states.append(CART[i % len(CART)])
+        runs += [["compute", "--state", st, "--quantity", quantity, "--engine", engine]
+                 + EXTRA.get(quantity, []) for st in states]
+    for states, tail in ((SMALL[:2], ["moment", "--k", "-1", "--space", "momentum"]),
+                         (SMALL[:2], ["renyi", "--q", "0.7", "--engine", "oracle"]),
+                         (SMALL[3:], ["moment", "--k", "2", "--engine", "asymptotic",
+                                      "--regime", "highdim"]),
+                         (LARGE, ["shannon", "--space", "momentum"])):
+        runs += [["compute", "--state", st, "--quantity"] + tail for st in states]
+    return runs + [["uncertainty", "--state", st] for st in SMALL[:3] + CART[1:]]
+
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # an uncaught error is recorded by its type
+            code = type(exc).__name__
+    return {"argv": argv, "exit": code, "stdout": out.getvalue()}
+
+
+def _floats(obj):
+    if isinstance(obj, float):
+        yield obj
+    elif isinstance(obj, dict):
+        for key in sorted(obj):
+            yield from _floats(obj[key])
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _floats(item)
+
+
+def compare(new, old):
+    same, worst, where = 0, 0.0, None
+    for a, b in zip(new, old):
+        if a["argv"] != b["argv"] or a["exit"] != b["exit"]:
+            raise SystemExit(f"argv or exit code differs: {a['argv']}")
+        same += a["stdout"] == b["stdout"]
+        fa = list(_floats([json.loads(s) for s in a["stdout"].splitlines()]))
+        fb = list(_floats([json.loads(s) for s in b["stdout"].splitlines()]))
+        if len(fa) != len(fb):
+            raise SystemExit(f"output structure differs: {a['argv']}")
+        for x, y in zip(fa, fb):
+            dev = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
+            if dev > worst:
+                worst, where = dev, a["argv"]
+    print(f"byte-identical: {same}/{len(new)}")
+    print(f"worst relative float deviation: {worst:.3g}" + (f" at {where}" if where else ""))
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("out")
+    ap.add_argument("--against", default=None)
+    args = ap.parse_args()
+    results = [run(argv) for argv in corpus()]
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(results, fh, indent=1)
+        fh.write("\n")
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            old = json.load(fh)
+        if len(old) != len(results):
+            raise SystemExit("corpus length differs")
+        compare(results, old)
+
+
+if __name__ == "__main__":
+    main()

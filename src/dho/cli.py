@@ -25,14 +25,17 @@ from .states import CartesianState, HyperState, Space
 
 EXIT_PARSE, EXIT_DOMAIN, EXIT_CONVERGENCE = 2, 3, 4
 
+# id -> (description, engines _compute_one serves for it)
 QUANTITIES = {
-    "energy": "eigenvalue (N + D/2) omega",
-    "moment": "radial expectation value <r^k> (or <p^k>); takes --k",
-    "heisenberg": "generalized product <r^k><p^k>; takes --k",
-    "fisher": "Fisher information of the position/momentum density",
-    "shannon": "Shannon entropy of the position/momentum density",
-    "renyi": "Renyi entropy; takes --q",
-    "disequilibrium": "int rho^2 (= exp(-R_2)); position space",
+    "energy": ("eigenvalue (N + D/2) omega", ("closed",)),
+    "moment": ("radial expectation value <r^k> (or <p^k>); takes --k",
+               ("closed", "oracle", "asymptotic")),
+    "heisenberg": ("generalized product <r^k><p^k>; takes --k", ("closed", "asymptotic")),
+    "fisher": ("Fisher information of the position/momentum density", ("closed", "oracle")),
+    "shannon": ("Shannon entropy of the position/momentum density",
+                ("closed", "oracle", "asymptotic")),
+    "renyi": ("Renyi entropy; takes --q", ("closed", "oracle", "asymptotic")),
+    "disequilibrium": ("int rho^2 (= exp(-R_2)); position space", ("closed", "oracle")),
 }
 
 ENGINES = ("closed", "oracle", "asymptotic")
@@ -344,8 +347,8 @@ def cmd_validate(args) -> int:
 
 def cmd_list_quantities(args) -> int:
     for qid in sorted(QUANTITIES):
-        _emit({"id": qid, "description": QUANTITIES[qid],
-               "engines": list(ENGINES)})
+        description, engines = QUANTITIES[qid]
+        _emit({"id": qid, "description": description, "engines": list(engines)})
     return 0
 
 

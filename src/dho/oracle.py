@@ -1,11 +1,13 @@
 """High-precision numerical integration engine.
 
-Gauss rules come from the symmetric Jacobi matrix (Golub-Welsch); weights are
-kept in log space as well so extreme Laguerre parameters (alpha up to a few
-thousand, needed by the high-dimension checks) stay finite.  The adaptive
-integrator subdivides at supplied singular points (polynomial roots, origin)
-and handles semi-infinite tails by an exponential substitution after locating
-a truncation point where the weight has decayed below 1e-20 of its peak.
+Gauss rules come from specfun.gauss_nodes, the same scaled recurrence that
+evaluates the polynomials and finds their roots: Golub-Welsch nodes polished
+by Newton, and log weights from the confluent Christoffel-Darboux identity,
+so extreme Laguerre parameters (alpha up to a few thousand, needed by the
+high-dimension checks) stay finite.  The adaptive integrator subdivides at
+supplied singular points (polynomial roots, origin) and handles semi-infinite
+tails by an exponential substitution after locating a truncation point where
+the weight has decayed below 1e-20 of its peak.
 """
 
 from __future__ import annotations
@@ -18,8 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
 from . import specfun
 from .errors import ConvergenceError, DomainError
@@ -76,91 +76,6 @@ _RULE_CACHE: dict = {}
 _RULE_LOCK = threading.Lock()
 
 
-def _jacobi_recurrence_jacobiweight(a: float, b: float, order: int):
-    """Recurrence coefficients for weight (1-x)^a (1+x)^b on [-1, 1]."""
-    k = np.arange(order, dtype=float)
-    ab = a + b
-    diag = np.empty(order)
-    if order > 0:
-        diag[0] = (b - a) / (ab + 2.0)
-    kk = k[1:]
-    with np.errstate(invalid="ignore"):
-        diag[1:] = (b * b - a * a) / ((2 * kk + ab) * (2 * kk + ab + 2.0))
-    off = np.empty(max(order - 1, 0))
-    if order > 1:
-        k1 = np.arange(1, order, dtype=float)
-        num = 4.0 * k1 * (k1 + a) * (k1 + b) * (k1 + ab)
-        den = (2 * k1 + ab) ** 2 * (2 * k1 + ab + 1.0) * (2 * k1 + ab - 1.0)
-        # k = 1 has a removable 0/0 at a + b = -1; its pole-free form follows
-        with np.errstate(invalid="ignore", divide="ignore"):
-            off = np.sqrt(num / den)
-        off[0] = math.sqrt(4.0 * (1 + a) * (1 + b) / ((2 + ab) ** 2 * (3 + ab)))
-    return diag, off
-
-
-def _newton_polish_nodes(nodes: np.ndarray, diag: np.ndarray,
-                         off: np.ndarray, steps: int = 2) -> np.ndarray:
-    """Polish eigenvalue nodes on the degree-n recurrence polynomial; the
-    shared log scale cancels in the Newton ratio."""
-    x = np.asarray(nodes, dtype=float)
-    n = len(diag)
-    for _ in range(steps):
-        p_prev = np.zeros_like(x)
-        p_cur = np.ones_like(x)
-        d_prev = np.zeros_like(x)
-        d_cur = np.zeros_like(x)
-        for k in range(n):
-            b_next = off[k] if k < n - 1 else 1.0
-            b_prev = off[k - 1] if k > 0 else 0.0
-            p_next = ((x - diag[k]) * p_cur - b_prev * p_prev) / b_next
-            d_next = ((x - diag[k]) * d_cur + p_cur - b_prev * d_prev) / b_next
-            p_prev, p_cur = p_cur, p_next
-            d_prev, d_cur = d_cur, d_next
-            mag = np.maximum(np.abs(p_cur), np.abs(d_cur))
-            big = mag > 1e120
-            if np.any(big):
-                sc = np.where(big, mag, 1.0)
-                p_prev, p_cur = p_prev / sc, p_cur / sc
-                d_prev, d_cur = d_prev / sc, d_cur / sc
-        step = np.where(d_cur != 0.0, p_cur / np.where(d_cur == 0.0, 1.0, d_cur), 0.0)
-        step = np.clip(step, -1e-6 * (1 + np.abs(x)), 1e-6 * (1 + np.abs(x)))
-        x = x - step
-    return x
-
-
-def _christoffel_log_weights(nodes: np.ndarray, diag: np.ndarray,
-                             off: np.ndarray, log_mass: float) -> np.ndarray:
-    """log Gauss weights as 1 / sum_k p_k(x_i)^2 over the orthonormal family.
-
-    Eigenvector first components underflow doubles for extreme nodes; the
-    Christoffel sum with a running per-node log scale does not.
-    """
-    order = len(diag)
-    x = np.asarray(nodes, dtype=float)
-    p_prev = np.zeros_like(x)
-    p_cur = np.ones_like(x)  # mantissa; the scale lives in logs
-    logs = np.full_like(x, -0.5 * log_mass)
-    acc_s = 2.0 * logs.copy()
-    acc = np.ones_like(x)
-    for k in range(order - 1):
-        p_next = ((x - diag[k]) * p_cur - (off[k - 1] if k > 0 else 0.0) * p_prev) / off[k]
-        p_prev, p_cur = p_cur, p_next
-        big = np.abs(p_cur) > 1e120
-        if np.any(big):
-            sc = np.where(big, np.abs(p_cur), 1.0)
-            p_prev = p_prev / sc
-            p_cur = p_cur / sc
-            logs = logs + np.log(sc)
-        with np.errstate(divide="ignore"):
-            term = 2.0 * (np.log(np.abs(np.where(p_cur == 0.0, 1.0, p_cur)))
-                          + logs)
-            term = np.where(p_cur == 0.0, -np.inf, term)
-        new_s = np.maximum(acc_s, term)
-        acc = acc * np.exp(acc_s - new_s) + np.exp(term - new_s)
-        acc_s = new_s
-    return -(acc_s + np.log(acc))
-
-
 def gauss_rule(family: str, order: int, *parameters: float) -> QuadratureRule:
     """Gauss rule for the named weight family.
 
@@ -170,7 +85,8 @@ def gauss_rule(family: str, order: int, *parameters: float) -> QuadratureRule:
     """
     if order < 1:
         raise DomainError("order must be >= 1")
-    key = (family, tuple(float(p) for p in parameters), int(order))
+    params = tuple(float(p) for p in parameters)
+    key = (family, params, int(order))
     with _RULE_LOCK:
         hit = _RULE_CACHE.get(key)
     if hit is not None:
@@ -179,34 +95,23 @@ def gauss_rule(family: str, order: int, *parameters: float) -> QuadratureRule:
     if family == "hermite":
         if parameters:
             raise DomainError("hermite rule takes no parameters")
-        diag, off = specfun._jacobi_coeffs("hermite", None, order)
-        log_mass = 0.5 * math.log(math.pi)
+        parameter = None
     elif family == "laguerre":
-        (alpha,) = parameters
-        if alpha <= -1.0:
+        (parameter,) = params
+        if parameter <= -1.0:
             raise DomainError("laguerre rule requires alpha > -1")
-        diag, off = specfun._jacobi_coeffs("laguerre", alpha, order)
-        log_mass = gammaln(alpha + 1.0)
     elif family == "jacobi":
-        a, b = parameters
+        a, b = params
         if a <= -1.0 or b <= -1.0:
             raise DomainError("jacobi rule requires a, b > -1")
-        diag, off = _jacobi_recurrence_jacobiweight(a, b, order)
-        log_mass = ((a + b + 1.0) * math.log(2.0) + gammaln(a + 1.0)
-                    + gammaln(b + 1.0) - gammaln(a + b + 2.0))
+        parameter = params
     else:
         raise DomainError(f"unknown rule family {family!r}")
 
-    if order == 1:
-        nodes = np.array([diag[0]])
-    else:
-        nodes = eigh_tridiagonal(diag, off, eigvals_only=True)
-        nodes = np.sort(_newton_polish_nodes(nodes, diag, off))
-    log_w = _christoffel_log_weights(nodes, diag, off, log_mass)
+    nodes, log_w = specfun.gauss_nodes(family, parameter, order, weights=True)
     with np.errstate(over="ignore"):
         weights = np.exp(log_w)
-    rule = QuadratureRule(family, tuple(float(p) for p in parameters), order,
-                          nodes, weights, log_w)
+    rule = QuadratureRule(family, params, order, nodes, weights, log_w)
     with _RULE_LOCK:
         _RULE_CACHE[key] = rule
     return rule

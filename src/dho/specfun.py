@@ -1,14 +1,15 @@
 """Special functions and polynomial linearization machinery.
 
-Hermite / Laguerre / Gegenbauer evaluation by three-term recurrence (both
-orthogonal and orthonormal normalizations), roots via the symmetric Jacobi
-matrix, terminating hypergeometric sums, the finite Lauricella-A sum used by
-the integer-order Renyi closed form, square/power linearizations, Bessel J,
-and exact Wigner 3j symbols.
+Hermite / Laguerre / Gegenbauer polynomials, terminating hypergeometric sums,
+the finite Lauricella-A sum used by the integer-order Renyi closed form,
+square/power linearizations, Bessel J, and exact Wigner 3j symbols.
 
-Recurrences are used directly (never factorial ratios) so degrees beyond 150
-and parameters beyond 1e3 stay finite; the *_scaled variants additionally
-carry an explicit log scale factor for extreme regimes.
+One scaled orthonormal three-term recurrence (`_recurrence`, mantissas over a
+per-node log scale, so any degree and parameter stays finite) serves
+evaluation, roots and Gauss rules: `gauss_nodes` polishes Jacobi-matrix
+eigenvalues (Golub-Welsch) by Newton on it and takes log weights from the
+confluent Christoffel-Darboux identity.  Only the classical (orthogonal)
+normalization has its own unscaled loop.
 """
 
 from __future__ import annotations
@@ -147,7 +148,11 @@ def log_abs_binomial(x: float, m: int) -> tuple[float, float]:
 # recurrence evaluation
 
 def _jacobi_coeffs(family: str, parameter, order: int):
-    """Diagonal / off-diagonal of the symmetric Jacobi matrix (orthonormal)."""
+    """Diagonal / off-diagonal of the symmetric Jacobi matrix (orthonormal).
+
+    Besides the three PolySpec families, "jacobi" with parameter (a, b) is the
+    weight (1-x)^a (1+x)^b on [-1, 1], used for Gauss rules.
+    """
     k = np.arange(order, dtype=float)
     if family == "hermite":
         diag = np.zeros(order)
@@ -168,6 +173,20 @@ def _jacobi_coeffs(family: str, parameter, order: int):
                 kk2 = kk[1:]
                 off[1:] = 0.5 * np.sqrt(kk2 * (kk2 + 2 * lam - 1.0)
                                         / ((kk2 + lam) * (kk2 + lam - 1.0)))
+    elif family == "jacobi":
+        a, b = (float(v) for v in parameter)
+        ab = a + b
+        kk = k[1:]
+        diag = np.empty(order)
+        diag[0] = (b - a) / (ab + 2.0)
+        # k = 1 has a removable 0/0 at a + b = -1; off[0] gets its pole-free form
+        with np.errstate(invalid="ignore", divide="ignore"):
+            diag[1:] = (b * b - a * a) / ((2 * kk + ab) * (2 * kk + ab + 2.0))
+            off = np.sqrt(4.0 * kk * (kk + a) * (kk + b) * (kk + ab)
+                          / ((2 * kk + ab) ** 2 * (2 * kk + ab + 1.0)
+                             * (2 * kk + ab - 1.0)))
+        if order > 1:
+            off[0] = math.sqrt(4.0 * (1 + a) * (1 + b) / ((2 + ab) ** 2 * (3 + ab)))
     else:  # pragma: no cover
         raise DomainError(family)
     return diag, off
@@ -179,8 +198,67 @@ def _log_weight_mass(family: str, parameter) -> float:
         return 0.5 * math.log(math.pi)
     if family == "laguerre":
         return math.lgamma(float(parameter) + 1.0)
+    if family == "jacobi":
+        a, b = (float(v) for v in parameter)
+        return ((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
+                + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
     lam = float(parameter)
     return 0.5 * math.log(math.pi) + math.lgamma(lam + 0.5) - math.lgamma(lam + 1.0)
+
+
+def _recurrence(x, diag, off, n, log_mass, derivative=False):
+    """Orthonormal p_n, p_{n-1}, p_n', p_{n-1}' at x by the three-term recurrence.
+
+    Returns the four mantissas and their one shared per-node log scale
+    (value = mantissa * exp(scale)).  Whenever |p_n| (or, with `derivative`,
+    |p_n'|) passes 1e120 the mantissas are divided down and the scale grows,
+    so any degree and parameter stays finite.  Without `derivative` the
+    derivative mantissas are 0.
+    """
+    logs = np.full_like(x, -0.5 * log_mass)
+    p_cur = np.ones_like(x)
+    p_prev = d_prev = d_cur = 0.0  # scalar zeros: cheaper than arrays for one node
+    # no named temporaries: x may hold millions of nodes (tanh-sinh panels)
+    for k in range(n):
+        b_next = off[k]
+        b_prev = off[k - 1] if k > 0 else 0.0
+        if derivative:
+            d_prev, d_cur = d_cur, ((x - diag[k]) * d_cur + p_cur - b_prev * d_prev) / b_next
+        p_prev, p_cur = p_cur, ((x - diag[k]) * p_cur - b_prev * p_prev) / b_next
+        big = (np.maximum(np.abs(p_cur), np.abs(d_cur)) if derivative
+               else np.abs(p_cur)) > 1e120
+        if np.any(big):
+            sc = np.where(big, np.maximum(np.abs(p_cur), np.abs(d_cur)), 1.0)
+            p_prev, p_cur = p_prev / sc, p_cur / sc
+            if derivative:
+                d_prev, d_cur = d_prev / sc, d_cur / sc
+            logs = logs + np.log(sc)
+    return p_cur, p_prev, d_cur, d_prev, logs
+
+
+def gauss_nodes(family: str, parameter, n: int, weights: bool = False):
+    """Zeros of the degree-n orthonormal member, ascending (Golub-Welsch).
+
+    Eigenvalues of the leading n x n Jacobi matrix get two capped Newton steps
+    on the recurrence (the ratio p/p' is free of the log scale).  With
+    `weights`, also returns the log Gauss weights from the confluent
+    Christoffel-Darboux identity 1/w = b_n (p_n' p_{n-1} - p_{n-1}' p_n),
+    which holds at any x and never leaves log space.
+    """
+    diag, off = _jacobi_coeffs(family, parameter, n + 1)
+    log_mass = _log_weight_mass(family, parameter)
+    x = eigh_tridiagonal(diag[:n], off[:n - 1], eigvals_only=True)
+    for _ in range(2):
+        p, _, dp, _, _ = _recurrence(x, diag, off, n, log_mass, derivative=True)
+        step = np.where(dp != 0.0, p / np.where(dp == 0.0, 1.0, dp), 0.0)
+        # Newton from eigenvalue starts is already near-converged; cap the move
+        cap = 1e-6 * (1 + np.abs(x))
+        x = x - np.clip(step, -cap, cap)
+    x = np.sort(x)
+    if not weights:
+        return x
+    p, p1, dp, dp1, logs = _recurrence(x, diag, off, n, log_mass, derivative=True)
+    return x, -(np.log(off[n - 1] * (dp * p1 - dp1 * p)) + 2.0 * logs)
 
 
 def eval_poly_scaled(spec: PolySpec, x):
@@ -193,54 +271,9 @@ def eval_poly_scaled(spec: PolySpec, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = spec.degree
     diag, off = _jacobi_coeffs(spec.family, spec.parameter, max(n + 1, 2))
-    logs = np.full_like(x, -0.5 * _log_weight_mass(spec.family, spec.parameter))
-    p_prev = np.zeros_like(x)
-    p_cur = np.ones_like(x)
-    for k in range(n):
-        b_next = off[k]
-        b_prev = off[k - 1] if k > 0 else 0.0
-        p_next = ((x - diag[k]) * p_cur - b_prev * p_prev) / b_next
-        p_prev, p_cur = p_cur, p_next
-        big = np.abs(p_cur) > 1e120
-        if np.any(big):
-            sc = np.where(big, np.abs(p_cur), 1.0)
-            p_prev = p_prev / sc
-            p_cur = p_cur / sc
-            logs = logs + np.log(sc)
-    return p_cur, logs
-
-
-def eval_poly_with_derivative_scaled(spec: PolySpec, x):
-    """(p, p', common log scale) for the orthonormal member at x.
-
-    Newton corrections p/p' are scale-free, so root polishing works at any
-    degree/parameter without overflow.
-    """
-    if spec.normalization != "orthonormal":
-        raise DomainError("scaled evaluation is defined for orthonormal specs")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = spec.degree
-    diag, off = _jacobi_coeffs(spec.family, spec.parameter, max(n + 1, 2))
-    logs = np.full_like(x, -0.5 * _log_weight_mass(spec.family, spec.parameter))
-    p_prev = np.zeros_like(x)
-    p_cur = np.ones_like(x)
-    d_prev = np.zeros_like(x)
-    d_cur = np.zeros_like(x)
-    for k in range(n):
-        b_next = off[k]
-        b_prev = off[k - 1] if k > 0 else 0.0
-        p_next = ((x - diag[k]) * p_cur - b_prev * p_prev) / b_next
-        d_next = ((x - diag[k]) * d_cur + p_cur - b_prev * d_prev) / b_next
-        p_prev, p_cur = p_cur, p_next
-        d_prev, d_cur = d_cur, d_next
-        mag = np.maximum(np.abs(p_cur), np.abs(d_cur))
-        big = mag > 1e120
-        if np.any(big):
-            sc = np.where(big, mag, 1.0)
-            p_prev, p_cur = p_prev / sc, p_cur / sc
-            d_prev, d_cur = d_prev / sc, d_cur / sc
-            logs = logs + np.log(sc)
-    return p_cur, d_cur, logs
+    p, _, _, _, logs = _recurrence(x, diag, off, n,
+                                   _log_weight_mass(spec.family, spec.parameter))
+    return p, logs
 
 
 def eval_poly(spec: PolySpec, x):
@@ -280,29 +313,15 @@ def _eval_orthogonal(family: str, n: int, parameter, x: np.ndarray) -> np.ndarra
     return p1
 
 
-def newton_polish_roots(spec: PolySpec, roots: np.ndarray, steps: int = 2) -> np.ndarray:
-    onspec = PolySpec(spec.family, spec.degree, spec.parameter, "orthonormal")
-    for _ in range(steps):
-        p, dp, _ = eval_poly_with_derivative_scaled(onspec, roots)
-        step = np.where(dp != 0.0, p / np.where(dp == 0.0, 1.0, dp), 0.0)
-        # Newton from eigenvalue starts is already near-converged; cap the move
-        step = np.clip(step, -1e-6 * (1 + np.abs(roots)), 1e-6 * (1 + np.abs(roots)))
-        roots = roots - step
-    return roots
-
-
 def poly_roots(spec: PolySpec) -> np.ndarray:
-    """All real roots, ascending; eigenvalues of the Jacobi matrix plus two
-    Newton polish steps on the recurrence-evaluated polynomial."""
+    """All real roots, ascending (see gauss_nodes)."""
     n = spec.degree
     if n < 1:
         raise DomainError("roots require degree >= 1")
-    diag, off = _jacobi_coeffs(spec.family, spec.parameter, n)
-    roots = eigh_tridiagonal(diag, off, eigvals_only=True)
-    roots = newton_polish_roots(spec, roots)
+    roots = gauss_nodes(spec.family, spec.parameter, n)
     if spec.family == "gegenbauer":
         roots = np.clip(roots, -1.0, 1.0)
-    return np.sort(roots)
+    return roots
 
 
 # ---------------------------------------------------------------------------

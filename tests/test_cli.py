@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -67,10 +68,14 @@ def test_missing_parameter_is_parse_error():
 def test_list_quantities():
     rc, out, _ = run_cli("list-quantities")
     assert rc == 0
-    ids = [json.loads(line)["id"] for line in out.splitlines()]
+    recs = [json.loads(line) for line in out.splitlines()]
+    ids = [r["id"] for r in recs]
     assert ids == sorted(ids)
-    assert set(ids) == {"energy", "moment", "heisenberg", "fisher", "shannon",
-                        "renyi", "disequilibrium"}
+    all3 = ["closed", "oracle", "asymptotic"]
+    assert {r["id"]: r["engines"] for r in recs} == {
+        "energy": ["closed"], "heisenberg": ["closed", "asymptotic"],
+        "fisher": ["closed", "oracle"], "disequilibrium": ["closed", "oracle"],
+        "moment": all3, "shannon": all3, "renyi": all3}
 
 
 def test_uncertainty_report():
@@ -174,7 +179,9 @@ def test_env_tolerance_accepted():
     proc = subprocess.run(
         [sys.executable, "-m", "dho.cli", "compute", "--state", GROUND3,
          "--quantity", "shannon", "--engine", "oracle"],
-        capture_output=True, text=True, env={"HO_ORACLE_TOL": "1e-9", "PATH": "/usr/bin:/bin"})
+        capture_output=True, text=True,
+        env={"HO_ORACLE_TOL": "1e-9", "PATH": "/usr/bin:/bin",
+             "PYTHONPATH": os.environ.get("PYTHONPATH", "")})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == pytest.approx(
         1.5 * (1 + math.log(math.pi)), abs=1e-7)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import gammaln
@@ -79,6 +80,26 @@ class TestGaussRules:
         m = float(r.log_weights.max())
         mass = m + math.log(float(np.sum(np.exp(r.log_weights - m))))
         assert mass == pytest.approx(float(gammaln(5001.0)), rel=1e-10)
+
+    @pytest.mark.parametrize("order, alpha", [(300, 0.0), (802, 3.7)])
+    def test_laguerre_log_weights_match_mpmath(self, order, alpha):
+        r = oracle.gauss_rule("laguerre", order, alpha)
+        for i in (0, 1, order // 3, order // 2, order - 1):
+            with mp.workdps(40):
+                a, x = mp.mpf(alpha), mp.mpf(float(r.nodes[i]))
+                for _ in range(3):  # Newton on the orthonormal recurrence
+                    p_prev, p, d_prev, d = 0, 1 / mp.sqrt(mp.gamma(a + 1)), 0, 0
+                    christoffel, b_prev = 0, 0
+                    for k in range(order):
+                        christoffel += p * p  # sum of p_k^2 for k < order
+                        b = mp.sqrt((k + 1) * (k + 1 + a))
+                        t = x - (2 * k + a + 1)
+                        d_prev, d = d, (t * d + p - b_prev * d_prev) / b
+                        p_prev, p = p, (t * p - b_prev * p_prev) / b
+                        b_prev = b
+                    x -= p / d
+                ref = float(-mp.log(christoffel))
+            assert abs(r.log_weights[i] - ref) <= 1e-11
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):

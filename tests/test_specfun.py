@@ -58,9 +58,16 @@ class TestEvalPoly:
                            rtol=1e-13)
 
     def test_high_degree_large_parameter_is_finite(self):
-        spec = PolySpec("laguerre", 200, 1000.0)
-        mant, logs = specfun.eval_poly_scaled(spec, np.array([800.0, 1500.0]))
-        assert np.all(np.isfinite(mant)) and np.all(np.isfinite(logs))
+        for n, alpha, xs in ((200, 1000.0, (800.0, 1500.0)), (800, 0.5, (1.0, 3000.0))):
+            mant, logs = specfun.eval_poly_scaled(PolySpec("laguerre", n, alpha),
+                                                  np.array(xs))
+            assert np.all(np.isfinite(mant)) and np.all(np.isfinite(logs))
+            for x, got in zip(xs, np.log(np.abs(mant)) + logs):
+                with mp.workdps(40):
+                    # orthonormal = (-1)^n L_n^alpha sqrt(n! / Gamma(n + alpha + 1))
+                    ref = float(mp.log(abs(mp.laguerre(n, alpha, x)))
+                                + (mp.loggamma(n + 1) - mp.loggamma(n + alpha + 1)) / 2)
+                assert got == pytest.approx(ref, rel=1e-11)
 
 
 class TestRoots:
