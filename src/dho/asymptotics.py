@@ -266,14 +266,15 @@ def rydberg_norm_asymptotic(n_r: int, l: int, D: int, q: float) -> tuple[float, 
 
 def rydberg_renyi(state: HyperState, q: float, space: Space = Space.POSITION,
                   tol: float | None = None) -> AsymptoticValue:
-    """ln N_asymp / (1-q) + angular Renyi entropy, -+ (D/2) ln omega."""
+    """-ln 2 + ln N_asymp / (1-q) + angular Renyi entropy, -+ (D/2) ln omega:
+    radial_renyi with the weighted Laguerre norm replaced by its asymptote."""
     D = state.spec.dim
     if state.n_r < 1:
         raise DomainError("Rydberg asymptotics need n_r >= 1")
     norm, regime = rydberg_norm_asymptotic(state.n_r, state.l, D, q)
     ang = infomeasures.angular_renyi(state, q, tol=tol)
     sign = -1.0 if space is Space.POSITION else 1.0
-    value = (math.log(norm) / (1.0 - q) + ang
+    value = (-math.log(2.0) + math.log(norm) / (1.0 - q) + ang
              + sign * (D / 2.0) * math.log(state.spec.omega))
     return AsymptoticValue(value, REGIME_RYDBERG,
                            f"{regime}; o(1) remainder in the radial part")

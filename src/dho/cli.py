@@ -176,15 +176,13 @@ def cmd_compute(args) -> int:
 
 def cmd_uncertainty(args) -> int:
     state = states.parse_state(args.state)
-    ids = list(uncertainty.RELATIONS) if args.relation == "all" else [args.relation]
-    for rid in ids:
-        if args.relation == "all" and rid in uncertainty.HYPER_ONLY \
-                and not isinstance(state, HyperState):
-            continue
-        kwargs = {}
-        if rid == "renyi_conjugate":
-            kwargs["q"] = args.q if args.q is not None else 2.0
-        rep = uncertainty.check(rid, state, **kwargs)
+    q = args.q if args.q is not None else 2.0
+    if args.relation == "all":
+        reports = uncertainty.check_all(state, q=q)
+    else:
+        kwargs = {"q": q} if args.relation == "renyi_conjugate" else {}
+        reports = [uncertainty.check(args.relation, state, **kwargs)]
+    for rep in reports:
         rec = asdict(rep)
         rec["state"] = states.state_to_dict(state)
         _emit(rec)

@@ -279,40 +279,14 @@ def angular_shannon_direct(state: HyperState, tol: float | None = None) -> float
 
 def angular_entropic_moment(state: HyperState, q: float,
                             tol: float | None = None) -> float:
-    """Lambda_q = int |Y|^(2q) dOmega, per-factor Gauss-Jacobi (integer q exact)
-    or adaptive (real q)."""
+    """Lambda_q = int |Y|^(2q) dOmega: one Gegenbauer lq_integral per factor
+    (integer q exact by Gauss-Jacobi)."""
     if q <= 0:
         raise DomainError("q must be positive")
-    D = state.spec.dim
     log_val = (1.0 - q) * math.log(2.0 * math.pi)
     for aj, deg, mj1 in _angular_factors(state):
-        lam = aj + mj1
-        spec = PolySpec("gegenbauer", deg, lam, "orthonormal")
-        a_exp = q * mj1 + aj - 0.5
-        if float(q).is_integer():
-            qi = int(q)
-            rule = oracle.gauss_rule("jacobi", qi * deg + 2, a_exp, a_exp)
-
-            def log_f(x, spec=spec, qi=qi):
-                m, s = specfun.eval_poly_scaled(spec, x)
-                with np.errstate(divide="ignore"):
-                    return 2.0 * qi * (np.log(np.abs(m)) + s)
-
-            log_val += math.log(rule.integrate_log(log_f))
-        else:
-            roots = specfun.poly_roots(spec) if deg > 0 else np.array([])
-
-            def f(x, spec=spec, a_exp=a_exp):
-                m, s = specfun.eval_poly_scaled(spec, np.array([x]))
-                m0, s0 = float(m[0]), float(s[0])
-                if m0 == 0.0 or 1.0 - x * x <= 0.0:
-                    return 0.0
-                return math.exp(2.0 * q * (math.log(abs(m0)) + s0)
-                                + a_exp * math.log(1.0 - x * x))
-
-            est = oracle.integrate_adaptive(f, -1.0, 1.0,
-                                            singular_points=roots, tol=tol)
-            log_val += math.log(est.value)
+        spec = PolySpec("gegenbauer", deg, aj + mj1, "orthonormal")
+        log_val += math.log(oracle.lq_integral(spec, q, q * mj1 + aj - 0.5, tol=tol))
     return math.exp(log_val)
 
 
@@ -392,30 +366,7 @@ def shannon(state, space: Space = Space.POSITION, engine: str = ENGINE_CLOSED,
 
 def _axis_renyi_log_integral(n: int, q: float, tol: float | None) -> float:
     """ln int rho_axis(t)^q dt for the unit-width axis density of degree n."""
-    spec = PolySpec("hermite", n, None, "orthonormal")
-    if float(q).is_integer():
-        qi = int(q)
-        rule = oracle.gauss_rule("hermite", qi * n + 2)
-        sq = math.sqrt(qi)
-
-        def log_f(u):
-            m, s = specfun.eval_poly_scaled(spec, u / sq)
-            with np.errstate(divide="ignore"):
-                return 2.0 * qi * (np.log(np.abs(m)) + s)
-
-        return math.log(rule.integrate_log(log_f)) - 0.5 * math.log(qi)
-    roots = specfun.poly_roots(spec) if n > 0 else np.array([])
-
-    def f(t):
-        m, s = specfun.eval_poly_scaled(spec, np.array([t]))
-        m0, s0 = float(m[0]), float(s[0])
-        if m0 == 0.0:
-            return 0.0
-        return math.exp(q * (-t * t + 2.0 * (math.log(abs(m0)) + s0)))
-
-    est = oracle.integrate_adaptive(f, -math.inf, math.inf,
-                                    singular_points=roots, tol=tol)
-    return math.log(est.value)
+    return math.log(oracle.lq_integral(PolySpec("hermite", n, None, "orthonormal"), q, tol=tol))
 
 
 def renyi_cartesian(state: CartesianState, q: float, space: Space = Space.POSITION,
@@ -488,7 +439,7 @@ def renyi_hyperspherical(state: HyperState, q: float, space: Space = Space.POSIT
                          engine: str = ENGINE_CLOSED,
                          tol: float | None = None) -> MeasureValue:
     """Radial + angular Renyi entropy; integer q is exact (Gauss rules of
-    sufficient order), real q goes through the adaptive engine."""
+    sufficient order), real q goes through tanh-sinh panels."""
     RenyiOrder(q)
     if engine == ENGINE_CLOSED:
         value = (radial_renyi(state, q, space, tol=tol)

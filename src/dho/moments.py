@@ -3,13 +3,16 @@ and generalized Heisenberg products.
 
 The returned value always comes from the all-positive finite sum (stable in
 log space at any n_r); the terminating-hypergeometric route is evaluated
-alongside for moderate n_r and any disagreement beyond 1e-12 raises, since the
-two routes are algebraically identical.
+alongside for moderate n_r and, since the two routes are algebraically
+identical, a relative disagreement beyond both 1e-12 and the rounding bound
+of the alternating 3F2 sum (DUAL_FORM_EPS_FACTOR eps sum|t_j| / |sum t_j|)
+raises.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 from scipy.special import gammaln
@@ -19,8 +22,9 @@ from .errors import ConsistencyError, DomainError
 from .specfun import PolySpec
 from .states import HyperState, Space
 
-DUAL_FORM_MAX_NR = 32   # alternating 3F2 terms stay below ~1e3 cancellation here
+DUAL_FORM_MAX_NR = 32   # 3F2 cancellation sum|t_j| / |sum t_j| stays below ~1e8 here
 DUAL_FORM_RTOL = 1e-12
+DUAL_FORM_EPS_FACTOR = 4.0  # measured gaps stay below 0.14 of the bound at factor 1
 
 
 def _require_exists(state: HyperState, k: float) -> None:
@@ -29,11 +33,15 @@ def _require_exists(state: HyperState, k: float) -> None:
             f"<r^k> needs k > -D - 2l = {-state.spec.dim - 2 * state.l}, got k={k}")
 
 
+def _3f2_parameters(state: HyperState, k: float) -> tuple:
+    return (-state.n_r, -k / 2.0, k / 2.0 + 1.0, state.l + state.spec.dim / 2.0, 1.0)
+
+
 def moment_3f2_form(state: HyperState, k: float) -> float:
     """omega^(-k/2) Gamma(l+(D+k)/2)/Gamma(l+D/2) 3F2(-n_r,-k/2,k/2+1; l+D/2,1; 1)."""
     _require_exists(state, k)
     D, l = state.spec.dim, state.l
-    f = specfun.hyp_3F2_unit(-state.n_r, -k / 2.0, k / 2.0 + 1.0, l + D / 2.0, 1.0)
+    f = specfun.hyp_3F2_unit(*_3f2_parameters(state, k))
     lg = gammaln(l + (D + k) / 2.0) - gammaln(l + D / 2.0)
     return state.spec.omega ** (-k / 2.0) * math.exp(lg) * f
 
@@ -62,12 +70,20 @@ def radial_moment(state: HyperState, k: float, space: Space = Space.POSITION) ->
     value = _moment_finite_sum(state, k)
     if state.n_r <= DUAL_FORM_MAX_NR:
         other = moment_3f2_form(state, k)
-        if abs(other - value) > DUAL_FORM_RTOL * max(abs(value), abs(other)):
+        gap, scale = abs(other - value), max(abs(value), abs(other))
+        if gap > DUAL_FORM_RTOL * scale and gap > _3f2_rounding(state, k) * scale:
             raise ConsistencyError(
                 f"moment forms disagree for {state}, k={k}: {value} vs {other}")
     if space is Space.MOMENTUM:
         value *= state.spec.omega ** k
     return value
+
+
+def _3f2_rounding(state: HyperState, k: float) -> float:
+    """Relative rounding bound of the alternating 3F2 sum of moment_3f2_form."""
+    terms = specfun.hyp_3F2_unit_terms(*_3f2_parameters(state, k))
+    cancellation = math.fsum(map(abs, terms)) / max(abs(math.fsum(terms)), 1e-300)
+    return DUAL_FORM_EPS_FACTOR * sys.float_info.epsilon * cancellation
 
 
 def recurrence_step(state: HyperState, k: float, m_k: float, m_km2: float) -> float:

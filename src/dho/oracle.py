@@ -1,13 +1,14 @@
 """High-precision numerical integration engine.
 
-Gauss rules come from specfun.gauss_nodes, the same scaled recurrence that
-evaluates the polynomials and finds their roots: Golub-Welsch nodes polished
-by Newton, and log weights from the confluent Christoffel-Darboux identity,
-so extreme Laguerre parameters (alpha up to a few thousand, needed by the
-high-dimension checks) stay finite.  The adaptive integrator subdivides at
-supplied singular points (polynomial roots, origin) and handles semi-infinite
-tails by an exponential substitution after locating a truncation point where
-the weight has decayed below 1e-20 of its peak.
+Gauss rules come from specfun.gauss_nodes (Golub-Welsch nodes polished by
+Newton, confluent Christoffel-Darboux log weights), so extreme Laguerre
+parameters (alpha up to a few thousand) stay finite.  lq_integral, the
+weighted L_q integral of an orthonormal Hermite, Laguerre or Gegenbauer
+member, and polynomial_entropy share one family table: Gauss rules for
+integer q, vectorized tanh-sinh panels between the roots otherwise.  The
+adaptive QUADPACK integrator serves only the independent oracle routes: it
+splits at supplied singular points and maps infinite tails by an exponential
+substitution.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
     log_weights: np.ndarray
-
-    def integrate(self, f) -> float:
-        return float(np.sum(self.weights * f(self.nodes)))
 
     def integrate_log(self, log_f) -> float:
         """sum w_i exp(log_f(x_i)) evaluated as a stable log-sum-exp."""
@@ -253,59 +251,107 @@ def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
                            error_estimate=abs(total - prev))
 
 
-def _laguerre_truncation(alpha: float, n: int, q: float = 1.0) -> float:
-    """Upper edge where x^alpha e^-x (squared-polynomial) mass is below 1e-22."""
-    edge = 4.0 * n + 2.0 * alpha + 2.0
-    return edge + 12.0 * math.sqrt(edge) / math.sqrt(q) + 60.0 / q
-
-
 # ---------------------------------------------------------------------------
-# weighted Lq norms of orthonormal Laguerre polynomials
+# weighted L_q integrals of orthonormal family members
+
+
+def _root_panel_integral(spec: PolySpec, a: float, q: float, integrand,
+                         tol: float | None) -> float:
+    """int integrand(lw, ln y^2) dx over the family support by tanh-sinh panels.
+
+    y = spec is an orthonormal member and lw the log weight: a ln x - q x
+    (laguerre), a ln(1 - x^2) (gegenbauer), -q x^2 (hermite).  Panel edges sit
+    at the roots of y; infinite supports are truncated where the weighted
+    power of y has decayed below ~1e-22.  Nodes where y or the weight
+    vanishes contribute 0.
+    """
+    n = spec.degree
+    if spec.family == "laguerre":
+        edge = 4.0 * n + 2.0 * spec.parameter + 2.0
+        lo, hi = 0.0, edge + 12.0 * math.sqrt(edge) / math.sqrt(q) + 60.0 / q
+
+        def log_weight(x):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(x > 0, a * np.log(np.abs(x)) - q * x, -np.inf)
+
+    elif spec.family == "gegenbauer":
+        lo, hi = -1.0, 1.0
+
+        def log_weight(x):
+            t = 1.0 - x * x
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.where(t > 0, a * np.log(np.abs(t)), -np.inf)
+
+    else:
+        span = math.sqrt(2.0 * n + 1.0) + 12.0 / math.sqrt(q)
+        lo, hi = -span, span
+
+        def log_weight(x):
+            return -q * (x * x)
+
+    roots = specfun.poly_roots(spec) if n > 0 else np.array([])
+
+    def f_vec(x):
+        m, sc = specfun.eval_poly_scaled(spec, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ln_y2 = 2.0 * (np.log(np.abs(m)) + sc)
+            lw = log_weight(x)
+            out = integrand(lw, ln_y2)
+        return np.where((m != 0.0) & np.isfinite(lw), out, 0.0)
+
+    edges = np.concatenate([[lo], roots, [hi]])
+    return integrate_panels_vectorized(f_vec, edges, tol=tol).value
+
+
+def lq_integral(spec: PolySpec, q: float, a: float = 0.0,
+                tol: float | None = None) -> float:
+    """int y(x)^(2q) w(x) dx for the orthonormal member y = spec.
+
+    w is x^a e^(-q x) for laguerre, (1 - x^2)^a for gegenbauer and e^(-q x^2)
+    for hermite (a unused).  Integer q is exact through the Gauss rule of the
+    weight (generalized Laguerre of parameter a at u/q, Jacobi (a, a), Hermite
+    at u/sqrt(q)); real q goes through tanh-sinh panels between the roots.
+    """
+    if not q > 0:
+        raise DomainError("q must be positive")
+    if not float(q).is_integer():
+        return _root_panel_integral(spec, a, q,
+                                    lambda lw, ln_y2: np.exp(lw + q * ln_y2), tol)
+    qi = int(q)
+    order = qi * spec.degree + 2
+    if spec.family == "laguerre":
+        rule = gauss_rule("laguerre", order + int(math.ceil(abs(a))) // 2, a)
+        scale, factor = qi, math.exp(-(a + 1.0) * math.log(qi))
+    elif spec.family == "gegenbauer":
+        rule, scale, factor = gauss_rule("jacobi", order, a, a), 1, 1.0
+    else:
+        rule, scale = gauss_rule("hermite", order), math.sqrt(qi)
+        factor = 1.0 / scale
+
+    def log_f(u):
+        m, sc = specfun.eval_poly_scaled(spec, u / scale)
+        with np.errstate(divide="ignore"):
+            return 2.0 * qi * (np.log(np.abs(m)) + sc)
+
+    return rule.integrate_log(log_f) * factor
 
 
 def weighted_Lq_norm(n_r: int, l: int, D: float, q: float,
                      tol: float | None = None) -> float:
     """N_{n_r,l}(D, q) = int ( [Lt_n^(alpha)]^2 w_alpha )^q x^beta dx.
 
-    alpha = l + D/2 - 1, beta = (1-q)(D/2 - 1).  Integer q is exact through a
-    generalized Gauss-Laguerre rule of parameter beta + q alpha with the x ->
-    x/q substitution; non-integer q falls back to the adaptive engine.
+    alpha = l + D/2 - 1, beta = (1-q)(D/2 - 1): the lq_integral of the
+    Laguerre member with weight exponent beta + q alpha = D/2 + l q - 1.
     """
     if q <= 0:
         raise DomainError("q must be positive")
     if D < 2:
         raise DomainError("hyperspherical norms require D >= 2")
-    alpha = l + D / 2.0 - 1.0
     s = D / 2.0 + l * q - 1.0  # beta + q*alpha
     if s <= -1.0:
         raise DomainError("convergence condition D/2 + l q - 1 > -1 violated")
-    beta = (1.0 - q) * (D / 2.0 - 1.0)
-    spec = PolySpec("laguerre", n_r, alpha, "orthonormal")
-    if float(q).is_integer():
-        qi = int(q)
-        order = qi * n_r + max(2, int(math.ceil(abs(s))) // 2 + 2)
-        rule = gauss_rule("laguerre", order, s)
-
-        def log_f(u):
-            m, sc = specfun.eval_poly_scaled(spec, u / qi)
-            with np.errstate(divide="ignore"):
-                return 2.0 * qi * (np.log(np.abs(m)) + sc)
-
-        val = rule.integrate_log(log_f)
-        return val * math.exp(-(s + 1.0) * math.log(qi))
-
-    roots = specfun.poly_roots(spec) if n_r > 0 else np.array([])
-
-    def f_vec(x):
-        m, sc = specfun.eval_poly_scaled(spec, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_kernel = (2.0 * (np.log(np.abs(m)) + sc)
-                          + alpha * np.log(x) - x)
-            out = np.exp(q * log_kernel + beta * np.log(x))
-        return np.where((x > 0) & (m != 0.0), out, 0.0)
-
-    edges = np.concatenate([[0.0], roots, [_laguerre_truncation(alpha, n_r, q)]])
-    return integrate_panels_vectorized(f_vec, edges, tol=tol).value
+    spec = PolySpec("laguerre", n_r, l + D / 2.0 - 1.0, "orthonormal")
+    return lq_integral(spec, q, s, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +365,13 @@ def polynomial_entropy(spec: PolySpec, beta_shift: float = 0.0,
                        tol: float | None = None) -> float:
     """- int x^beta w(x) y_n(x)^2 ln y_n(x)^2 dx for an orthonormal member.
 
-    Subdivision points sit exactly at the polynomial roots, where the t^2 ln
-    t^2 integrand vanishes (0 ln 0 = 0).  Gegenbauer uses beta_shift = 0 only.
+    Panel edges sit exactly at the polynomial roots, where the t^2 ln t^2
+    integrand vanishes (0 ln 0 = 0).  beta_shift applies to Laguerre only.
     """
     if spec.normalization != "orthonormal":
         raise DomainError("polynomial_entropy is defined for orthonormal specs")
+    if beta_shift != 0.0 and spec.family != "laguerre":
+        raise DomainError("beta_shift applies to the laguerre weight only")
     if tol is None:
         tol = default_tolerance()
     key = (spec.family, spec.degree, spec.parameter, float(beta_shift), tol)
@@ -331,49 +379,10 @@ def polynomial_entropy(spec: PolySpec, beta_shift: float = 0.0,
         hit = _ENTROPY_CACHE.get(key)
     if hit is not None:
         return hit
-    n = spec.degree
-    if spec.family == "laguerre":
-        lo, hi = 0.0, _laguerre_truncation(float(spec.parameter), n)
-
-        def log_weight(x):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(x > 0, spec.parameter * np.log(np.abs(x)) - x,
-                                -np.inf)
-
-    elif spec.family == "gegenbauer":
-        if beta_shift != 0.0:
-            raise DomainError("beta_shift applies to the laguerre weight only")
-        lo, hi = -1.0, 1.0
-
-        def log_weight(x):
-            t = 1.0 - x * x
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(t > 0, (spec.parameter - 0.5) * np.log(np.abs(t)),
-                                -np.inf)
-
-    elif spec.family == "hermite":
-        span = math.sqrt(2.0 * n + 1.0) + 12.0
-        lo, hi = -span, span
-
-        def log_weight(x):
-            return -x * x
-
-    else:  # pragma: no cover
-        raise DomainError(spec.family)
-
-    roots = specfun.poly_roots(spec) if n > 0 else np.array([])
-
-    def f_vec(x):
-        m, sc = specfun.eval_poly_scaled(spec, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ln_y2 = 2.0 * (np.log(np.abs(m)) + sc)
-            lw = log_weight(x)
-            extra = beta_shift * np.log(np.abs(x)) if beta_shift != 0.0 else 0.0
-            out = -np.exp(lw + ln_y2 + extra) * ln_y2
-        return np.where((m != 0.0) & np.isfinite(lw), out, 0.0)
-
-    edges = np.concatenate([[lo], roots, [hi]])
-    value = integrate_panels_vectorized(f_vec, edges, tol=tol).value
+    a = (spec.parameter - 0.5 if spec.family == "gegenbauer"
+         else (spec.parameter or 0.0) + beta_shift)
+    value = _root_panel_integral(spec, a, 1.0,
+                                 lambda lw, ln_y2: -np.exp(lw + ln_y2) * ln_y2, tol)
     with _ENTROPY_LOCK:
         _ENTROPY_CACHE[key] = value
     return value

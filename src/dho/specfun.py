@@ -333,6 +333,12 @@ def hyp_3F2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float
 
     One of a1..a3 must be a non-positive integer.
     """
+    return math.fsum(hyp_3F2_unit_terms(a1, a2, a3, b1, b2))
+
+
+def hyp_3F2_unit_terms(a1: float, a2: float, a3: float, b1: float,
+                       b2: float) -> list[float]:
+    """The terms hyp_3F2_unit sums, up to the first zero one."""
     tops = [a for a in (a1, a2, a3) if a <= 0 and a == math.floor(a)]
     if not tops:
         raise UnsupportedError("3F2(1) requires a non-positive integer numerator")
@@ -347,7 +353,7 @@ def hyp_3F2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float
         if term == 0.0:
             break
         terms.append(term)
-    return math.fsum(terms)
+    return terms
 
 
 def hyp_pFq(numerators: Sequence[float], denominators: Sequence[float], z: float,

@@ -28,6 +28,13 @@ class Space(Enum):
     MOMENTUM = "momentum"
 
 
+def _integer(value, name: str) -> int:
+    """value as an int; a non-integral number is refused, never truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OscillatorSpec:
     """Potential strength omega and dimensionality D (atomic units)."""
@@ -36,8 +43,8 @@ class OscillatorSpec:
     dim: int
 
     def __post_init__(self):
-        if not self.omega > 0:
-            raise DomainError("omega must be positive")
+        if not 0 < self.omega < math.inf:
+            raise DomainError("omega must be positive and finite")
         if self.dim < 1 or int(self.dim) != self.dim:
             raise DomainError("dim must be an integer >= 1")
 
@@ -60,7 +67,7 @@ class HyperState:
             raise DomainError("hyperspherical states require dim >= 2")
         if self.n_r < 0 or int(self.n_r) != self.n_r:
             raise DomainError("n_r must be a nonnegative integer")
-        mu = tuple(int(v) for v in self.mu)
+        mu = tuple(_integer(v, "mu") for v in self.mu)
         object.__setattr__(self, "mu", mu)
         if len(mu) != D - 1:
             raise DomainError(f"mu must have D-1 = {D - 1} entries")
@@ -105,7 +112,7 @@ class CartesianState:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        n = tuple(int(v) for v in self.n)
+        n = tuple(_integer(v, "n") for v in self.n)
         object.__setattr__(self, "n", n)
         if len(n) != self.spec.dim:
             raise DomainError("n must have one entry per dimension")
@@ -260,10 +267,10 @@ def state_from_dict(data: dict) -> State:
         raise ParseError("state object needs a 'kind' field") from exc
     try:
         if kind == "hyper":
-            spec = OscillatorSpec(float(data["omega"]), int(data["D"]))
-            return HyperState(spec, int(data["nr"]), tuple(data["mu"]))
+            spec = OscillatorSpec(float(data["omega"]), _integer(data["D"], "D"))
+            return HyperState(spec, _integer(data["nr"], "nr"), tuple(data["mu"]))
         if kind == "cartesian":
-            n = tuple(int(v) for v in data["n"])
+            n = tuple(data["n"])
             spec = OscillatorSpec(float(data["omega"]), len(n))
             return CartesianState(spec, n)
     except DomainError:

@@ -195,6 +195,18 @@ class TestRydbergEntropies:
                     + asy.rydberg_renyi(ref, 2.0, Space.MOMENTUM).value)
             assert s == pytest.approx(sref, rel=1e-12)
 
+    @pytest.mark.parametrize("q", [2.0, 0.8])
+    def test_renyi_residual_shrinks(self, q):
+        # the radial part carries the -ln 2 of radial_renyi, so the residual
+        # against the exact value decays instead of tending to ln 2
+        resids = []
+        for nr in (100, 400, 800):
+            st_ = hyper(1.0, 3, nr, 0, 0)
+            exact = im.renyi_hyperspherical(st_, q, tol=1e-8).value
+            resids.append(abs(asy.rydberg_renyi(st_, q).value - exact))
+        assert resids[0] > resids[1] > resids[2]
+        assert resids[2] < (0.001 if q == 2.0 else 0.1)
+
 
 class TestHighDimEntropies:
     def test_shannon_leading_equals_exact_ground(self):

@@ -60,6 +60,22 @@ def test_exit_code_domain_error():
     assert "domain error" in err
 
 
+@pytest.mark.parametrize("state", [
+    '{"kind":"hyper","D":3,"omega":1,"nr":2.5,"mu":[0,0]}',
+    '{"kind":"hyper","D":3.5,"omega":1,"nr":0,"mu":[0,0]}',
+    '{"kind":"hyper","D":3,"omega":1,"nr":1,"mu":[1.5,0]}',
+    '{"kind":"hyper","D":3,"omega":1,"nr":1e400,"mu":[0,0]}',
+    '{"kind":"cartesian","omega":1,"n":[2,0.5]}',
+    '{"kind":"hyper","D":3,"omega":Infinity,"nr":0,"mu":[0,0]}',
+    '{"kind":"cartesian","omega":NaN,"n":[1]}',
+])
+def test_non_integer_or_non_finite_state_is_domain_error(state, capsys):
+    assert cli.main(["compute", "--state", state, "--quantity", "energy"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "domain error" in err
+
+
 def test_missing_parameter_is_parse_error():
     rc, _, _ = run_cli("compute", "--state", GROUND3, "--quantity", "moment")
     assert rc == 2

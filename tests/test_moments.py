@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dho import moments
-from dho.errors import DomainError
+from dho.errors import ConsistencyError, DomainError
 from dho.states import HyperState, OscillatorSpec, Space
 
 
@@ -66,6 +66,22 @@ class TestClosedForm:
             a = moments.moment_3f2_form(hyper(1.0, D, nr, l), k)
             b = moments.radial_moment(hyper(1.0, D, nr, l), k)
             assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("nr", [22, 26, 28, 30, 31, 32])
+    @pytest.mark.parametrize("k", [-1.5, -1.0, 0.5, 1.0])
+    def test_dual_form_cancellation_does_not_raise(self, nr, k):
+        # the alternating 3F2 loses up to ~1e-10 here; the finite sum does not
+        st_ = hyper(1.0, 3, nr, 0)
+        assert moments.radial_moment(st_, k) == pytest.approx(
+            moments.oracle_radial_moment(st_, k), rel=1e-12)
+
+    def test_dual_form_still_catches_a_wrong_sum(self, monkeypatch):
+        st_ = hyper(1.0, 3, 5, 0)
+        exact = moments._moment_finite_sum(st_, -1.0)
+        monkeypatch.setattr(moments, "_moment_finite_sum",
+                            lambda state, k: exact * (1.0 + 1e-9))
+        with pytest.raises(ConsistencyError):
+            moments.radial_moment(st_, -1.0)
 
 
 class TestOracleAgreement:

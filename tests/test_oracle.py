@@ -175,6 +175,69 @@ class TestWeightedNorm:
             oracle.weighted_Lq_norm(1, 0, 1, 2.0)
 
 
+def _mp_orthonormal(spec: PolySpec):
+    """The orthonormal member as a 30-digit mpmath function."""
+    n, p = spec.degree, spec.parameter
+    if spec.family == "hermite":
+        h = 2 ** n * mp.factorial(n) * mp.sqrt(mp.pi)
+        return lambda x: mp.hermite(n, x) / mp.sqrt(h)
+    if spec.family == "laguerre":
+        h = mp.gamma(n + p + 1) / mp.factorial(n)
+        return lambda x: mp.laguerre(n, p, x) / mp.sqrt(h)
+    h = (mp.pi * mp.mpf(2) ** (1 - 2 * p) * mp.gamma(n + 2 * p)
+         / (mp.factorial(n) * (n + p) * mp.gamma(p) ** 2))
+    return lambda x: mp.gegenbauer(n, p, x) / mp.sqrt(h)
+
+
+def _mp_lq_integral(spec: PolySpec, q: float, a: float):
+    """int |y|^(2q) w dx at 30 digits with breakpoints at the roots of y."""
+    support = {"hermite": (-mp.inf, mp.inf), "laguerre": (0, mp.inf),
+               "gegenbauer": (-1, 1)}[spec.family]
+    log_w = {"hermite": lambda x: -q * x * x,
+             "laguerre": lambda x: a * mp.log(x) - q * x,
+             "gegenbauer": lambda x: a * mp.log(1 - x * x)}[spec.family]
+    roots = [mp.mpf(float(r)) for r in specfun.poly_roots(spec)] if spec.degree else []
+    with mp.workdps(30):
+        y = _mp_orthonormal(spec)
+        return mp.quad(lambda x: abs(y(x)) ** (2 * mp.mpf(q)) * mp.exp(log_w(x)),
+                       [support[0], *roots, support[1]])
+
+
+class TestLqIntegral:
+    def test_gegenbauer_degree0_closed_form(self):
+        lam, a, q = 1.5, 1.3, 0.7
+        with mp.workdps(30):
+            mass = mp.sqrt(mp.pi) * mp.gamma(lam + 0.5) / mp.gamma(lam + 1)
+            exact = float(mass ** (-q) * mp.beta(0.5, a + 1))
+        got = oracle.lq_integral(PolySpec("gegenbauer", 0, lam), q, a)
+        assert got == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("spec,q,a", [
+        (PolySpec("gegenbauer", 3, 2.0), 2.0 / 3.0, 1.2),
+        (PolySpec("hermite", 5, None), 0.6, 0.0),
+        (PolySpec("hermite", 2, None), 0.1, 0.0),  # the span grows as 1/sqrt(q)
+        (PolySpec("laguerre", 6, 1.5), 0.8, 1.3),
+    ])
+    def test_real_q_matches_mpmath(self, spec, q, a):
+        exact = float(_mp_lq_integral(spec, q, a))
+        assert oracle.lq_integral(spec, q, a) == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("spec,a", [
+        (PolySpec("gegenbauer", 3, 2.0), 1.2),
+        (PolySpec("hermite", 5, None), 0.0),
+        (PolySpec("laguerre", 6, 1.5), 2.5),
+    ])
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_integer_q_gauss_rule_matches_panels(self, spec, a, q):
+        panels = oracle._root_panel_integral(
+            spec, a, float(q), lambda lw, ln_y2: np.exp(lw + q * ln_y2), None)
+        assert oracle.lq_integral(spec, q, a) == pytest.approx(panels, rel=1e-12)
+
+    def test_q_must_be_positive(self):
+        with pytest.raises(DomainError):
+            oracle.lq_integral(PolySpec("hermite", 2, None), 0.0)
+
+
 class TestPolynomialEntropy:
     def test_laguerre_degree0(self):
         for alpha in (0.5, 2.0, 7.0):
