@@ -3,8 +3,9 @@
 Output is deterministic: JSON lines use Python's shortest-roundtrip float
 representation (lowercase exponents), CSV rows follow RFC 4180, and sweep row
 order is the lexicographic order of the configuration ranges regardless of the
-parallel execution order.  Exit codes: 2 parse error, 3 domain error, 4
-convergence error (a partial result is still printed).
+parallel execution order.  Exit codes: 2 parse error, 3 domain error (also an
+unserved quantity x engine pair, a non-finite parameter or a float overflow),
+4 convergence error (a partial result is still printed).
 """
 
 from __future__ import annotations
@@ -18,27 +19,81 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
-from . import asymptotics, infomeasures, moments, oracle, states, uncertainty, validation
+from . import asymptotics, infomeasures, moments, states, uncertainty, validation
 from .errors import ConvergenceError, DomainError, ParseError, UnsupportedError
-from .infomeasures import ENGINE_CLOSED, ENGINE_ORACLE
-from .states import CartesianState, HyperState, Space
+from .states import HyperState, Space
 
 EXIT_PARSE, EXIT_DOMAIN, EXIT_CONVERGENCE = 2, 3, 4
 
-# id -> (description, engines _compute_one serves for it)
-QUANTITIES = {
-    "energy": ("eigenvalue (N + D/2) omega", ("closed",)),
-    "moment": ("radial expectation value <r^k> (or <p^k>); takes --k",
-               ("closed", "oracle", "asymptotic")),
-    "heisenberg": ("generalized product <r^k><p^k>; takes --k", ("closed", "asymptotic")),
-    "fisher": ("Fisher information of the position/momentum density", ("closed", "oracle")),
-    "shannon": ("Shannon entropy of the position/momentum density",
-                ("closed", "oracle", "asymptotic")),
-    "renyi": ("Renyi entropy; takes --q", ("closed", "oracle", "asymptotic")),
-    "disequilibrium": ("int rho^2 (= exp(-R_2)); position space", ("closed", "oracle")),
-}
-
 ENGINES = ("closed", "oracle", "asymptotic")
+REGIMES = ("rydberg", "highdim")
+MODES = ("leading", "as-published")
+# sweep engine string -> (engine, regime, mode); None leaves the quantity
+# spec's own "regime" / "mode" in force
+SWEEP_ENGINES = {**{e: (e, None, None) for e in ENGINES},
+                 "asymptotic:rydberg": ("asymptotic", "rydberg", None),
+                 "asymptotic:highdim": ("asymptotic", "highdim", None),
+                 "asymptotic:highdim-published": ("asymptotic", "highdim", "as-published")}
+
+
+def _measured(fn):
+    """closed and oracle evaluators of fn(state, space, args, engine) -> MeasureValue."""
+    def evaluator(engine):
+        def evaluate(st, sp, a):
+            mv = fn(st, sp, a, engine)
+            return mv.space, mv.engine, mv.value, mv.error_estimate, None
+        return evaluate
+    return {engine: evaluator(engine) for engine in ("closed", "oracle")}
+
+
+def _asymptotic(rydberg, highdim, spatial=True):
+    """Asymptotic evaluator: the Rydberg or the high-D form, by args.regime."""
+    def evaluate(st, sp, a):
+        av = (highdim if a.regime == "highdim" else rydberg)(st, sp, a)
+        return sp if spatial else None, "asymptotic", av.value, None, av.order_note
+    return evaluate
+
+
+# id -> (description, parameter it takes, serves Cartesian states,
+#        engine -> evaluator(state, space, args) returning
+#        (space, engine tag, value, error estimate, order note)).
+# Evaluators reach the engines through their modules at call time.
+QUANTITIES = {
+    "energy": ("eigenvalue (N + D/2) omega", None, True, {
+        "closed": lambda st, sp, a: (None, "closed", states.energy(st), None, None)}),
+    "moment": ("radial expectation value <r^k> (or <p^k>); takes --k", "k", False, {
+        "closed": lambda st, sp, a: (sp, "closed", moments.radial_moment(st, a.k, sp),
+                                     None, None),
+        "oracle": lambda st, sp, a: (sp, "oracle", moments.oracle_radial_moment(st, a.k, sp),
+                                     1e-13, None),
+        "asymptotic": _asymptotic(
+            lambda st, sp, a: asymptotics.rydberg_moment(
+                a.k, st.n_r, asymptotics.RydbergLimit(a.s), st.spec.omega, sp),
+            lambda st, sp, a: asymptotics.highdim_moment(
+                a.k, st.spec.dim, st.spec.omega, st.n_r, st.l, space=sp))}),
+    "heisenberg": ("generalized product <r^k><p^k>; takes --k", "k", False, {
+        "closed": lambda st, sp, a: (None, "closed", moments.heisenberg_product(st, a.k),
+                                     None, None),
+        "asymptotic": _asymptotic(
+            lambda st, sp, a: asymptotics.rydberg_heisenberg(a.k, st.n_r),
+            lambda st, sp, a: asymptotics.highdim_heisenberg(a.k, st.spec.dim),
+            spatial=False)}),
+    "fisher": ("Fisher information of the position/momentum density", None, False,
+               _measured(lambda st, sp, a, e: infomeasures.fisher(st, sp, e))),
+    "shannon": ("Shannon entropy of the position/momentum density", None, True, {
+        **_measured(lambda st, sp, a, e: infomeasures.shannon(st, sp, e, tol=a.tol)),
+        "asymptotic": _asymptotic(
+            lambda st, sp, a: asymptotics.rydberg_shannon(st, sp, tol=a.tol),
+            lambda st, sp, a: asymptotics.highdim_shannon(st, sp, a.mode.replace("-", "_")))}),
+    "renyi": ("Renyi entropy; takes --q", "q", True, {
+        **_measured(lambda st, sp, a, e: infomeasures.renyi(st, a.q, sp, e, tol=a.tol)),
+        "asymptotic": _asymptotic(
+            lambda st, sp, a: asymptotics.rydberg_renyi(st, a.q, sp, tol=a.tol),
+            lambda st, sp, a: asymptotics.highdim_renyi(st, a.q, sp))}),
+    "disequilibrium": ("int rho^2 (= exp(-R_2)); position space", None, False,
+                       _measured(lambda st, sp, a, e: infomeasures.disequilibrium(
+                           st, e, tol=a.tol))),
+}
 
 
 def _emit(record: dict) -> None:
@@ -47,6 +102,9 @@ def _emit(record: dict) -> None:
 
 def _record(state, quantity, space, engine, value, error_estimate=None,
             order_note=None, **extra) -> dict:
+    for x in (value, error_estimate):
+        if x is not None and not math.isfinite(x):
+            raise DomainError(f"{quantity} is not finite in floating point: {x!r}")
     rec = {"state": states.state_to_dict(state), "quantity": quantity,
            "space": None if space is None else space.value, "engine": engine,
            "value": None if value is None else float(value),
@@ -56,110 +114,33 @@ def _record(state, quantity, space, engine, value, error_estimate=None,
     return rec
 
 
+def _json_number(x):
+    """x, or None in place of a float NaN or infinity (not valid JSON)."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _compute_one(state, quantity: str, space: Space, engine: str, args) -> dict:
     """Evaluate one quantity for one state; shared by compute and sweep."""
-    tol = args.tol
-    if quantity == "energy":
-        return _record(state, quantity, None, "closed", states.energy(state))
-
-    if quantity == "moment":
-        k = _require_k(args)
-        if engine == "closed":
-            _require_hyper(state, quantity)
-            return _record(state, quantity, space, "closed",
-                           moments.radial_moment(state, k, space))
-        if engine == "oracle":
-            _require_hyper(state, quantity)
-            return _record(state, quantity, space, "oracle",
-                           moments.oracle_radial_moment(state, k, space),
-                           error_estimate=1e-13)
-        _require_hyper(state, quantity)
-        if args.regime == "highdim":
-            a = asymptotics.highdim_moment(k, state.spec.dim, state.spec.omega,
-                                           state.n_r, state.l, space=space)
-        else:
-            a = asymptotics.rydberg_moment(k, state.n_r,
-                                           asymptotics.RydbergLimit(args.s),
-                                           state.spec.omega, space)
-        return _record(state, quantity, space, "asymptotic", a.value,
-                       order_note=a.order_note)
-
-    if quantity == "heisenberg":
-        k = _require_k(args)
-        _require_hyper(state, quantity)
-        if engine == "asymptotic":
-            if args.regime == "highdim":
-                a = asymptotics.highdim_heisenberg(k, state.spec.dim)
-            else:
-                a = asymptotics.rydberg_heisenberg(k, state.n_r)
-            return _record(state, quantity, None, "asymptotic", a.value,
-                           order_note=a.order_note)
-        return _record(state, quantity, None, "closed",
-                       moments.heisenberg_product(state, k))
-
-    if quantity == "fisher":
-        _require_hyper(state, quantity)
-        if engine == "asymptotic":
-            raise UnsupportedError("fisher has no asymptotic engine")
-        mv = infomeasures.fisher(state, space, engine)
-        return _record(state, quantity, space, mv.engine, mv.value,
-                       error_estimate=mv.error_estimate)
-
-    if quantity == "shannon":
-        if engine == "asymptotic":
-            _require_hyper(state, quantity)
-            if args.regime == "highdim":
-                mode = "as_published" if args.mode == "as-published" else "leading"
-                a = asymptotics.highdim_shannon(state, space, mode)
-            else:
-                a = asymptotics.rydberg_shannon(state, space, tol=tol)
-            return _record(state, quantity, space, "asymptotic", a.value,
-                           order_note=a.order_note)
-        mv = infomeasures.shannon(state, space, engine, tol=tol)
-        return _record(state, quantity, space, mv.engine, mv.value,
-                       error_estimate=mv.error_estimate)
-
-    if quantity == "renyi":
-        q = _require_q(args)
-        if engine == "asymptotic":
-            _require_hyper(state, quantity)
-            if args.regime == "highdim":
-                a = asymptotics.highdim_renyi(state, q, space)
-            else:
-                a = asymptotics.rydberg_renyi(state, q, space, tol=tol)
-            return _record(state, quantity, space, "asymptotic", a.value,
-                           order_note=a.order_note, q=q)
-        mv = infomeasures.renyi(state, q, space, engine, tol=tol)
-        return _record(state, quantity, space, mv.engine, mv.value,
-                       error_estimate=mv.error_estimate, q=q)
-
-    if quantity == "disequilibrium":
-        _require_hyper(state, quantity)
-        if engine == "asymptotic":
-            raise UnsupportedError("disequilibrium has no asymptotic engine")
-        mv = infomeasures.disequilibrium(state, engine, tol=tol)
-        return _record(state, quantity, Space.POSITION, mv.engine, mv.value,
-                       error_estimate=mv.error_estimate)
-
-    raise ParseError(f"unknown quantity {quantity!r}; see list-quantities")
-
-
-def _require_hyper(state, quantity):
-    if not isinstance(state, HyperState):
-        raise DomainError(f"{quantity} requires a hyperspherical state here; "
-                          "Cartesian states support energy/shannon/renyi")
-
-
-def _require_k(args) -> float:
-    if args.k is None:
-        raise ParseError("--k is required for this quantity")
-    return args.k
-
-
-def _require_q(args) -> float:
-    if args.q is None:
-        raise ParseError("--q is required for this quantity")
-    return args.q
+    if quantity not in QUANTITIES:
+        raise ParseError(f"unknown quantity {quantity!r}; see list-quantities")
+    _, param, cartesian, evaluators = QUANTITIES[quantity]
+    if engine not in evaluators:
+        raise UnsupportedError(f"{quantity} has no {engine} engine; see list-quantities")
+    if param and getattr(args, param) is None:
+        raise ParseError(f"--{param} is required for {quantity}")
+    for name in ("k", "q", "s", "tol"):
+        value = getattr(args, name)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
+                                  or not math.isfinite(value) or name == "tol" and value <= 0):
+            raise DomainError(f"{name} must be a finite real number"
+                              f"{' > 0' if name == 'tol' else ''}, got {value!r}")
+    # the Rydberg and high-D limits are taken along hyperspherical ladders
+    if not isinstance(state, HyperState) and (not cartesian or engine == "asymptotic"):
+        raise DomainError(f"{quantity} ({engine}) requires a hyperspherical state; "
+                          "Cartesian states support energy and closed/oracle "
+                          "shannon/renyi")
+    extra = {"q": args.q} if param == "q" else {}
+    return _record(state, quantity, *evaluators[engine](state, space, args), **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -213,33 +194,36 @@ def _expand_states(spec: dict) -> list:
     raise ParseError(f"unknown state kind {kind!r} in sweep config")
 
 
+def _resolve_engine(request, qspec: dict) -> tuple[str, str, str]:
+    """The (engine, regime, mode) that compute's --engine/--regime/--mode give,
+    for a sweep engine string and the quantity spec's "regime" / "mode"."""
+    if not isinstance(request, str) or request not in SWEEP_ENGINES:
+        raise ParseError(f"unknown engine {request!r} in sweep config; "
+                         f"known: {sorted(SWEEP_ENGINES)}")
+    regime, mode = qspec.get("regime", "rydberg"), qspec.get("mode", "leading")
+    for name, value, known in (("regime", regime, REGIMES), ("mode", mode, MODES)):
+        if value not in known:
+            raise ParseError(f"unknown {name} {value!r} in sweep config; known: {known}")
+    engine, fixed_regime, fixed_mode = SWEEP_ENGINES[request]
+    return engine, fixed_regime or regime, fixed_mode or mode
+
+
 def _sweep_rows(config: dict, args) -> tuple[list[dict], bool]:
-    state_list = _expand_states(config["states"])
-    quantities = config["quantities"]
-    engines = config.get("engines", ["closed"])
+    requests = []  # (quantity spec, engine string, resolved engine), config order
+    for qspec in config["quantities"]:
+        qspec = {"id": qspec} if isinstance(qspec, str) else qspec
+        if qspec.get("id") not in QUANTITIES:
+            raise ParseError(f"unknown quantity {qspec.get('id')!r} in sweep config; "
+                             f"known: {sorted(QUANTITIES)}")
+        requests += [(qspec, eng, _resolve_engine(eng, qspec))
+                     for eng in config.get("engines", ["closed"])]
     space = Space(config.get("space", "position"))
-    jobs = []
-    for st in state_list:
-        for qspec in quantities:
-            if isinstance(qspec, str):
-                qspec = {"id": qspec}
-            for eng in engines:
-                jobs.append((st, qspec, eng))
+    jobs = [(st, *req) for st in _expand_states(config["states"]) for req in requests]
 
     def run(job):
-        st, qspec, eng = job
-        ns = argparse.Namespace(k=qspec.get("k"), q=qspec.get("q"),
-                                s=qspec.get("s", 0.0),
-                                mode=qspec.get("mode", "leading"),
-                                regime="rydberg", tol=args.tol)
-        engine = eng
-        if ":" in eng:
-            engine, variant = eng.split(":", 1)
-            ns.regime = "highdim" if variant.startswith("highdim") else "rydberg"
-            if variant == "highdim-published":
-                ns.mode = "as-published"
-        elif eng == "asymptotic":
-            ns.regime = qspec.get("regime", "rydberg")
+        st, qspec, eng, (engine, regime, mode) = job
+        ns = argparse.Namespace(k=qspec.get("k"), q=qspec.get("q"), s=qspec.get("s", 0.0),
+                                regime=regime, mode=mode, tol=args.tol)
         try:
             rec = _compute_one(st, qspec["id"], space, engine, ns)
             rec["error"] = ""
@@ -247,15 +231,14 @@ def _sweep_rows(config: dict, args) -> tuple[list[dict], bool]:
             rec = _record(st, qspec["id"], space, eng, None)
             rec["error"] = f"{type(exc).__name__}: {exc}"
         rec["engine_request"] = eng
-        rec["k"] = qspec.get("k")
-        rec["q"] = qspec.get("q")
+        rec["k"] = _json_number(qspec.get("k"))
+        rec["q"] = _json_number(qspec.get("q"))
         return rec
 
-    workers = max(1, args.jobs)
-    if workers == 1:
+    if args.jobs == 1:
         rows = [run(j) for j in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(run, jobs))
     failed = any(r["error"] for r in rows)
     return rows, failed
@@ -276,6 +259,8 @@ def _format_cell(v) -> str:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
@@ -286,11 +271,6 @@ def cmd_sweep(args) -> int:
             raise ParseError(f"sweep config needs a non-empty {key!r}")
     if not config.get("engines", ["closed"]):
         raise ParseError("sweep config needs a non-empty 'engines'")
-    for qspec in config["quantities"]:
-        qid = qspec if isinstance(qspec, str) else qspec.get("id")
-        if qid not in QUANTITIES:
-            raise ParseError(f"unknown quantity {qid!r} in sweep config; "
-                             f"known: {sorted(QUANTITIES)}")
     rows, failed = _sweep_rows(config, args)
     fmt = config.get("output", "json")
     if fmt == "json":
@@ -345,8 +325,8 @@ def cmd_validate(args) -> int:
 
 def cmd_list_quantities(args) -> int:
     for qid in sorted(QUANTITIES):
-        description, engines = QUANTITIES[qid]
-        _emit({"id": qid, "description": description, "engines": list(engines)})
+        description, _, _, evaluators = QUANTITIES[qid]
+        _emit({"id": qid, "description": description, "engines": list(evaluators)})
     return 0
 
 
@@ -370,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--q", type=float, help="Renyi order")
     c.add_argument("--s", type=float, default=0.0,
                    help="Rydberg limit of l/n_r (asymptotic moments)")
-    c.add_argument("--regime", default="rydberg", choices=("rydberg", "highdim"))
-    c.add_argument("--mode", default="leading", choices=("leading", "as-published"),
+    c.add_argument("--regime", default="rydberg", choices=REGIMES)
+    c.add_argument("--mode", default="leading", choices=MODES,
                    help="high-D Shannon variant")
     c.add_argument("--tol", type=float, default=None, help="oracle tolerance")
     c.set_defaults(fn=cmd_compute)
@@ -406,13 +386,13 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (DomainError, UnsupportedError) as exc:
+    except (DomainError, UnsupportedError, ArithmeticError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ConvergenceError as exc:
         if exc.value is not None:
-            _emit({"value": exc.value, "error_estimate": exc.error_estimate,
-                   "converged": False})
+            _emit({"value": _json_number(exc.value),
+                   "error_estimate": _json_number(exc.error_estimate), "converged": False})
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
 

@@ -81,7 +81,7 @@ def test_missing_parameter_is_parse_error():
     assert rc == 2
 
 
-def test_list_quantities():
+def test_list_quantities(capsys):
     rc, out, _ = run_cli("list-quantities")
     assert rc == 0
     recs = [json.loads(line) for line in out.splitlines()]
@@ -92,6 +92,70 @@ def test_list_quantities():
         "energy": ["closed"], "heisenberg": ["closed", "asymptotic"],
         "fisher": ["closed", "oracle"], "disequilibrium": ["closed", "oracle"],
         "moment": all3, "shannon": all3, "renyi": all3}
+    # compute serves exactly the listed pairs; Cartesian states only the
+    # closed/oracle energy, shannon and renyi
+    hyper = '{"kind":"hyper","D":3,"omega":1,"nr":1,"mu":[1,0]}'
+    cart = '{"kind":"cartesian","omega":1,"n":[1,2]}'
+    for rec in recs:
+        for engine in cli.ENGINES:
+            states = [hyper] + ([cart] if rec["id"] in ("energy", "shannon", "renyi") else [])
+            for st in states:
+                rc = cli.main(["compute", "--state", st, "--quantity", rec["id"],
+                               "--engine", engine, "--k", "2", "--q", "2"])
+                out, err = capsys.readouterr()
+                served = engine in rec["engines"] and (st == hyper or engine != "asymptotic")
+                assert rc == (0 if served else 3), (rec["id"], engine, st, err)
+                assert bool(out) == served
+
+
+@pytest.mark.parametrize("extra", [
+    ["--quantity", "moment", "--k", "inf"], ["--quantity", "moment", "--k", "nan"],
+    ["--quantity", "renyi", "--q", "inf"], ["--quantity", "renyi", "--q=-inf"],
+    ["--quantity", "moment", "--k", "1", "--engine", "asymptotic", "--s", "inf"],
+    ["--quantity", "shannon", "--tol", "-1"], ["--quantity", "shannon", "--tol", "0"],
+    ["--quantity", "shannon", "--tol", "inf"],
+])
+def test_non_finite_or_out_of_range_parameter_is_domain_error(extra, capsys):
+    state = '{"kind":"hyper","D":3,"omega":1,"nr":1,"mu":[0,0]}'
+    assert cli.main(["compute", "--state", state, *extra]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "domain error" in err
+
+
+@pytest.mark.parametrize("state, extra", [
+    ('{"kind":"hyper","D":3,"omega":1e300,"nr":0,"mu":[0,0]}',
+     ["--quantity", "moment", "--k", "4", "--space", "momentum"]),
+    ('{"kind":"hyper","D":3,"omega":1e-310,"nr":0,"mu":[0,0]}',
+     ["--quantity", "fisher", "--space", "momentum"]),
+])
+def test_float_overflow_is_domain_error(state, extra, capsys):
+    assert cli.main(["compute", "--state", state, *extra]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "domain error" in err
+
+
+def _no_bare_constants(name):
+    raise AssertionError(f"bare {name} in JSON output")
+
+
+def test_non_finite_value_is_refused(monkeypatch, capsys):
+    monkeypatch.setattr(cli.states, "energy", lambda state: math.inf)
+    assert cli.main(["compute", "--state", GROUND3, "--quantity", "energy"]) == 3
+    out, _ = capsys.readouterr()
+    assert out == ""
+
+
+def test_convergence_partial_record_writes_null_for_non_finite(monkeypatch, capsys):
+    def diverge(*args, **kwargs):
+        raise cli.ConvergenceError("diverged", value=math.nan, error_estimate=math.inf)
+
+    monkeypatch.setattr(cli.infomeasures, "fisher", diverge)
+    assert cli.main(["compute", "--state", GROUND3, "--quantity", "fisher"]) == 4
+    out, _ = capsys.readouterr()
+    assert json.loads(out, parse_constant=_no_bare_constants) == {
+        "value": None, "error_estimate": None, "converged": False}
 
 
 def test_uncertainty_report():
@@ -148,6 +212,57 @@ def test_sweep_json_rows_and_errors(tmp_path):
     assert rc == 1  # per-row failures recorded, nonzero exit
     rows = [json.loads(line) for line in out.splitlines()]
     assert all(r["error"].startswith("DomainError") for r in rows)
+
+
+def _sweep(tmp_path, capsys, config, *args):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps(config))
+    rc = cli.main(["sweep", "--config", str(cfg), *args])
+    out, _ = capsys.readouterr()
+    return rc, [json.loads(line, parse_constant=_no_bare_constants)
+                for line in out.splitlines()]
+
+
+SMALL_SWEEP = {"states": {"kind": "hyper", "D": 3, "omega": 1.0, "nr": [1],
+                          "mu": [[1, 0]]}}
+
+
+def test_sweep_unserved_pairs_are_row_errors(tmp_path, capsys):
+    config = dict(SMALL_SWEEP, quantities=["energy", {"id": "heisenberg", "k": 2}],
+                  engines=["closed", "oracle"])
+    rc, rows = _sweep(tmp_path, capsys, config, "--jobs", "1")
+    assert rc == 1
+    assert [r["error"].split(":")[0] for r in rows] == [
+        "", "UnsupportedError", "", "UnsupportedError"]
+
+
+@pytest.mark.parametrize("engines, qspec", [
+    (["bogus"], {"id": "moment", "k": 1}),
+    (["closed", "asymptotic:foo"], {"id": "moment", "k": 1}),
+    (["closed:rydberg"], {"id": "moment", "k": 1}),
+    ([["asymptotic"]], {"id": "moment", "k": 1}),
+    (["asymptotic"], {"id": "moment", "k": 1, "regime": "x"}),
+    (["closed"], {"id": "shannon", "mode": "as_published"}),
+])
+def test_sweep_unknown_engine_regime_or_mode_is_parse_error(engines, qspec, tmp_path,
+                                                            capsys):
+    config = dict(SMALL_SWEEP, quantities=[qspec], engines=engines)
+    assert _sweep(tmp_path, capsys, config) == (2, [])
+
+
+def test_sweep_non_finite_parameter_is_row_error(tmp_path, capsys):
+    # Python's json writes and reads Infinity; the row is refused and echoes q as null
+    config = dict(SMALL_SWEEP, quantities=[{"id": "renyi", "q": math.inf}])
+    rc, (row,) = _sweep(tmp_path, capsys, config)
+    assert rc == 1
+    assert row["error"].startswith("DomainError")
+    assert row["q"] is None and row["value"] is None
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_jobs_below_one_is_parse_error(jobs, tmp_path, capsys):
+    config = dict(SMALL_SWEEP, quantities=["energy"])
+    assert _sweep(tmp_path, capsys, config, "--jobs", jobs) == (2, [])
 
 
 def test_sweep_asymptotic_engine_and_plot(tmp_path):
