@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -34,6 +35,9 @@ SWEEP_ENGINES = {**{e: (e, None, None) for e in ENGINES},
                  "asymptotic:rydberg": ("asymptotic", "rydberg", None),
                  "asymptotic:highdim": ("asymptotic", "highdim", None),
                  "asymptotic:highdim-published": ("asymptotic", "highdim", "as-published")}
+# keys a sweep "states" spec of each kind must carry, and the output formats
+STATE_KEYS = {"hyper": ("D", "omega", "nr", "mu"), "cartesian": ("omega", "n")}
+OUTPUTS = ("json", "csv")
 
 
 def _measured(fn):
@@ -172,6 +176,11 @@ def cmd_uncertainty(args) -> int:
 
 def _expand_states(spec: dict) -> list:
     kind = spec.get("kind")
+    if kind not in STATE_KEYS:
+        raise ParseError(f"unknown state kind {kind!r} in sweep config")
+    missing = [key for key in STATE_KEYS[kind] if key not in spec]
+    if missing:
+        raise ParseError(f"sweep {kind} states spec lacks {missing}")
     if kind == "hyper":
         Ds = spec["D"] if isinstance(spec["D"], list) else [spec["D"]]
         omegas = spec["omega"] if isinstance(spec["omega"], list) else [spec["omega"]]
@@ -186,12 +195,10 @@ def _expand_states(spec: dict) -> list:
                             {"kind": "hyper", "D": D, "omega": om,
                              "nr": nr, "mu": mu}))
         return out
-    if kind == "cartesian":
-        omegas = spec["omega"] if isinstance(spec["omega"], list) else [spec["omega"]]
-        ns = spec["n"] if isinstance(spec["n"][0], list) else [spec["n"]]
-        return [states.state_from_dict({"kind": "cartesian", "omega": om, "n": n})
-                for om in omegas for n in ns]
-    raise ParseError(f"unknown state kind {kind!r} in sweep config")
+    omegas = spec["omega"] if isinstance(spec["omega"], list) else [spec["omega"]]
+    ns = spec["n"] if isinstance(spec["n"][0], list) else [spec["n"]]
+    return [states.state_from_dict({"kind": "cartesian", "omega": om, "n": n})
+            for om in omegas for n in ns]
 
 
 def _resolve_engine(request, qspec: dict) -> tuple[str, str, str]:
@@ -217,7 +224,10 @@ def _sweep_rows(config: dict, args) -> tuple[list[dict], bool]:
                              f"known: {sorted(QUANTITIES)}")
         requests += [(qspec, eng, _resolve_engine(eng, qspec))
                      for eng in config.get("engines", ["closed"])]
-    space = Space(config.get("space", "position"))
+    space = config.get("space", "position")
+    if space not in [sp.value for sp in Space]:
+        raise ParseError(f"unknown space {space!r} in sweep config")
+    space = Space(space)
     jobs = [(st, *req) for st in _expand_states(config["states"]) for req in requests]
 
     def run(job):
@@ -271,20 +281,20 @@ def cmd_sweep(args) -> int:
             raise ParseError(f"sweep config needs a non-empty {key!r}")
     if not config.get("engines", ["closed"]):
         raise ParseError("sweep config needs a non-empty 'engines'")
-    rows, failed = _sweep_rows(config, args)
     fmt = config.get("output", "json")
+    if fmt not in OUTPUTS:
+        raise ParseError(f"unknown output format {fmt!r}; known: {OUTPUTS}")
+    rows, failed = _sweep_rows(config, args)
     if fmt == "json":
         for r in rows:
             _emit(r)
-    elif fmt == "csv":
+    else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(CSV_COLUMNS)
         for r in rows:
             writer.writerow([_format_cell(r.get(c)) for c in CSV_COLUMNS])
         sys.stdout.write(buf.getvalue())
-    else:
-        raise ParseError(f"unknown output format {fmt!r}")
     plot = config.get("plot")
     if plot:
         _emit_plot(rows, plot)
@@ -333,6 +343,14 @@ def cmd_list_quantities(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _default_jobs() -> int:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(4, cpus)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dho",
@@ -365,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="grid sweep from a JSON config")
     s.add_argument("--config", required=True)
-    s.add_argument("--jobs", type=int, default=4)
+    s.add_argument("--jobs", type=int, default=_default_jobs(),
+                   help="sweep threads (default: up to 4, no more than the usable CPUs)")
     s.add_argument("--tol", type=float, default=None)
     s.set_defaults(fn=cmd_sweep)
 

@@ -477,19 +477,19 @@ def disequilibrium_radial(state: HyperState) -> float:
     """
     nr, l, D = state.n_r, state.l, state.spec.dim
     omega = state.spec.omega
+    # binomial(x, m) is an O(m) product: tabulate every coefficient once
+    central = [specfun.binomial(2 * j, j) for j in range(nr + 1)]
+    outer = [specfun.binomial(1.0 - D / 2.0, j) for j in range(2 * nr + 1)]
+    inner = [specfun.binomial(2 * l + D / 2.0 - 1.0 + r, r) for r in range(2 * nr + 1)]
     tot = []
     for k in range(nr + 1):
         for kp in range(nr + 1):
-            base = (specfun.binomial(2 * nr - 2 * k, nr - k)
-                    * specfun.binomial(2 * nr - 2 * kp, nr - kp)
+            base = (central[nr - k] * central[nr - kp]
                     * math.exp(gammaln(2 * k + 1.0) - gammaln(k + 1.0)
                                + gammaln(2 * kp + 1.0) - gammaln(kp + 1.0)
                                - gammaln(l + D / 2.0 + k) - gammaln(l + D / 2.0 + kp)))
             for r in range(min(2 * k, 2 * kp) + 1):
-                tot.append(base
-                           * specfun.binomial(1.0 - D / 2.0, 2 * k - r)
-                           * specfun.binomial(1.0 - D / 2.0, 2 * kp - r)
-                           * specfun.binomial(2 * l + D / 2.0 - 1.0 + r, r))
+                tot.append(base * outer[2 * k - r] * outer[2 * kp - r] * inner[r])
     pref = (omega ** (D / 2.0)
             * 2.0 ** (1.0 - D / 2.0 - 2 * l - 4 * nr)
             * math.exp(gammaln(D / 2.0 + 2 * l)))

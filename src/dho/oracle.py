@@ -18,6 +18,7 @@ import os
 import threading
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -212,6 +213,7 @@ def integrate_adaptive(f, lo: float, hi: float, singular_points=(),
 
 
 def _tanh_sinh_nodes(level: int):
+    """Integer abscissae k, nodes u and weights w at t = k h, h = 2^-level."""
     h = 0.5 ** level
     t_max = 6.1
     k = np.arange(-int(t_max / h), int(t_max / h) + 1)
@@ -220,7 +222,23 @@ def _tanh_sinh_nodes(level: int):
     u = np.tanh(0.5 * math.pi * sinh_t)
     w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(0.5 * math.pi * sinh_t) ** 2
     keep = w > 1e-320
-    return u[keep], w[keep]
+    return k[keep], u[keep], w[keep]
+
+
+@lru_cache(maxsize=8)  # levels 4..11, the default refinement range
+def _tanh_sinh_level(level: int):
+    """(u, w, odd, reuse) of one level, built once per process.
+
+    t = k h is exact for h a power of two, so the even-k nodes of a level are
+    the nodes of the level before; `odd` marks the new ones and `reuse` gives
+    the position of each even-k node in the previous level's arrays.
+    """
+    k, u, w = _tanh_sinh_nodes(level)
+    odd = k % 2 == 1
+    reuse = np.searchsorted(_tanh_sinh_nodes(level - 1)[0], k[~odd] // 2)
+    for a in (u, w, odd, reuse):
+        a.setflags(write=False)
+    return u, w, odd, reuse
 
 
 def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
@@ -229,7 +247,9 @@ def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
 
     Endpoint singularities (the t^2 ln t^2 kind at polynomial roots) are
     absorbed by the double-exponential clustering; each refinement level
-    roughly doubles the digits until tol is met.
+    roughly doubles the digits until tol is met.  Levels are nested: after
+    the first, f_vec sees only the nodes the level adds, and each total is
+    still summed over the full array of values.
     """
     if tol is None:
         tol = default_tolerance()
@@ -238,11 +258,16 @@ def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
         raise DomainError("need at least one panel")
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    prev = None
+    prev = vals = None
     for level in range(4, max_level + 1):
-        u, w = _tanh_sinh_nodes(level)
-        x = (mid[:, None] + half[:, None] * u[None, :]).ravel()
-        vals = np.asarray(f_vec(x), dtype=float).reshape(len(mid), len(u))
+        u, w, odd, reuse = _tanh_sinh_level(level)
+        fresh = odd if vals is not None else np.ones_like(odd)
+        x = (mid[:, None] + half[:, None] * u[fresh][None, :]).ravel()
+        new = np.empty((len(mid), len(u)))
+        new[:, fresh] = np.asarray(f_vec(x), dtype=float).reshape(len(mid), -1)
+        if vals is not None:
+            new[:, ~odd] = vals[:, reuse]
+        vals = new
         total = float(np.sum((half[:, None] * w[None, :]) * vals))
         if prev is not None and abs(total - prev) <= max(tol * abs(total), ABS_FLOOR):
             return IntegralEstimate(total, abs(total - prev), len(mid) * len(u))

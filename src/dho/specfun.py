@@ -32,6 +32,10 @@ EULER_GAMMA = 0.5772156649015329
 FAMILIES = ("hermite", "laguerre", "gegenbauer")
 NORMALIZATIONS = ("orthogonal", "orthonormal")
 
+# nodes per _recurrence pass in eval_poly_scaled: each recurrence step makes
+# ~7 passes over its arrays, and blocks of this size keep them in L2 cache
+RECURRENCE_BLOCK = 32768
+
 
 @dataclass(frozen=True)
 class PolySpec:
@@ -271,8 +275,17 @@ def eval_poly_scaled(spec: PolySpec, x):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = spec.degree
     diag, off = _jacobi_coeffs(spec.family, spec.parameter, max(n + 1, 2))
-    p, _, _, _, logs = _recurrence(x, diag, off, n,
-                                   _log_weight_mass(spec.family, spec.parameter))
+    log_mass = _log_weight_mass(spec.family, spec.parameter)
+    if x.size <= RECURRENCE_BLOCK:
+        p, _, _, _, logs = _recurrence(x, diag, off, n, log_mass)
+        return p, logs
+    # the recurrence acts per node, so blocks give the same bits as one pass
+    p, logs = np.empty(x.shape), np.empty(x.shape)
+    flat_x, flat_p, flat_logs = x.reshape(-1), p.reshape(-1), logs.reshape(-1)
+    for i in range(0, x.size, RECURRENCE_BLOCK):
+        block = slice(i, i + RECURRENCE_BLOCK)
+        flat_p[block], _, _, _, flat_logs[block] = _recurrence(
+            flat_x[block], diag, off, n, log_mass)
     return p, logs
 
 

@@ -265,6 +265,46 @@ def test_sweep_jobs_below_one_is_parse_error(jobs, tmp_path, capsys):
     assert _sweep(tmp_path, capsys, config, "--jobs", jobs) == (2, [])
 
 
+def test_sweep_jobs_default_is_capped_at_usable_cpus(monkeypatch):
+    def jobs():
+        return cli.build_parser().parse_args(["sweep", "--config", "c.json"]).jobs
+
+    assert jobs() == min(4, len(os.sched_getaffinity(0)))
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert jobs() == 3
+
+
+def _forbid(monkeypatch, *names):
+    """Make the named cli functions fail if a sweep reaches them."""
+    def reached(*args):
+        raise AssertionError("the sweep went on to expand states or run rows")
+
+    for name in names:
+        monkeypatch.setattr(cli, name, reached)
+
+
+@pytest.mark.parametrize("extra", [{"space": "bogus"}, {"output": "xml"}])
+def test_sweep_unknown_space_or_output_is_parse_error(extra, tmp_path, capsys,
+                                                      monkeypatch):
+    _forbid(monkeypatch, "_expand_states", "_compute_one")
+    config = dict(SMALL_SWEEP, quantities=["energy"], **extra)
+    assert _sweep(tmp_path, capsys, config) == (2, [])
+
+
+@pytest.mark.parametrize("states", [
+    *({k: v for k, v in SMALL_SWEEP["states"].items() if k != key}
+      for key in ("D", "omega", "nr", "mu")),
+    {"kind": "cartesian", "omega": 1.0},
+    {"kind": "cartesian", "n": [1, 0]},
+])
+def test_sweep_states_spec_missing_key_is_parse_error(states, tmp_path, capsys,
+                                                      monkeypatch):
+    _forbid(monkeypatch, "_compute_one")
+    config = {"states": states, "quantities": ["energy"]}
+    assert _sweep(tmp_path, capsys, config) == (2, [])
+
+
 def test_sweep_asymptotic_engine_and_plot(tmp_path):
     cfg_data = {
         "states": {"kind": "hyper", "D": [3], "omega": [1.0],

@@ -3,9 +3,10 @@
 import math
 
 import pytest
+from scipy.special import gammaln
 
 from dho import infomeasures as im
-from dho import oracle
+from dho import oracle, specfun
 from dho.errors import DomainError, UnsupportedError
 from dho.infomeasures import ENGINE_CLOSED, ENGINE_ORACLE, RenyiOrder
 from dho.specfun import EULER_GAMMA
@@ -248,6 +249,32 @@ class TestDisequilibrium:
         base = im.disequilibrium(hyper(1.0, 3, 1, 1, 1)).value
         scaled = im.disequilibrium(hyper(2.0, 3, 1, 1, 1)).value
         assert scaled == pytest.approx(base * 2.0 ** 1.5, rel=1e-11)
+
+
+    @pytest.mark.parametrize("D", [2, 3, 5])
+    @pytest.mark.parametrize("l", [0, 2])
+    def test_radial_tables_keep_the_triple_sum_bits(self, D, l):
+        def triple_sum(nr):  # every binomial evaluated inside the loops
+            tot = []
+            for k in range(nr + 1):
+                for kp in range(nr + 1):
+                    base = (specfun.binomial(2 * nr - 2 * k, nr - k)
+                            * specfun.binomial(2 * nr - 2 * kp, nr - kp)
+                            * math.exp(gammaln(2 * k + 1.0) - gammaln(k + 1.0)
+                                       + gammaln(2 * kp + 1.0) - gammaln(kp + 1.0)
+                                       - gammaln(l + D / 2.0 + k)
+                                       - gammaln(l + D / 2.0 + kp)))
+                    for r in range(min(2 * k, 2 * kp) + 1):
+                        tot.append(base
+                                   * specfun.binomial(1.0 - D / 2.0, 2 * k - r)
+                                   * specfun.binomial(1.0 - D / 2.0, 2 * kp - r)
+                                   * specfun.binomial(2 * l + D / 2.0 - 1.0 + r, r))
+            return (1.3 ** (D / 2.0) * 2.0 ** (1.0 - D / 2.0 - 2 * l - 4 * nr)
+                    * math.exp(gammaln(D / 2.0 + 2 * l)) * math.fsum(tot))
+
+        mu = [l] + [0] * (D - 2)
+        for nr in range(11):
+            assert im.disequilibrium_radial(hyper(1.3, D, nr, *mu)) == triple_sum(nr)
 
 
 class TestAngularShannonAssembly:

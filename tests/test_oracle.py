@@ -265,6 +265,74 @@ class TestPolynomialEntropy:
             oracle.default_tolerance()
 
 
+def _all_nodes_reference(f_vec, edges, tol, max_level=11):
+    """The refinement loop with every level evaluating all of its nodes."""
+    edges = np.asarray(sorted(edges), dtype=float)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    prev = None
+    for level in range(4, max_level + 1):
+        u, w = _all_level_nodes(level)
+        x = (mid[:, None] + half[:, None] * u[None, :]).ravel()
+        vals = np.asarray(f_vec(x), dtype=float).reshape(len(mid), len(u))
+        total = float(np.sum((half[:, None] * w[None, :]) * vals))
+        if prev is not None and abs(total - prev) <= max(tol * abs(total), oracle.ABS_FLOOR):
+            return oracle.IntegralEstimate(total, abs(total - prev), len(mid) * len(u)), x
+        prev = total
+    raise AssertionError("reference did not converge")
+
+
+def _all_level_nodes(level):
+    h = 0.5 ** level
+    t = np.arange(-int(6.1 / h), int(6.1 / h) + 1) * h
+    sinh_t = np.sinh(t)
+    u = np.tanh(0.5 * math.pi * sinh_t)
+    w = h * 0.5 * math.pi * np.cosh(t) / np.cosh(0.5 * math.pi * sinh_t) ** 2
+    keep = w > 1e-320
+    return u[keep], w[keep]
+
+
+class TestNestedLevels:
+    # the 12-, 3- and entropy cases also catch a total summed as
+    # 0.5 * previous + new nodes, which moves them in the last digit
+    @pytest.mark.parametrize("run", [
+        lambda: oracle.weighted_Lq_norm(50, 0, 3, 0.8),
+        lambda: oracle.weighted_Lq_norm(12, 0, 3, 0.8),
+        lambda: oracle.lq_integral(PolySpec("hermite", 7, None), 0.6),
+        lambda: oracle.lq_integral(PolySpec("hermite", 3, None), 0.6),
+        lambda: oracle.polynomial_entropy(PolySpec("gegenbauer", 7, 1.5)),
+    ], ids=["laguerre-50-q0.8", "laguerre-12-q0.8", "hermite-7-q0.6", "hermite-3-q0.6",
+            "gegenbauer-entropy"])
+    def test_bit_identical_to_all_nodes_and_each_node_evaluated_once(self, run,
+                                                                      monkeypatch):
+        nested = oracle.integrate_panels_vectorized
+        calls = []
+
+        def both(f_vec, edges, tol=None, max_level=11):
+            seen = []
+
+            def recording(x):
+                seen.append(np.array(x))
+                return f_vec(x)
+
+            est = nested(recording, edges, tol=tol, max_level=max_level)
+            tol = oracle.default_tolerance() if tol is None else tol
+            calls.append((est, seen, *_all_nodes_reference(f_vec, edges, tol, max_level)))
+            return est
+
+        monkeypatch.setattr(oracle, "integrate_panels_vectorized", both)
+        monkeypatch.setattr(oracle, "_ENTROPY_CACHE", {})
+        run()
+        (est, seen, ref, final_x), = calls
+        assert est == ref  # value, error estimate and node count, exactly
+        assert len(seen) > 1  # refinement went past the first level
+        # f_vec saw the final level's panels x nodes, each once (as a multiset:
+        # tanh saturates, so many nodes of a panel sit exactly on its edges)
+        got = np.concatenate(seen)
+        assert got.size == est.subdivisions == final_x.size
+        assert np.array_equal(np.sort(got), np.sort(final_x))
+
+
 class TestConcurrency:
     def test_rule_cache_thread_safety(self):
         import concurrent.futures as cf

@@ -70,6 +70,19 @@ class TestEvalPoly:
                 assert got == pytest.approx(ref, rel=1e-11)
 
 
+    def test_blocked_evaluation_is_bit_identical_per_node(self):
+        spec = PolySpec("laguerre", 800, 0.5)
+        x = np.linspace(0.0, 3400.0, 2 * specfun.RECURRENCE_BLOCK + 5001)
+        mant, logs = specfun.eval_poly_scaled(spec, x)
+        assert logs.max() > math.log(1e120)  # the rescale fired
+        for i in range(0, x.size, 7919):  # slices that straddle block edges
+            m, s = specfun.eval_poly_scaled(spec, x[i:i + 7919])
+            assert np.array_equal(m, mant[i:i + 7919])
+            assert np.array_equal(s, logs[i:i + 7919])
+        m2, s2 = specfun.eval_poly_scaled(spec, x[:-1].reshape(2, -1))
+        assert np.array_equal(m2.ravel(), mant[:-1]) and np.array_equal(s2.ravel(), logs[:-1])
+
+
 class TestRoots:
     def test_hermite_n1(self):
         roots = specfun.poly_roots(PolySpec("hermite", 1))
