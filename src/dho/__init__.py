@@ -5,8 +5,8 @@ sums, linearizations), a high-precision quadrature oracle, and the Rydberg /
 high-dimension asymptotics, with uncertainty-relation checkers on top.
 """
 
-from .errors import (ConsistencyError, ConvergenceError, DhoError, DomainError,
-                     ParseError, UnsupportedError)
+from .errors import (ConvergenceError, DhoError, DomainError, ParseError,
+                     UnsupportedError)
 from .states import (CartesianState, HyperState, OscillatorSpec, Space, energy,
                      parse_state, state_to_dict)
 
@@ -16,6 +16,6 @@ __all__ = [
     "CartesianState", "HyperState", "OscillatorSpec", "Space",
     "energy", "parse_state", "state_to_dict",
     "DhoError", "DomainError", "UnsupportedError", "ParseError",
-    "ConvergenceError", "ConsistencyError",
+    "ConvergenceError",
     "__version__",
 ]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -176,29 +177,22 @@ def cmd_uncertainty(args) -> int:
 
 def _expand_states(spec: dict) -> list:
     kind = spec.get("kind")
-    if kind not in STATE_KEYS:
+    if not isinstance(kind, str) or kind not in STATE_KEYS:
         raise ParseError(f"unknown state kind {kind!r} in sweep config")
     missing = [key for key in STATE_KEYS[kind] if key not in spec]
     if missing:
         raise ParseError(f"sweep {kind} states spec lacks {missing}")
-    if kind == "hyper":
-        Ds = spec["D"] if isinstance(spec["D"], list) else [spec["D"]]
-        omegas = spec["omega"] if isinstance(spec["omega"], list) else [spec["omega"]]
-        nrs = spec["nr"] if isinstance(spec["nr"], list) else [spec["nr"]]
-        mus = spec["mu"] if isinstance(spec["mu"][0], list) else [spec["mu"]]
-        out = []
-        for D in Ds:
-            for om in omegas:
-                for nr in nrs:
-                    for mu in mus:
-                        out.append(states.state_from_dict(
-                            {"kind": "hyper", "D": D, "omega": om,
-                             "nr": nr, "mu": mu}))
-        return out
-    omegas = spec["omega"] if isinstance(spec["omega"], list) else [spec["omega"]]
-    ns = spec["n"] if isinstance(spec["n"][0], list) else [spec["n"]]
-    return [states.state_from_dict({"kind": "cartesian", "omega": om, "n": n})
-            for om in omegas for n in ns]
+    axes = []  # each key's list of values; a single value stands for itself
+    for key in STATE_KEYS[kind]:
+        value = spec[key]
+        if key in ("mu", "n"):  # a state's own list: only a list of lists is a range
+            if not isinstance(value, list) or not value:
+                raise ParseError(f"sweep states {key!r} must be a non-empty list")
+            axes.append(value if isinstance(value[0], list) else [value])
+        else:
+            axes.append(value if isinstance(value, list) else [value])
+    return [states.state_from_dict({"kind": kind, **dict(zip(STATE_KEYS[kind], combo))})
+            for combo in itertools.product(*axes)]
 
 
 def _resolve_engine(request, qspec: dict) -> tuple[str, str, str]:
@@ -219,11 +213,12 @@ def _sweep_rows(config: dict, args) -> tuple[list[dict], bool]:
     requests = []  # (quantity spec, engine string, resolved engine), config order
     for qspec in config["quantities"]:
         qspec = {"id": qspec} if isinstance(qspec, str) else qspec
-        if qspec.get("id") not in QUANTITIES:
-            raise ParseError(f"unknown quantity {qspec.get('id')!r} in sweep config; "
+        qid = qspec.get("id") if isinstance(qspec, dict) else qspec
+        if not isinstance(qid, str) or qid not in QUANTITIES:
+            raise ParseError(f"unknown quantity {qid!r} in sweep config; "
                              f"known: {sorted(QUANTITIES)}")
         requests += [(qspec, eng, _resolve_engine(eng, qspec))
-                     for eng in config.get("engines", ["closed"])]
+                     for eng in config["engines"]]
     space = config.get("space", "position")
     if space not in [sp.value for sp in Space]:
         raise ParseError(f"unknown space {space!r} in sweep config")
@@ -276,14 +271,20 @@ def cmd_sweep(args) -> int:
             config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"sweep config is not valid JSON: {exc}") from exc
-    for key in ("states", "quantities"):
-        if key not in config or not config[key]:
-            raise ParseError(f"sweep config needs a non-empty {key!r}")
-    if not config.get("engines", ["closed"]):
-        raise ParseError("sweep config needs a non-empty 'engines'")
+    if not isinstance(config, dict):
+        raise ParseError("sweep config must be a JSON object")
+    config.setdefault("engines", ["closed"])
+    for key, shape in (("states", dict), ("quantities", list), ("engines", list)):
+        value = config.get(key)
+        if not value or not isinstance(value, shape):
+            raise ParseError(f"sweep config needs a non-empty {key!r} "
+                             f"({'object' if shape is dict else 'list'})")
     fmt = config.get("output", "json")
     if fmt not in OUTPUTS:
         raise ParseError(f"unknown output format {fmt!r}; known: {OUTPUTS}")
+    plot = config.get("plot")
+    if plot and not (isinstance(plot, dict) and {"x_axis", "file"} <= plot.keys()):
+        raise ParseError("sweep 'plot' needs an 'x_axis' and a 'file'")
     rows, failed = _sweep_rows(config, args)
     if fmt == "json":
         for r in rows:
@@ -295,7 +296,6 @@ def cmd_sweep(args) -> int:
         for r in rows:
             writer.writerow([_format_cell(r.get(c)) for c in CSV_COLUMNS])
         sys.stdout.write(buf.getvalue())
-    plot = config.get("plot")
     if plot:
         _emit_plot(rows, plot)
     return 1 if failed else 0

@@ -31,7 +31,3 @@ class ConvergenceError(DhoError, RuntimeError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
-
-
-class ConsistencyError(DhoError, RuntimeError):
-    """Two exact routes to the same quantity disagree; signals a bug."""

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from . import oracle, specfun, states
-from .errors import ConsistencyError, DomainError, UnsupportedError
+from .errors import DomainError, UnsupportedError
 from .moments import oracle_radial_moment, radial_moment
 from .specfun import EULER_GAMMA, PolySpec
 from .states import CartesianState, HyperState, Space
@@ -65,17 +65,13 @@ def _width(omega: float, space: Space) -> float:
 
 def fisher(state: HyperState, space: Space = Space.POSITION,
            engine: str = ENGINE_CLOSED) -> MeasureValue:
-    """4 (2 n_r + l - |m| + D/2) omega^(+-1); cross-checked against the moment
-    combination 4<p^2> - 2|m|(2l + D - 2)<r^-2>."""
+    """4 (2 n_r + l - |m| + D/2) omega^(+-1); the oracle engine takes the moment
+    combination 4<p^2> - 2|m|(2l + D - 2)<r^-2> on quadrature moments."""
     D = state.spec.dim
     w = _width(state.spec.omega, space)
     if engine == ENGINE_CLOSED:
-        value = 4.0 * (2 * state.n_r + state.l - abs(state.m) + D / 2.0) * w
-        via_moments = _fisher_from_moments(state, space, oracle_engine=False)
-        if abs(value - via_moments) > 1e-12 * max(1.0, abs(value)):
-            raise ConsistencyError(
-                f"fisher closed form vs moment combination: {value} vs {via_moments}")
-        return MeasureValue(value, space, ENGINE_CLOSED)
+        return MeasureValue(4.0 * (2 * state.n_r + state.l - abs(state.m) + D / 2.0) * w,
+                            space, ENGINE_CLOSED)
     if engine == ENGINE_ORACLE:
         return MeasureValue(_fisher_from_moments(state, space, oracle_engine=True),
                             space, ENGINE_ORACLE, error_estimate=1e-12)
@@ -96,31 +92,12 @@ def _fisher_from_moments(state: HyperState, space: Space, oracle_engine: bool) -
 # Hermite entropy (1-D building block of the Cartesian Shannon form)
 
 
-def _log_potential_reduced(n: int, x: float) -> float:
-    """V_n(x) / (2^n n! sqrt(pi)): the Hermite logarithmic potential with its
-    overall factorial scale removed."""
-    s = math.fsum(
-        specfun.binomial(n, k) * (-2.0) ** k / k * specfun.hyp_pFq([k], [0.5], -x * x)
-        for k in range(1, n + 1))
-    f22 = specfun.hyp_pFq([1.0, 1.0], [1.5, 2.0], -x * x)
-    return math.log(2.0) + 0.5 * EULER_GAMMA - x * x * f22 + 0.5 * s
-
-
-@lru_cache(maxsize=None)
-def hermite_entropy_reduced(n: int) -> float:
-    """E(H_n) / (2^n n! sqrt(pi)); full-line integral convention."""
+def hermite_entropy(n: int) -> float:
+    """int_R H_n(x)^2 ln H_n(x)^2 e^(-x^2) dx in closed form (root sums):
+    2^n n! sqrt(pi) (-n gamma - the Cartesian Shannon root-sum block)."""
     if n < 0:
         raise DomainError("n must be nonnegative")
-    if n == 0:
-        return 0.0
-    roots = specfun.poly_roots(PolySpec("hermite", n, None, "orthogonal"))
-    return 2.0 * n * math.log(2.0) - 2.0 * math.fsum(
-        _log_potential_reduced(n, float(x)) for x in roots)
-
-
-def hermite_entropy(n: int) -> float:
-    """int_R H_n(x)^2 ln H_n(x)^2 e^(-x^2) dx in closed form (root sums)."""
-    return hermite_entropy_reduced(n) * math.exp(
+    return (-n * EULER_GAMMA - _axis_root_sums(n)) * math.exp(
         n * math.log(2.0) + gammaln(n + 1.0) + 0.5 * math.log(math.pi))
 
 
@@ -143,7 +120,7 @@ def hermite_entropy_oracle(n: int, tol: float | None = None) -> oracle.IntegralE
 # Shannon entropy, Cartesian route
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _axis_root_sums(n: int) -> float:
     """Per-axis root-sum block of the Cartesian Shannon constant."""
     if n == 0:
@@ -169,7 +146,7 @@ def shannon_constant(state: CartesianState) -> float:
     return math.fsum(shannon_axis_constant(n) for n in state.n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _axis_shannon_std(n: int, tol: float) -> float:
     """Oracle entropy of the unit-width 1-D density for degree n."""
     spec = PolySpec("hermite", n, None, "orthonormal")
@@ -521,23 +498,10 @@ def disequilibrium_angular_3j(l: int, m: int) -> float:
 
 def disequilibrium(state: HyperState, engine: str = ENGINE_CLOSED,
                    tol: float | None = None) -> MeasureValue:
-    """int rho^2 over position space; equals exp(-R_2[rho])."""
-    if engine == ENGINE_ORACLE:
-        r2 = renyi_hyperspherical(state, 2.0, Space.POSITION, ENGINE_ORACLE, tol=tol)
-        return MeasureValue(math.exp(-r2.value), Space.POSITION, ENGINE_ORACLE,
-                            error_estimate=r2.error_estimate)
-    if engine != ENGINE_CLOSED:
-        raise DomainError(f"unknown engine {engine!r}")
-    radial = disequilibrium_radial(state)
-    angular = disequilibrium_angular(state)
-    value = radial * angular
-    if state.spec.dim == 3:
-        alt = radial * disequilibrium_angular_3j(state.l, state.m)
-        if abs(alt - value) > 1e-9 * max(abs(value), abs(alt)):
-            raise ConsistencyError(
-                f"3j and Dougall angular routes disagree: {alt} vs {value}")
-    r2 = renyi_hyperspherical(state, 2.0, Space.POSITION, ENGINE_CLOSED)
-    if abs(math.exp(-r2.value) - value) > 1e-9 * max(abs(value), 1e-300):
-        raise ConsistencyError(
-            f"exp(-R_2) = {math.exp(-r2.value)} vs disequilibrium {value}")
-    return MeasureValue(value, Space.POSITION, ENGINE_CLOSED)
+    """int rho^2 over position space, served as exp(-R_2[rho]) with R_2's engine
+    tag and error estimate; the closed R_2 is exact (Gauss-Laguerre x
+    Gauss-Jacobi).  disequilibrium_radial x disequilibrium_angular (and the 3j
+    route at D = 3) are the paper's product forms, compared in validate."""
+    r2 = renyi_hyperspherical(state, 2.0, Space.POSITION, engine, tol=tol)
+    return MeasureValue(math.exp(-r2.value), Space.POSITION, r2.engine,
+                        error_estimate=r2.error_estimate)

@@ -614,6 +614,6 @@ def wigner_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     return sign * (1.0 if total > 0 else -1.0) * val
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def wigner_3j_cached(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     return wigner_3j(j1, j2, j3, m1, m2, m3)

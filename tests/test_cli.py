@@ -158,6 +158,31 @@ def test_convergence_partial_record_writes_null_for_non_finite(monkeypatch, caps
         "value": None, "error_estimate": None, "converged": False}
 
 
+def test_closed_disequilibrium_at_high_l():
+    state = '{"kind":"hyper","D":3,"omega":1,"nr":2,"mu":[12,0]}'
+    rc, out, _ = run_cli("compute", "--state", state, "--quantity", "disequilibrium")
+    assert rc == 0
+    assert json.loads(out)["value"] == pytest.approx(6.899545060696685e-3, rel=1e-13)
+
+
+def test_closed_values_take_one_route(monkeypatch, capsys):
+    def second_route(*args):
+        raise AssertionError("a closed value reached a cross-check route")
+
+    for module, name in ((cli.infomeasures, "_fisher_from_moments"),
+                         (cli.moments, "moment_3f2_form"),
+                         (cli.moments.specfun, "hyp_3F2_unit_terms"),
+                         (cli.infomeasures, "disequilibrium_radial"),
+                         (cli.infomeasures, "disequilibrium_angular"),
+                         (cli.infomeasures, "disequilibrium_angular_3j")):
+        monkeypatch.setattr(module, name, second_route)
+    state = '{"kind":"hyper","D":3,"omega":1,"nr":3,"mu":[2,1]}'
+    for argv in (["fisher"], ["fisher", "--space", "momentum"], ["moment", "--k", "-1"],
+                 ["moment", "--k", "-1", "--space", "momentum"], ["disequilibrium"]):
+        assert cli.main(["compute", "--state", state, "--quantity", *argv]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 5
+
+
 def test_uncertainty_report():
     rc, out, _ = run_cli("uncertainty", "--state", GROUND3)
     assert rc == 0
@@ -302,6 +327,21 @@ def test_sweep_states_spec_missing_key_is_parse_error(states, tmp_path, capsys,
                                                       monkeypatch):
     _forbid(monkeypatch, "_compute_one")
     config = {"states": states, "quantities": ["energy"]}
+    assert _sweep(tmp_path, capsys, config) == (2, [])
+
+
+@pytest.mark.parametrize("config", [
+    {"states": dict(SMALL_SWEEP["states"], mu=[]), "quantities": ["energy"]},
+    {"states": {"kind": "cartesian", "omega": 1.0, "n": []}, "quantities": ["energy"]},
+    {"states": [SMALL_SWEEP["states"]], "quantities": ["energy"]},
+    {"states": dict(SMALL_SWEEP["states"], kind=["hyper"]), "quantities": ["energy"]},
+    5,
+    None,
+    dict(SMALL_SWEEP, quantities=[5]),
+    dict(SMALL_SWEEP, quantities=["energy"], plot={"file": "plot.svg"}),
+])
+def test_sweep_malformed_config_is_parse_error(config, tmp_path, capsys, monkeypatch):
+    _forbid(monkeypatch, "_compute_one")
     assert _sweep(tmp_path, capsys, config) == (2, [])
 
 

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from scipy.special import gammaln
 
 from dho import infomeasures as im
-from dho import oracle, specfun
+from dho import oracle, specfun, validation
 from dho.errors import DomainError, UnsupportedError
 from dho.infomeasures import ENGINE_CLOSED, ENGINE_ORACLE, RenyiOrder
 from dho.specfun import EULER_GAMMA
@@ -62,6 +63,12 @@ class TestFisher:
         closed = im.fisher(st_, Space.POSITION).value
         orc = im.fisher(st_, Space.POSITION, engine=ENGINE_ORACLE).value
         assert orc == pytest.approx(closed, rel=1e-11)
+
+    def test_validate_compares_the_closed_moment_form(self, monkeypatch):
+        from_moments = im._fisher_from_moments
+        monkeypatch.setattr(im, "_fisher_from_moments", lambda st_, sp, oracle_engine:
+                            from_moments(st_, sp, oracle_engine) * (1.0 + 1e-9))
+        assert validation.check_fisher("quick").status == validation.FAIL
 
 
 class TestHermiteEntropy:
@@ -249,6 +256,38 @@ class TestDisequilibrium:
         base = im.disequilibrium(hyper(1.0, 3, 1, 1, 1)).value
         scaled = im.disequilibrium(hyper(2.0, 3, 1, 1, 1)).value
         assert scaled == pytest.approx(base * 2.0 ** 1.5, rel=1e-11)
+
+    @pytest.mark.parametrize("l", [10, 12, 16, 20])
+    def test_high_l_d3_matches_3j_product(self, l):
+        # the Dougall angular sum drifts from 3j by 2.7e-10 .. 1.4e-3 over these l
+        for m in (0, l // 2, -l):
+            st_ = hyper(1.0, 3, 2, l, m)
+            product = im.disequilibrium_radial(st_) * im.disequilibrium_angular_3j(l, m)
+            assert im.disequilibrium(st_).value == pytest.approx(product, rel=1e-12)
+
+    def test_nr150_matches_triple_sum_product(self):
+        st_ = hyper(1.0, 3, 150, 2, 1)
+        product = im.disequilibrium_radial(st_) * im.disequilibrium_angular(st_)
+        assert im.disequilibrium(st_).value == pytest.approx(product, rel=1e-12)
+
+    @pytest.mark.parametrize("nr", [260, 1000])
+    def test_rydberg_nr_matches_panel_route(self, nr):
+        # the triple sum overflows here; the served exp(-R2) = 2 omega^(D/2) N Lambda_2
+        # with N the Laguerre (alpha = l + D/2 - 1) L_2 norm at x^(D/2 + 2l - 1)
+        st_ = hyper(1.0, 3, nr, 2, 1)
+        spec = specfun.PolySpec("laguerre", nr, 2.5, "orthonormal")
+        norm = oracle._root_panel_integral(spec, 4.5, 2.0,
+                                           lambda lw, ln_y2: np.exp(lw + 2.0 * ln_y2), None)
+        expected = 2.0 * norm * im.angular_entropic_moment(st_, 2.0)
+        served = im.disequilibrium(st_)
+        assert served.value == pytest.approx(expected, rel=1e-10)
+        assert served.engine == ENGINE_CLOSED and served.error_estimate is None
+
+    @pytest.mark.parametrize("name", ["disequilibrium_radial", "disequilibrium_angular"])
+    def test_validate_compares_the_product_form(self, name, monkeypatch):
+        form = getattr(im, name)
+        monkeypatch.setattr(im, name, lambda st_: form(st_) * (1.0 + 1e-8))
+        assert validation.check_disequilibrium("quick").status == validation.FAIL
 
 
     @pytest.mark.parametrize("D", [2, 3, 5])

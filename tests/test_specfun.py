@@ -308,3 +308,16 @@ class TestBesselAnd3j:
         phase = (-1.0) ** (j1 + j2 + j3)
         assert cyc == pytest.approx(base, abs=1e-12)
         assert swap == pytest.approx(phase * base, abs=1e-12)
+
+
+def test_every_lru_cache_is_bounded():
+    import importlib
+    import pkgutil
+
+    import dho
+
+    for info in pkgutil.iter_modules(dho.__path__):
+        module = importlib.import_module(f"dho.{info.name}")
+        for name, value in vars(module).items():
+            if callable(getattr(value, "cache_info", None)):
+                assert value.cache_info().maxsize is not None, f"{info.name}.{name}"
