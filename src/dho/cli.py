@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
-from . import asymptotics, infomeasures, moments, states, uncertainty, validation
+from . import infomeasures, moments, states, uncertainty
 from .errors import ConvergenceError, DomainError, ParseError, UnsupportedError
 from .states import HyperState, Space
 
@@ -52,9 +52,13 @@ def _measured(fn):
 
 
 def _asymptotic(rydberg, highdim, spatial=True):
-    """Asymptotic evaluator: the Rydberg or the high-D form, by args.regime."""
+    """Asymptotic evaluator: the Rydberg or the high-D form, by args.regime.
+    Both take the asymptotics module first; it is imported here because it
+    loads scipy.integrate, which no other route needs."""
     def evaluate(st, sp, a):
-        av = (highdim if a.regime == "highdim" else rydberg)(st, sp, a)
+        from . import asymptotics
+
+        av = (highdim if a.regime == "highdim" else rydberg)(asymptotics, st, sp, a)
         return sp if spatial else None, "asymptotic", av.value, None, av.order_note
     return evaluate
 
@@ -72,29 +76,29 @@ QUANTITIES = {
         "oracle": lambda st, sp, a: (sp, "oracle", moments.oracle_radial_moment(st, a.k, sp),
                                      1e-13, None),
         "asymptotic": _asymptotic(
-            lambda st, sp, a: asymptotics.rydberg_moment(
-                a.k, st.n_r, asymptotics.RydbergLimit(a.s), st.spec.omega, sp),
-            lambda st, sp, a: asymptotics.highdim_moment(
+            lambda asy, st, sp, a: asy.rydberg_moment(
+                a.k, st.n_r, asy.RydbergLimit(a.s), st.spec.omega, sp),
+            lambda asy, st, sp, a: asy.highdim_moment(
                 a.k, st.spec.dim, st.spec.omega, st.n_r, st.l, space=sp))}),
     "heisenberg": ("generalized product <r^k><p^k>; takes --k", "k", False, {
         "closed": lambda st, sp, a: (None, "closed", moments.heisenberg_product(st, a.k),
                                      None, None),
         "asymptotic": _asymptotic(
-            lambda st, sp, a: asymptotics.rydberg_heisenberg(a.k, st.n_r),
-            lambda st, sp, a: asymptotics.highdim_heisenberg(a.k, st.spec.dim),
+            lambda asy, st, sp, a: asy.rydberg_heisenberg(a.k, st.n_r),
+            lambda asy, st, sp, a: asy.highdim_heisenberg(a.k, st.spec.dim),
             spatial=False)}),
     "fisher": ("Fisher information of the position/momentum density", None, False,
                _measured(lambda st, sp, a, e: infomeasures.fisher(st, sp, e))),
     "shannon": ("Shannon entropy of the position/momentum density", None, True, {
         **_measured(lambda st, sp, a, e: infomeasures.shannon(st, sp, e, tol=a.tol)),
         "asymptotic": _asymptotic(
-            lambda st, sp, a: asymptotics.rydberg_shannon(st, sp, tol=a.tol),
-            lambda st, sp, a: asymptotics.highdim_shannon(st, sp, a.mode.replace("-", "_")))}),
+            lambda asy, st, sp, a: asy.rydberg_shannon(st, sp, tol=a.tol),
+            lambda asy, st, sp, a: asy.highdim_shannon(st, sp, a.mode.replace("-", "_")))}),
     "renyi": ("Renyi entropy; takes --q", "q", True, {
         **_measured(lambda st, sp, a, e: infomeasures.renyi(st, a.q, sp, e, tol=a.tol)),
         "asymptotic": _asymptotic(
-            lambda st, sp, a: asymptotics.rydberg_renyi(st, a.q, sp, tol=a.tol),
-            lambda st, sp, a: asymptotics.highdim_renyi(st, a.q, sp))}),
+            lambda asy, st, sp, a: asy.rydberg_renyi(st, a.q, sp, tol=a.tol),
+            lambda asy, st, sp, a: asy.highdim_renyi(st, a.q, sp))}),
     "disequilibrium": ("int rho^2 (= exp(-R_2)); position space", None, False,
                        _measured(lambda st, sp, a, e: infomeasures.disequilibrium(
                            st, e, tol=a.tol))),
@@ -189,6 +193,8 @@ def _expand_states(spec: dict) -> list:
             if not isinstance(value, list) or not value:
                 raise ParseError(f"sweep states {key!r} must be a non-empty list")
             axes.append(value if isinstance(value[0], list) else [value])
+        elif value == []:
+            raise ParseError(f"sweep states {key!r} is an empty range")
         else:
             axes.append(value if isinstance(value, list) else [value])
     return [states.state_from_dict({"kind": kind, **dict(zip(STATE_KEYS[kind], combo))})
@@ -321,6 +327,8 @@ def _emit_plot(rows: list[dict], plot: dict) -> None:
 
 
 def cmd_validate(args) -> int:
+    from . import validation
+
     results = validation.run_validation(args.preset)
     failed = False
     for res in results:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import oracle, specfun
 from .errors import DomainError
@@ -32,6 +31,8 @@ def _3f2_parameters(state: HyperState, k: float) -> tuple:
 
 def moment_3f2_form(state: HyperState, k: float) -> float:
     """omega^(-k/2) Gamma(l+(D+k)/2)/Gamma(l+D/2) 3F2(-n_r,-k/2,k/2+1; l+D/2,1; 1)."""
+    from scipy.special import gammaln
+
     _require_exists(state, k)
     D, l = state.spec.dim, state.l
     f = specfun.hyp_3F2_unit(*_3f2_parameters(state, k))
@@ -41,6 +42,8 @@ def moment_3f2_form(state: HyperState, k: float) -> float:
 
 def _moment_finite_sum(state: HyperState, k: float) -> float:
     """All-positive finite-sum form, accumulated in log space."""
+    from scipy.special import gammaln
+
     D, l, nr = state.spec.dim, state.l, state.n_r
     A = l + (D + k) / 2.0
     logs = []
@@ -92,6 +95,8 @@ def reflection_moment(state: HyperState, k: float) -> float:
     Both exponents must satisfy the existence condition and the Gamma argument
     must be positive.
     """
+    from scipy.special import gammaln
+
     _require_exists(state, k)
     _require_exists(state, -k - 2.0)
     D, l = state.spec.dim, state.l

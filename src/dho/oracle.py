@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from . import specfun
 from .errors import ConvergenceError, DomainError
@@ -120,7 +119,18 @@ def gauss_rule(family: str, order: int, *parameters: float) -> QuadratureRule:
 # adaptive integration
 
 
+def quad(f, a: float, b: float, **kwargs):
+    """scipy's QUADPACK quad, imported at call time: the Gauss-rule and
+    tanh-sinh routes never load scipy.integrate.  _panel_quad calls it by
+    this module-level name, so instrumentation can rebind it."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(f, a, b, **kwargs)
+
+
 def _panel_quad(f, a: float, b: float, epsabs: float, epsrel: float):
+    from scipy.integrate import IntegrationWarning
+
     # per-panel warnings are expected near log singularities; the caller
     # enforces the global error bound instead
     with warnings.catch_warnings():

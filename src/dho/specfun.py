@@ -22,8 +22,6 @@ from itertools import product
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln, gammasgn, jv, psi
 
 from .errors import DomainError, UnsupportedError
 
@@ -103,9 +101,16 @@ def ln_gamma(x: float) -> float:
 
 
 def digamma(x: float) -> float:
+    from scipy.special import psi
+
     if x <= 0.0 and x == math.floor(x):
         raise DomainError(f"digamma pole at {x}")
     return float(psi(x))
+
+
+def _gamma_sign(y: float) -> float:
+    """Sign of Gamma(y) for y not a non-positive integer."""
+    return 1.0 if y > 0 else (-1.0) ** math.ceil(-y)
 
 
 def pochhammer(a: float, j: int) -> float:
@@ -144,8 +149,7 @@ def log_abs_binomial(x: float, m: int) -> tuple[float, float]:
                   - math.lgamma(float(-xi)))
             return lg, float((-1) ** m)
     lg = math.lgamma(x + 1.0) - math.lgamma(m + 1.0) - math.lgamma(x - m + 1.0)
-    sign = gammasgn(x + 1.0) * gammasgn(x - m + 1.0)
-    return lg, float(sign)
+    return lg, _gamma_sign(x + 1.0) * _gamma_sign(x - m + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +253,8 @@ def gauss_nodes(family: str, parameter, n: int, weights: bool = False):
     Christoffel-Darboux identity 1/w = b_n (p_n' p_{n-1} - p_{n-1}' p_n),
     which holds at any x and never leaves log space.
     """
+    from scipy.linalg import eigh_tridiagonal
+
     diag, off = _jacobi_coeffs(family, parameter, n + 1)
     log_mass = _log_weight_mass(family, parameter)
     x = eigh_tridiagonal(diag[:n], off[:n - 1], eigvals_only=True)
@@ -494,6 +500,8 @@ def laguerre_square_linearize(n: int, alpha: float) -> LinearizationExpansion:
     The doubled argument on the right is essential; the same-argument variant
     cannot close (the square has odd components in that basis).
     """
+    from scipy.special import gammaln
+
     if alpha <= -1.0:
         raise DomainError("alpha must exceed -1")
     coeffs = []
@@ -510,6 +518,8 @@ def laguerre_square_linearize(n: int, alpha: float) -> LinearizationExpansion:
 def laguerre_product_integral(s: float, alpha: float, beta: float,
                               n: int, m: int) -> float:
     """int_0^inf x^s e^-x L_n^(alpha) L_m^(beta) dx as a finite binomial sum."""
+    from scipy.special import gammaln
+
     if s <= -1.0:
         raise DomainError("s must exceed -1")
     terms = [binomial(s - alpha, n - r) * binomial(s - beta, m - r) * binomial(s + r, r)
@@ -540,6 +550,8 @@ def gegenbauer_square_linearize(n: int, lam: float, mu_next: int) -> Linearizati
     [Ct_n^(lam)]^2 = sum_k b(lam, lam + mu_next, n; k) Ct_{2k}^(lam + mu_next),
     with b from the terminating 4F3(1).
     """
+    from scipy.special import gammaln
+
     if lam <= -0.5:
         raise DomainError("lambda must exceed -1/2")
     if mu_next < 0:
@@ -570,6 +582,8 @@ def gegenbauer_square_linearize(n: int, lam: float, mu_next: int) -> Linearizati
 
 def bessel_J(alpha: float, x) -> float | np.ndarray:
     """Bessel function of the first kind J_alpha(x) for x >= 0."""
+    from scipy.special import jv
+
     xa = np.asarray(x, dtype=float)
     if np.any(xa < 0):
         raise DomainError("bessel_J requires x >= 0")

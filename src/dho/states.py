@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import specfun
 from .errors import DomainError, ParseError

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln
-
 from . import infomeasures, moments, specfun
 from .errors import DomainError
 from .infomeasures import ENGINE_CLOSED, ENGINE_ORACLE
@@ -98,6 +96,8 @@ def _bbm(state, tol: float = 1e-11, **_) -> RelationReport:
 def _rudnicki_central(state: HyperState, tol: float = 1e-11, **_) -> RelationReport:
     """Central-potential Shannon bound assembled from digamma terms plus the
     same angular-entropy engine used for the left side."""
+    from scipy.special import gammaln
+
     D, l = state.spec.dim, state.l
     ey = infomeasures.angular_shannon(state, tol=tol)
     bound = (2.0 * l + D

@@ -345,6 +345,43 @@ def test_sweep_malformed_config_is_parse_error(config, tmp_path, capsys, monkeyp
     assert _sweep(tmp_path, capsys, config) == (2, [])
 
 
+@pytest.mark.parametrize("key", ["D", "omega", "nr"])
+def test_sweep_empty_range_is_parse_error(key, tmp_path, capsys, monkeypatch):
+    _forbid(monkeypatch, "_compute_one")
+    config = {"states": dict(SMALL_SWEEP["states"], **{key: []}),
+              "quantities": ["energy"], "output": "csv"}
+    assert _sweep(tmp_path, capsys, config) == (2, [])
+
+
+def _scipy_modules_after(*argv):
+    """scipy modules a fresh interpreter holds after one dho.cli.main call."""
+    code = ("import json, sys, dho.cli; "
+            f"rc = dho.cli.main({list(argv)!r}); "
+            "print(json.dumps([rc, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.'))]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rc, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert rc == 0
+    return modules
+
+
+STATE21 = '{"kind":"hyper","D":3,"omega":1,"nr":2,"mu":[1,0]}'
+
+
+@pytest.mark.parametrize("quantity", ["fisher", "energy"])
+def test_closed_fisher_and_energy_start_without_scipy(quantity):
+    assert _scipy_modules_after("compute", "--state", STATE21,
+                                "--quantity", quantity) == []
+
+
+@pytest.mark.parametrize("quantity", [["moment", "--k", "1"], ["disequilibrium"],
+                                      ["shannon"]])
+def test_closed_routes_start_without_quadpack(quantity):
+    modules = _scipy_modules_after("compute", "--state", STATE21, "--quantity", *quantity)
+    assert not [m for m in modules if m.startswith("scipy.integrate")]
+
+
 def test_sweep_asymptotic_engine_and_plot(tmp_path):
     cfg_data = {
         "states": {"kind": "hyper", "D": [3], "omega": [1.0],

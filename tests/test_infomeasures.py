@@ -290,6 +290,32 @@ class TestDisequilibrium:
         assert validation.check_disequilibrium("quick").status == validation.FAIL
 
 
+    @pytest.mark.parametrize("name, st_", [
+        ("disequilibrium_radial", hyper(1.0, 3, 201, 0, 0)),
+        ("disequilibrium_radial", hyper(1.0, 3, 260, 2, 1)),  # overflowed before
+        ("disequilibrium_radial", hyper(1.0, 4, 0, 81, 0, 0)),
+        ("disequilibrium_radial", hyper(1.0, 11, 1, *[0] * 10)),
+        ("disequilibrium_angular", hyper(1.0, 3, 0, 7, 0)),
+        ("disequilibrium_angular", hyper(1.0, 6, 0, 12, 3, 2, 1, 0)),
+    ])
+    def test_product_forms_refuse_beyond_their_bounds(self, name, st_):
+        with pytest.raises(UnsupportedError):
+            getattr(im, name)(st_)
+        # the served value is not bounded by them
+        assert im.disequilibrium(st_).engine == ENGINE_CLOSED
+
+    def test_product_forms_at_their_bounds(self):
+        st_ = hyper(1.0, 10, 200, 80, *[0] * 8)
+        exact = 2.0 * oracle.weighted_Lq_norm(200, 80, 10, 2.0)
+        assert im.disequilibrium_radial(st_) == pytest.approx(exact, rel=1e-12)
+        for mu in ((6, 0), (6, 6)):
+            st_ = hyper(1.0, 3, 0, *mu)
+            assert im.disequilibrium_angular(st_) == pytest.approx(
+                im.angular_entropic_moment(st_, 2.0), rel=1e-12)
+        st_ = hyper(1.0, 4, 0, 6, 3, -1)
+        assert im.disequilibrium_angular(st_) == pytest.approx(
+            im.angular_entropic_moment(st_, 2.0), rel=1e-12)
+
     @pytest.mark.parametrize("D", [2, 3, 5])
     @pytest.mark.parametrize("l", [0, 2])
     def test_radial_tables_keep_the_triple_sum_bits(self, D, l):

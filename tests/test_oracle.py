@@ -146,6 +146,24 @@ class TestAdaptive:
         assert est.abs_error_estimate >= 0.0
         assert est.subdivisions >= 1
 
+    def test_panels_call_through_module_quad(self, monkeypatch):
+        # instrumentation rebinds oracle.quad; every QUADPACK panel must see it
+        from dho import infomeasures
+
+        calls = []
+        quad = oracle.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "quad", counted)
+        est = infomeasures.hermite_entropy_oracle(2)
+        assert est.value == pytest.approx(infomeasures.hermite_entropy(2), rel=1e-10)
+        # two infinite tails (two substitution panels each) plus one panel
+        # between the two roots of H_2
+        assert len(calls) == 5
+
 
 class TestWeightedNorm:
     def test_q1_is_normalization(self):

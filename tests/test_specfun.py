@@ -139,6 +139,23 @@ class TestGammaFamily:
     def test_pochhammer_empty(self):
         assert specfun.pochhammer(-2.7, 0) == 1.0
 
+    def test_gamma_sign_matches_scipy(self):
+        from scipy.special import gammasgn
+
+        # non-integer arguments only: log_abs_binomial takes integer x apart
+        ys = np.concatenate([np.arange(-40, 40)[:, None] + np.array([1e-9, 0.25, 0.5, 0.9]),
+                             [[-1e-9, 99.5, 170.5, -170.5]]], axis=None)
+        for y in ys:
+            assert specfun._gamma_sign(float(y)) == gammasgn(y), y
+
+    def test_log_abs_binomial_sign_non_integer(self):
+        for x in (-3.5, -0.25, 0.5, 2.75):
+            for m in range(8):
+                b = specfun.binomial(x, m)
+                lg, sign = specfun.log_abs_binomial(x, m)
+                assert sign == math.copysign(1.0, b)
+                assert math.exp(lg) == pytest.approx(abs(b), rel=1e-13)
+
 
 class TestHyp3F2:
     def test_a1_zero_is_exactly_one(self):
