@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Run the benchmark's workloads at fixed seeds and write BENCH_<pr>.json.
 
-    python3 scripts/bench_trajectory.py --pr 8
-    python3 scripts/bench_trajectory.py --pr 7 --root ../parent-checkout
+    python3 scripts/bench_trajectory.py --pr N
+    python3 scripts/bench_trajectory.py --pr M --root ../earlier-checkout
 
 Each workload listed in the checkout's BENCHMARK.json runs through
 ``perfbench/run.py`` (end-to-end metrics, no trace) once per seed in SEEDS,
