@@ -5,8 +5,9 @@
 
 Runs every command through dho.cli.main in one process and writes argv, exit
 code (or the type of an uncaught exception) and stdout as JSON.  With
---against, prints how many outputs are byte-identical to the old file and the
-worst relative deviation of any float; differing argv or exit codes abort.
+--against, lists the outputs that differ from the old file, prints how many
+are byte-identical and the worst relative deviation of any float; differing
+argv or exit codes abort.
 """
 
 import argparse
@@ -83,12 +84,16 @@ def compare(new, old):
     for a, b in zip(new, old):
         if a["argv"] != b["argv"] or a["exit"] != b["exit"]:
             raise SystemExit(f"argv or exit code differs: {a['argv']}")
-        same += a["stdout"] == b["stdout"]
+        if a["stdout"] == b["stdout"]:
+            same += 1
+            continue
         fa = list(_floats([json.loads(s) for s in a["stdout"].splitlines()]))
         fb = list(_floats([json.loads(s) for s in b["stdout"].splitlines()]))
-        if len(fa) != len(fb):
-            raise SystemExit(f"output structure differs: {a['argv']}")
-        for x, y in zip(fa, fb):
+        # a field that turned from null into a number (or back) is reported,
+        # and the record's floats are not paired up
+        print("differs:" if len(fa) == len(fb) else "differs (null <-> number):",
+              " ".join(a["argv"]))
+        for x, y in zip(fa, fb) if len(fa) == len(fb) else ():
             dev = 0.0 if x == y else abs(x - y) / max(abs(x), abs(y))
             if dev > worst:
                 worst, where = dev, a["argv"]

@@ -1,11 +1,13 @@
 """Fisher information, Shannon / Renyi entropies, and disequilibrium.
 
-Cartesian Shannon and integer-order Renyi entropies have fully closed forms
-(Hermite roots + hypergeometric root sums; Hermite-power linearization).  The
-hyperspherical decompositions are exact identities whose Laguerre/Gegenbauer
-entropy kernels are supplied numerically (no closed forms exist), so assembled
-hyperspherical Shannon values carry the `oracle` engine tag.  Every closed
-route has an independent density-integral oracle next to it.
+Cartesian and hyperspherical Renyi and Shannon values share two oracle
+kernels: `lq_integral` (exact Gauss rules for integer q, so integer-order Renyi
+values are tagged `closed`) and `polynomial_entropy`.  The Shannon
+decompositions are exact identities whose entropy kernels are numeric (no
+closed forms exist), so Shannon values carry the `oracle` tag.  The paper's
+Cartesian forms (Hermite-root sums, finite Lauricella sum) lose digits in
+float64 from moderate degree; `dho validate` compares them with the served
+values.  Every served route has an independent density-integral oracle.
 """
 
 from __future__ import annotations
@@ -88,12 +90,17 @@ def _fisher_from_moments(state: HyperState, space: Space, oracle_engine: bool) -
 
 
 # ---------------------------------------------------------------------------
-# Hermite entropy (1-D building block of the Cartesian Shannon form)
+# Hermite entropy: the paper's root-sum form, compared in validate
 
 
 def hermite_entropy(n: int) -> float:
-    """int_R H_n(x)^2 ln H_n(x)^2 e^(-x^2) dx in closed form (root sums):
-    2^n n! sqrt(pi) (-n gamma - the Cartesian Shannon root-sum block)."""
+    """E(H_n) = int_R H_n(x)^2 ln H_n(x)^2 e^(-x^2) dx by the paper's root sums:
+    2^n n! sqrt(pi) (-n gamma - _axis_root_sums(n)).
+
+    The alternating k-sum loses digits in float64 as n grows (the Shannon
+    entropy built on it was off by 1e-8 at n = 15 and 1.8e-2 at n = 30), so
+    no served value uses it; validate compares it with the oracle for n <= 8.
+    """
     from scipy.special import gammaln
 
     if n < 0:
@@ -117,13 +124,9 @@ def hermite_entropy_oracle(n: int, tol: float | None = None) -> oracle.IntegralE
                                      singular_points=roots, tol=tol)
 
 
-# ---------------------------------------------------------------------------
-# Shannon entropy, Cartesian route
-
-
 @lru_cache(maxsize=256)
 def _axis_root_sums(n: int) -> float:
-    """Per-axis root-sum block of the Cartesian Shannon constant."""
+    """The Hermite-root hypergeometric sums of E(H_n)."""
     if n == 0:
         return 0.0
     roots = [float(x) for x in specfun.poly_roots(PolySpec("hermite", n, None, "orthogonal"))]
@@ -136,17 +139,8 @@ def _axis_root_sums(n: int) -> float:
     return -2.0 * s22 + s11
 
 
-def shannon_axis_constant(n: int) -> float:
-    """A-contribution of one axis with degree n."""
-    from scipy.special import gammaln
-
-    return (n * math.log(2.0 * math.e ** (1.0 + EULER_GAMMA)) + gammaln(n + 1.0)
-            + _axis_root_sums(n))
-
-
-def shannon_constant(state: CartesianState) -> float:
-    """A(D; {n_i}; roots): the omega-free part of the Cartesian Shannon entropy."""
-    return math.fsum(shannon_axis_constant(n) for n in state.n)
+# ---------------------------------------------------------------------------
+# Shannon entropy, Cartesian route
 
 
 @lru_cache(maxsize=256)
@@ -171,20 +165,26 @@ def _axis_shannon_std(n: int, tol: float) -> float:
 def shannon_cartesian(state: CartesianState, space: Space = Space.POSITION,
                       engine: str = ENGINE_CLOSED,
                       tol: float | None = None) -> MeasureValue:
-    """Shannon entropy of a Cartesian state in either space."""
-    D, omega = state.spec.dim, state.spec.omega
-    sign = -1.0 if space is Space.POSITION else 1.0
+    """Shannon entropy of a Cartesian state in either space.
+
+    Per axis the unit-width entropy splits exactly as <t^2> - int rho ln y^2
+    = n + 1/2 + polynomial_entropy(hermite n); like hyperspherical Shannon,
+    the 'closed' engine assembles that split from the numeric entropy kernel
+    and carries the oracle tag.  'oracle' integrates each axis density by
+    QUADPACK.
+    """
+    if tol is None:
+        tol = oracle.default_tolerance()
+    w = _width(state.spec.omega, space)
     if engine == ENGINE_CLOSED:
-        value = (shannon_constant(state)
-                 + (D / 2.0) * (1.0 + math.log(math.pi) + sign * math.log(omega)))
-        return MeasureValue(value, space, ENGINE_CLOSED)
+        value = math.fsum(n + 0.5 + oracle.polynomial_entropy(PolySpec("hermite", n), tol=tol)
+                          - 0.5 * math.log(w) for n in state.n)
+        return MeasureValue(value, space, ENGINE_ORACLE,
+                            error_estimate=tol * max(1.0, abs(value)))
     if engine == ENGINE_ORACLE:
-        if tol is None:
-            tol = oracle.default_tolerance()
-        w = _width(omega, space)
         value = math.fsum(_axis_shannon_std(n, tol) - 0.5 * math.log(w)
                           for n in state.n)
-        return MeasureValue(value, space, ENGINE_ORACLE, error_estimate=tol * D)
+        return MeasureValue(value, space, ENGINE_ORACLE, error_estimate=tol * state.spec.dim)
     raise DomainError(f"unknown engine {engine!r}")
 
 
@@ -346,48 +346,54 @@ def shannon(state, space: Space = Space.POSITION, engine: str = ENGINE_CLOSED,
 # Renyi entropies
 
 
-def _axis_renyi_log_integral(n: int, q: float, tol: float | None) -> float:
-    """ln int rho_axis(t)^q dt for the unit-width axis density of degree n."""
-    return math.log(oracle.lq_integral(PolySpec("hermite", n, None, "orthonormal"), q, tol=tol))
-
-
 def renyi_cartesian(state: CartesianState, q: float, space: Space = Space.POSITION,
                     engine: str = ENGINE_CLOSED,
                     tol: float | None = None) -> MeasureValue:
-    """Renyi entropy of a Cartesian state.
+    """Renyi entropy of a Cartesian state: sum over the axes of
+    ln lq_integral(hermite n, q) + (q - 1)/2 ln w, divided by 1 - q.
 
-    The closed route requires integer q >= 2 (Hermite-power linearization);
-    any real q > 0, q != 1 is served by the quadrature engine.
+    Both engines compute that one value.  For integer q the Gauss-Hermite
+    rule is exact, so the closed engine tags it 'closed'; real q goes through
+    tanh-sinh panels and carries the oracle tag on either engine.
     """
     RenyiOrder(q)
-    D, omega = state.spec.dim, state.spec.omega
-    sign = -1.0 if space is Space.POSITION else 1.0
-    if engine == ENGINE_CLOSED:
-        if not (float(q).is_integer() and q >= 2):
-            raise UnsupportedError(
-                "closed Renyi route holds for integer q >= 2; use the oracle engine")
-        from scipy.special import gammaln
-
-        qi = int(q)
-        kq = math.log(math.pi ** (qi - 0.5) * qi ** 0.5) / (qi - 1.0)
-        kbar = (math.log(4.0 ** qi) + gammaln(0.5 + qi)
-                - 0.5 * math.log(math.pi) - qi * math.log(qi)) / (1.0 - qi)
-        value = sign * (D / 2.0) * math.log(omega) + kq * D + kbar * state.odd_count
-        for n in state.n:
-            half = (n + 1) / 2.0
-            value += (qi / (qi - 1.0)) * (-1.0) ** n * (gammaln(half + 0.5) - gammaln(half))
-            value += math.log(specfun.lauricella_FA_finite(qi, n % 2, n)) / (1.0 - qi)
+    if engine not in (ENGINE_CLOSED, ENGINE_ORACLE):
+        raise DomainError(f"unknown engine {engine!r}")
+    w = _width(state.spec.omega, space)
+    value = math.fsum(
+        math.log(oracle.lq_integral(PolySpec("hermite", n), q, tol=tol))
+        + 0.5 * (q - 1.0) * math.log(w) for n in state.n) / (1.0 - q)
+    exact = float(q).is_integer()
+    if engine == ENGINE_CLOSED and exact:
         return MeasureValue(value, space, ENGINE_CLOSED)
-    if engine == ENGINE_ORACLE:
-        w = _width(omega, space)
-        log_int = math.fsum(
-            _axis_renyi_log_integral(n, q, tol) + 0.5 * (q - 1.0) * math.log(w)
-            for n in state.n)
-        value = log_int / (1.0 - q)
-        return MeasureValue(value, space, ENGINE_ORACLE,
-                            error_estimate=(0.0 if float(q).is_integer()
-                                            else (tol or oracle.default_tolerance()) * D))
-    raise DomainError(f"unknown engine {engine!r}")
+    return MeasureValue(value, space, ENGINE_ORACLE,
+                        error_estimate=(0.0 if exact else
+                                        (tol or oracle.default_tolerance()) * state.spec.dim))
+
+
+def renyi_cartesian_lauricella(state: CartesianState, q: int,
+                               space: Space = Space.POSITION) -> float:
+    """The paper's integer-q form: Gamma ratios plus ln of the finite
+    Lauricella-A sum per axis.
+
+    The Lauricella sum cancels in float64 as n grows (off by 1e-5 at n = 10,
+    q = 3; non-positive, so no logarithm, at n = 24, q = 2), so validate
+    compares it with the served renyi_cartesian only for n <= 5.
+    """
+    from scipy.special import gammaln
+
+    qi = int(q)
+    sign = -1.0 if space is Space.POSITION else 1.0
+    kq = math.log(math.pi ** (qi - 0.5) * qi ** 0.5) / (qi - 1.0)
+    kbar = (math.log(4.0 ** qi) + gammaln(0.5 + qi)
+            - 0.5 * math.log(math.pi) - qi * math.log(qi)) / (1.0 - qi)
+    D = state.spec.dim
+    value = sign * (D / 2.0) * math.log(state.spec.omega) + kq * D + kbar * state.odd_count
+    for n in state.n:
+        half = (n + 1) / 2.0
+        value += (qi / (qi - 1.0)) * (-1.0) ** n * (gammaln(half + 0.5) - gammaln(half))
+        value += math.log(specfun.lauricella_FA_finite(qi, n % 2, n)) / (1.0 - qi)
+    return value
 
 
 def radial_renyi(state: HyperState, q: float, space: Space,
@@ -443,8 +449,6 @@ def renyi_hyperspherical(state: HyperState, q: float, space: Space = Space.POSIT
 def renyi(state, q: float, space: Space = Space.POSITION,
           engine: str = ENGINE_CLOSED, tol: float | None = None) -> MeasureValue:
     if isinstance(state, CartesianState):
-        if engine == ENGINE_CLOSED and not (float(q).is_integer() and q >= 2):
-            engine = ENGINE_ORACLE
         return renyi_cartesian(state, q, space, engine, tol=tol)
     return renyi_hyperspherical(state, q, space, engine, tol=tol)
 

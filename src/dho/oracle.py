@@ -23,12 +23,17 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, UnsupportedError
 from .specfun import PolySpec
 
 DEFAULT_TOL = 1e-11
 RYDBERG_TOL = 1e-8  # for radial quantum numbers in the hundreds and beyond
 ABS_FLOOR = 1e-14
+# Highest degree the tanh-sinh panel kernels accept.  Their work grows about
+# as degree^2: at 2000 the Hermite entropy kernel takes 8.8 s and the Laguerre
+# one and real-q lq_integral ~5 s (2-core VM, peak RSS 126 MB); at 3000 they
+# take 10-20 s.
+PANEL_MAX_DEGREE = 2000
 
 
 def default_tolerance() -> float:
@@ -298,9 +303,14 @@ def _root_panel_integral(spec: PolySpec, a: float, q: float, integrand,
     (laguerre), a ln(1 - x^2) (gegenbauer), -q x^2 (hermite).  Panel edges sit
     at the roots of y; infinite supports are truncated where the weighted
     power of y has decayed below ~1e-22.  Nodes where y or the weight
-    vanishes contribute 0.
+    vanishes contribute 0.  Degrees above PANEL_MAX_DEGREE raise
+    UnsupportedError before any work is done.
     """
     n = spec.degree
+    if n > PANEL_MAX_DEGREE:
+        raise UnsupportedError(
+            f"the tanh-sinh panel kernels are bounded to degree <= {PANEL_MAX_DEGREE} "
+            f"(got {n}); their work grows as degree^2")
     if spec.family == "laguerre":
         edge = 4.0 * n + 2.0 * spec.parameter + 2.0
         lo, hi = 0.0, edge + 12.0 * math.sqrt(edge) / math.sqrt(q) + 60.0 / q
@@ -345,7 +355,8 @@ def lq_integral(spec: PolySpec, q: float, a: float = 0.0,
     w is x^a e^(-q x) for laguerre, (1 - x^2)^a for gegenbauer and e^(-q x^2)
     for hermite (a unused).  Integer q is exact through the Gauss rule of the
     weight (generalized Laguerre of parameter a at u/q, Jacobi (a, a), Hermite
-    at u/sqrt(q)); real q goes through tanh-sinh panels between the roots.
+    at u/sqrt(q)); real q goes through tanh-sinh panels between the roots,
+    which refuse degrees above PANEL_MAX_DEGREE (2000).
     """
     if not q > 0:
         raise DomainError("q must be positive")
@@ -402,6 +413,7 @@ def polynomial_entropy(spec: PolySpec, beta_shift: float = 0.0,
 
     Panel edges sit exactly at the polynomial roots, where the t^2 ln t^2
     integrand vanishes (0 ln 0 = 0).  beta_shift applies to Laguerre only.
+    Degrees above PANEL_MAX_DEGREE (2000) raise UnsupportedError.
     """
     if spec.normalization != "orthonormal":
         raise DomainError("polynomial_entropy is defined for orthonormal specs")

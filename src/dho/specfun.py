@@ -1,8 +1,8 @@
 """Special functions and polynomial linearization machinery.
 
 Hermite / Laguerre / Gegenbauer polynomials, terminating hypergeometric sums,
-the finite Lauricella-A sum used by the integer-order Renyi closed form,
-square/power linearizations, Bessel J, and exact Wigner 3j symbols.
+the finite Lauricella-A sum of the paper's integer-order Renyi form, the
+Dougall Gegenbauer square linearization, and exact Wigner 3j symbols.
 
 One scaled orthonormal three-term recurrence (`_recurrence`, mantissas over a
 per-node log scale, so any degree and parameter stays finite) serves
@@ -91,13 +91,6 @@ class LinearizationExpansion:
 
 # ---------------------------------------------------------------------------
 # gamma-type scalars
-
-
-def ln_gamma(x: float) -> float:
-    """log |Gamma(x)|; poles at non-positive integers are domain errors."""
-    if x <= 0.0 and x == math.floor(x):
-        raise DomainError(f"ln_gamma pole at {x}")
-    return math.lgamma(x)
 
 
 def digamma(x: float) -> float:
@@ -458,75 +451,6 @@ def lauricella_FA_finite(q: int, nu: int, n: int) -> float:
     return math.fsum(pochhammer(q * nu + 0.5, J) * c for J, c in enumerate(poly))
 
 
-def _lauricella_coeff_cj(n: int, q: int, j: int) -> float:
-    """(2q+1)-variable Lauricella-A coefficient sum with terminating index -j."""
-    nu = n % 2
-    top = (n - nu) // 2
-    base = [pochhammer((nu - n) / 2.0, ji)
-            / (pochhammer(nu + 0.5, ji) * math.factorial(ji)) * (1.0 / q) ** ji
-            for ji in range(top + 1)]
-    last = [pochhammer(-j, jl) / (pochhammer(0.5, jl) * math.factorial(jl))
-            for jl in range(j + 1)]
-    terms = []
-    for js in product(range(top + 1), repeat=2 * q):
-        s0 = sum(js)
-        f0 = 1.0
-        for ji in js:
-            f0 *= base[ji]
-        for jl in range(j + 1):
-            terms.append(pochhammer(q * nu + 0.5, s0 + jl) * f0 * last[jl])
-    b = binomial((n + nu - 1) / 2.0, top)
-    return pochhammer(0.5, q * nu) * b ** (2 * q) * math.fsum(terms)
-
-
-def hermite_power_linearize(n: int, q: int) -> LinearizationExpansion:
-    """Expansion |H_n(y)|^(2q) = sum_j d_j H_{2j}(sqrt(q) y), truncating at j = q n."""
-    if n < 0 or q < 1:
-        raise DomainError("need n >= 0 and q >= 1")
-    nu = n % 2
-    prefactor = 2.0 ** (2 * q * n) * math.factorial((n - nu) // 2) ** (2 * q) * q ** (-q * nu)
-    coeffs = []
-    for j in range(q * n + 1):
-        cj = _lauricella_coeff_cj(n, q, j)
-        dj = prefactor * ((-1.0) ** j / (2.0 ** (2 * j) * math.factorial(j))) * cj
-        coeffs.append((2 * j, dj))
-    return LinearizationExpansion("hermite", None, "orthogonal", math.sqrt(q),
-                                  tuple(coeffs))
-
-
-def laguerre_square_linearize(n: int, alpha: float) -> LinearizationExpansion:
-    """[L_n^(alpha)(x)]^2 = sum_k c_k L_{2k}^(2 alpha)(2x).
-
-    The doubled argument on the right is essential; the same-argument variant
-    cannot close (the square has odd components in that basis).
-    """
-    from scipy.special import gammaln
-
-    if alpha <= -1.0:
-        raise DomainError("alpha must exceed -1")
-    coeffs = []
-    lpref = gammaln(alpha + 1.0 + n) - 2 * n * math.log(2.0) - gammaln(n + 1.0)
-    for k in range(n + 1):
-        c = (binomial(2 * n - 2 * k, n - k)
-             * math.exp(lpref + gammaln(2 * k + 1.0) - gammaln(k + 1.0)
-                        - gammaln(alpha + 1.0 + k)))
-        coeffs.append((2 * k, c))
-    return LinearizationExpansion("laguerre", 2.0 * alpha, "orthogonal", 2.0,
-                                  tuple(coeffs))
-
-
-def laguerre_product_integral(s: float, alpha: float, beta: float,
-                              n: int, m: int) -> float:
-    """int_0^inf x^s e^-x L_n^(alpha) L_m^(beta) dx as a finite binomial sum."""
-    from scipy.special import gammaln
-
-    if s <= -1.0:
-        raise DomainError("s must exceed -1")
-    terms = [binomial(s - alpha, n - r) * binomial(s - beta, m - r) * binomial(s + r, r)
-             for r in range(min(n, m) + 1)]
-    return (-1.0) ** (n + m) * math.exp(gammaln(s + 1.0)) * math.fsum(terms)
-
-
 def _hyp_4F3_unit_terminating(a: Sequence[float], b: Sequence[float]) -> float:
     """Terminating 4F3 at unit argument (first numerator a[0] <= 0 integer)."""
     jmax = int(round(-a[0]))
@@ -577,18 +501,7 @@ def gegenbauer_square_linearize(n: int, lam: float, mu_next: int) -> Linearizati
 
 
 # ---------------------------------------------------------------------------
-# Bessel and 3j
-
-
-def bessel_J(alpha: float, x) -> float | np.ndarray:
-    """Bessel function of the first kind J_alpha(x) for x >= 0."""
-    from scipy.special import jv
-
-    xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0):
-        raise DomainError("bessel_J requires x >= 0")
-    out = jv(alpha, xa)
-    return float(out) if np.isscalar(x) else out
+# Wigner 3j
 
 
 def wigner_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:

@@ -47,6 +47,14 @@ def test_compute_shannon_oracle_1d():
     assert rec["engine"] == "oracle"
 
 
+def test_compute_closed_renyi_at_high_cartesian_degree(capsys):
+    # the paper's Lauricella sum is non-positive here; the served value is exact
+    state = '{"kind":"cartesian","omega":1,"n":[24]}'
+    assert cli.main(["compute", "--state", state, "--quantity", "renyi", "--q", "2"]) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert math.isfinite(rec["value"]) and rec["engine"] == "closed"
+
+
 def test_exit_code_parse_error():
     rc, _, err = run_cli("compute", "--state", "nope", "--quantity", "energy")
     assert rc == 2
@@ -380,6 +388,14 @@ def test_closed_fisher_and_energy_start_without_scipy(quantity):
 def test_closed_routes_start_without_quadpack(quantity):
     modules = _scipy_modules_after("compute", "--state", STATE21, "--quantity", *quantity)
     assert not [m for m in modules if m.startswith("scipy.integrate")]
+
+
+@pytest.mark.parametrize("quantity", [["shannon"], ["renyi", "--q", "2"]])
+def test_closed_cartesian_entropies_load_only_linalg(quantity):
+    modules = _scipy_modules_after("compute", "--state", '{"kind":"cartesian","omega":1,"n":[3]}',
+                                   "--quantity", *quantity)
+    assert "scipy.linalg" in modules
+    assert not [m for m in modules if m.startswith(("scipy.special", "scipy.integrate"))]
 
 
 def test_sweep_asymptotic_engine_and_plot(tmp_path):

@@ -104,11 +104,15 @@ class TestShannonCartesian:
         assert got == pytest.approx(1.3427280, abs=5e-7)
 
     def test_bbm_sum_structure(self):
+        # S_pos + S_mom = 2 sum (n + 1/2 + ln N_n - E(H_n)/N_n), N_n = 2^n n! sqrt(pi)
         st_ = cart(1.7, 2, 0, 1)
-        a = im.shannon_constant(st_)
         total = (im.shannon_cartesian(st_, Space.POSITION).value
                  + im.shannon_cartesian(st_, Space.MOMENTUM).value)
-        assert total == pytest.approx(2 * a + 3 * (1 + LN_PI), rel=1e-12)
+        expected = 0.0
+        for n in st_.n:
+            log_norm = n * math.log(2.0) + gammaln(n + 1.0) + 0.5 * LN_PI
+            expected += 2 * (n + 0.5 + log_norm - im.hermite_entropy(n) / math.exp(log_norm))
+        assert total == pytest.approx(expected, rel=1e-12)
         assert total >= 3 * (1 + LN_PI) - 1e-12
 
     def test_omega_covariance(self):
@@ -120,6 +124,36 @@ class TestShannonCartesian:
         m1 = im.shannon_cartesian(st1, Space.MOMENTUM).value
         m2 = im.shannon_cartesian(st2, Space.MOMENTUM).value
         assert m2 == pytest.approx(m1 + 1.0 * math.log(3.0), rel=1e-12)
+
+
+def _axis_quadpack(n, g):
+    """QUADPACK integral of g(ln rho) over the unit-width axis density of degree n."""
+    spec = specfun.PolySpec("hermite", n)
+
+    def f(t):
+        m, s = specfun.eval_poly_scaled(spec, np.array([t]))
+        if m[0] == 0.0:
+            return 0.0
+        return g(-t * t + 2.0 * (math.log(abs(m[0])) + s[0]))
+
+    return oracle.integrate_adaptive(f, -math.inf, math.inf,
+                                     singular_points=specfun.poly_roots(spec), tol=1e-12).value
+
+
+@pytest.mark.parametrize("n", [16, 20, 24, 30, 40])
+def test_closed_cartesian_entropies_match_quadpack(n):
+    # the paper's float64 forms were off by 1e-8 .. 400 here (or had no logarithm)
+    st_ = cart(1.3, n)
+    shannon = im.shannon_cartesian(st_)
+    exact = _axis_quadpack(n, lambda lr: -math.exp(lr) * lr) - 0.5 * math.log(1.3)
+    assert shannon.value == pytest.approx(exact, abs=1e-10)
+    assert shannon.engine == ENGINE_ORACLE and shannon.error_estimate > 0
+    for q in (2, 3):
+        renyi = im.renyi(st_, q)
+        exact = (math.log(_axis_quadpack(n, lambda lr: math.exp(q * lr))) / (1 - q)
+                 - 0.5 * math.log(1.3))
+        assert renyi.value == pytest.approx(exact, abs=1e-10)
+        assert renyi.engine == ENGINE_CLOSED
 
 
 class TestShannonHyperspherical:
@@ -168,15 +202,26 @@ class TestRenyi:
             0.5 * math.log(2 * math.pi), rel=1e-13)
 
     def test_closed_requires_integer_q(self):
-        with pytest.raises(UnsupportedError):
-            im.renyi_cartesian(cart(1.0, 1), 1.5, engine=ENGINE_CLOSED)
+        # real q has no closed form: the closed engine serves the oracle value
+        closed = im.renyi_cartesian(cart(1.0, 1), 1.5, engine=ENGINE_CLOSED)
+        assert closed == im.renyi_cartesian(cart(1.0, 1), 1.5, engine=ENGINE_ORACLE)
+        assert closed.engine == ENGINE_ORACLE and closed.error_estimate > 0
 
     def test_cartesian_closed_vs_oracle(self):
-        for (q, ns) in ((2, (1,)), (2, (2, 1)), (3, (3, 0, 2)), (2, (5,))):
-            st_ = cart(1.0, *ns)
-            c = im.renyi_cartesian(st_, q).value
-            o = im.renyi_cartesian(st_, q, engine=ENGINE_ORACLE).value
-            assert c == pytest.approx(o, abs=1e-8)
+        # the paper's Lauricella form against the served value, n <= 5
+        for (q, ns) in ((2, (1,)), (2, (2, 1)), (3, (3, 0, 2)), (2, (5,)), (3, (4, 5))):
+            for space in (Space.POSITION, Space.MOMENTUM):
+                st_ = cart(1.3, *ns)
+                served = im.renyi_cartesian(st_, q, space)
+                assert served.engine == ENGINE_CLOSED and served.error_estimate is None
+                assert im.renyi_cartesian_lauricella(st_, q, space) == pytest.approx(
+                    served.value, abs=1e-8)
+
+    def test_validate_compares_the_lauricella_form(self, monkeypatch):
+        form = im.renyi_cartesian_lauricella
+        monkeypatch.setattr(im, "renyi_cartesian_lauricella",
+                            lambda st_, q: form(st_, q) + 1e-7)
+        assert validation.check_renyi_cartesian_vs_oracle("quick").status == validation.FAIL
 
     def test_hyper_ground_q2_total(self):
         st_ = hyper(1.0, 3, 0, 0, 0)

@@ -8,7 +8,7 @@ import pytest
 from scipy.special import gammaln
 
 from dho import oracle, specfun
-from dho.errors import DomainError
+from dho.errors import DomainError, UnsupportedError
 from dho.specfun import PolySpec
 
 
@@ -271,6 +271,21 @@ class TestPolynomialEntropy:
     def test_orthonormal_required(self):
         with pytest.raises(DomainError):
             oracle.polynomial_entropy(PolySpec("laguerre", 2, 0.5, "orthogonal"))
+
+    @pytest.mark.parametrize("family, parameter", [("hermite", None), ("laguerre", 0.5),
+                                                   ("gegenbauer", 1.5)])
+    def test_panel_kernels_refuse_above_the_degree_bound(self, family, parameter,
+                                                         monkeypatch):
+        def kernel_work(*args, **kwargs):
+            raise AssertionError("the kernel ran past its degree bound")
+
+        monkeypatch.setattr(specfun, "poly_roots", kernel_work)
+        monkeypatch.setattr(oracle, "integrate_panels_vectorized", kernel_work)
+        spec = PolySpec(family, oracle.PANEL_MAX_DEGREE + 1, parameter)
+        with pytest.raises(UnsupportedError, match="degree <= 2000"):
+            oracle.polynomial_entropy(spec)
+        with pytest.raises(UnsupportedError):
+            oracle.lq_integral(spec, 0.8, 0.5)
 
     def test_default_tolerance_env_override(self, monkeypatch):
         monkeypatch.setenv("HO_ORACLE_TOL", "1e-6")

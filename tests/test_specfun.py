@@ -113,19 +113,14 @@ class TestGammaFamily:
     def test_digamma_at_one(self):
         assert specfun.digamma(1.0) == pytest.approx(-EULER_GAMMA, rel=1e-13)
 
-    def test_ln_gamma_half(self):
-        assert specfun.ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
-
     def test_poles_raise(self):
-        for f in (specfun.ln_gamma, specfun.digamma):
-            with pytest.raises(DomainError):
-                f(0.0)
-            with pytest.raises(DomainError):
-                f(-3.0)
+        with pytest.raises(DomainError):
+            specfun.digamma(0.0)
+        with pytest.raises(DomainError):
+            specfun.digamma(-3.0)
 
     def test_against_mpmath(self):
         for x in (0.3, 1.0, 7.5, 123.4, 4001.0):
-            assert specfun.ln_gamma(x) == pytest.approx(float(mp.loggamma(x)), rel=1e-13)
             assert specfun.digamma(x) == pytest.approx(float(mp.digamma(x)), rel=1e-13)
 
     @given(st.floats(-10, 10).filter(lambda a: abs(a) > 1e-6),
@@ -207,73 +202,12 @@ class TestLauricella:
         assert specfun.lauricella_FA_finite(2, 0, 2) == pytest.approx(2.5625, rel=1e-13)
 
 
-def _reconstruction_points(family):
-    if family == "gegenbauer":
-        return np.linspace(-0.95, 0.95, 20)
-    if family == "laguerre":
-        return np.linspace(0.05, 18.0, 20)
-    return np.linspace(-4.0, 4.0, 20)
-
-
 class TestLinearizations:
-    @pytest.mark.parametrize("n,q", [(0, 2), (1, 1), (1, 2), (2, 2), (3, 2), (2, 3), (4, 1)])
-    def test_hermite_power_reconstruction(self, n, q):
-        exp_ = specfun.hermite_power_linearize(n, q)
-        xs = _reconstruction_points("hermite")
-        target = specfun.eval_poly(PolySpec("hermite", n, None, "orthogonal"), xs) ** (2 * q)
-        got = exp_(xs)
-        assert np.allclose(got, target, rtol=1e-9, atol=1e-9 * np.max(np.abs(target)))
-
-    def test_hermite_power_truncation_degree(self):
-        exp_ = specfun.hermite_power_linearize(3, 2)
-        assert max(idx for idx, _ in exp_.coefficients) == 2 * 2 * 3
-
-    @pytest.mark.parametrize("n,q", [(2, 2), (3, 2), (4, 3)])
-    def test_hermite_power_gauss_integral(self, n, q):
-        # int |H_n(y)|^{2q} e^{-q y^2} dy: only the j = 0 expansion term survives
-        exp_ = specfun.hermite_power_linearize(n, q)
-        rule = oracle.gauss_rule("hermite", q * n + 2)
-        direct = float(np.sum(rule.weights * specfun.eval_poly(
-            PolySpec("hermite", n, None, "orthogonal"),
-            rule.nodes / math.sqrt(q)) ** (2 * q))) / math.sqrt(q)
-        const = dict(exp_.coefficients)[0]
-        assert direct == pytest.approx(const * math.sqrt(math.pi / q), rel=1e-11)
-
-    @pytest.mark.parametrize("n,alpha", [(0, 0.7), (1, 0.5), (3, 2.0), (5, 0.0)])
-    def test_laguerre_square_reconstruction(self, n, alpha):
-        exp_ = specfun.laguerre_square_linearize(n, alpha)
-        xs = _reconstruction_points("laguerre")
-        target = specfun.eval_poly(PolySpec("laguerre", n, alpha, "orthogonal"), xs) ** 2
-        assert np.allclose(exp_(xs), target, rtol=1e-9,
-                           atol=1e-9 * np.max(np.abs(target)))
-
-    def test_laguerre_square_at_zero(self):
-        n, alpha = 3, 1.2
-        exp_ = specfun.laguerre_square_linearize(n, alpha)
-        target = math.exp(specfun.ln_gamma(alpha + 1 + n)
-                          - specfun.ln_gamma(n + 1.0) - specfun.ln_gamma(alpha + 1.0)) ** 2
-        assert float(exp_(0.0)) == pytest.approx(target, rel=1e-11)
-
-    def test_laguerre_product_integral_weight_case(self):
-        alpha = 1.7
-        val = specfun.laguerre_product_integral(alpha, alpha, alpha, 0, 0)
-        assert val == pytest.approx(math.gamma(alpha + 1.0), rel=1e-13)
-
-    @pytest.mark.parametrize("s,alpha,beta,n,m", [
-        (1.5, 0.5, 0.5, 2, 3), (2.0, 1.0, 0.0, 1, 4), (0.7, 0.7, 1.3, 3, 3)])
-    def test_laguerre_product_integral_vs_quadrature(self, s, alpha, beta, n, m):
-        rule = oracle.gauss_rule("laguerre", n + m + int(math.ceil(s)) + 4, s)
-        pn = specfun.eval_poly(PolySpec("laguerre", n, alpha, "orthogonal"), rule.nodes)
-        pm = specfun.eval_poly(PolySpec("laguerre", m, beta, "orthogonal"), rule.nodes)
-        ref = float(np.sum(rule.weights * pn * pm))
-        assert specfun.laguerre_product_integral(s, alpha, beta, n, m) == pytest.approx(
-            ref, rel=1e-11, abs=1e-13)
-
     @pytest.mark.parametrize("n,lam,mu", [(0, 0.5, 0), (1, 0.5, 1), (2, 1.5, 1),
                                           (3, 1.0, 2), (4, 0.5, 2)])
     def test_gegenbauer_square_reconstruction(self, n, lam, mu):
         exp_ = specfun.gegenbauer_square_linearize(n, lam, mu)
-        xs = np.concatenate([_reconstruction_points("gegenbauer"), [0.0, 0.7, -0.7]])
+        xs = np.concatenate([np.linspace(-0.95, 0.95, 20), [0.0, 0.7, -0.7]])
         target = specfun.eval_poly(PolySpec("gegenbauer", n, lam), xs) ** 2
         assert np.allclose(exp_(xs), target, rtol=1e-9,
                            atol=1e-9 * np.max(np.abs(target)))
@@ -290,19 +224,7 @@ class TestLinearizations:
         assert coeff_sq_sum == pytest.approx(quart, rel=1e-11)
 
 
-class TestBesselAnd3j:
-    def test_half_order_closed_form(self):
-        xs = np.linspace(0.3, 200.0, 41)
-        ref = np.sqrt(2.0 / (math.pi * xs)) * np.sin(xs)
-        assert np.allclose(specfun.bessel_J(0.5, xs), ref, rtol=1e-10, atol=1e-12)
-        assert abs(specfun.bessel_J(0.5, math.pi)) < 1e-10
-
-    def test_bessel_against_mpmath(self):
-        for a in (0.0, 0.5, 2.0, 5.5):
-            for x in (0.1, 1.0, 20.0, 200.0):
-                assert specfun.bessel_J(a, x) == pytest.approx(
-                    float(mp.besselj(a, x)), rel=1e-10, abs=1e-13)
-
+class TestWigner3j:
     def test_3j_trivial(self):
         assert specfun.wigner_3j(0, 0, 0, 0, 0, 0) == 1.0
 
