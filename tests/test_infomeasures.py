@@ -115,6 +115,13 @@ class TestShannonCartesian:
         assert total == pytest.approx(expected, rel=1e-12)
         assert total >= 3 * (1 + LN_PI) - 1e-12
 
+    @pytest.mark.parametrize("ns", [(1, 2), (5, 0, 3), (15,)])
+    def test_closed_matches_quadpack_engine(self, ns):
+        st_ = cart(1.0, *ns)
+        closed = im.shannon_cartesian(st_, tol=1e-12)
+        quadpack = im.shannon_cartesian(st_, engine=ENGINE_ORACLE, tol=1e-12)
+        assert closed.value == pytest.approx(quadpack.value, abs=1e-10)
+
     def test_omega_covariance(self):
         st1 = cart(1.0, 2, 1)
         st2 = cart(3.0, 2, 1)
@@ -154,6 +161,30 @@ def test_closed_cartesian_entropies_match_quadpack(n):
                  - 0.5 * math.log(1.3))
         assert renyi.value == pytest.approx(exact, abs=1e-10)
         assert renyi.engine == ENGINE_CLOSED
+
+
+@pytest.mark.parametrize("n, q", [(3, 0.5), (7, 1.5), (12, 2.5)])
+def test_real_q_cartesian_renyi_matches_quadpack(n, q):
+    st_ = cart(0.8, n)
+    renyi = im.renyi(st_, q)
+    exact = (math.log(_axis_quadpack(n, lambda lr: math.exp(q * lr))) / (1 - q)
+             - 0.5 * math.log(0.8))
+    assert renyi.value == pytest.approx(exact, abs=1e-10)
+    assert renyi.engine == ENGINE_ORACLE and renyi.error_estimate > 0
+
+
+@pytest.mark.parametrize("q", [None, 2, 3, 1.5])
+def test_cartesian_momentum_entropy_is_position_at_inverse_omega(q):
+    # the momentum density is the position density with omega -> 1/omega
+    st_ = cart(1.7, 2, 0, 5)
+
+    def entropy(space):
+        if q is None:
+            return im.shannon_cartesian(st_, space).value
+        return im.renyi_cartesian(st_, q, space).value
+
+    assert entropy(Space.MOMENTUM) - entropy(Space.POSITION) == pytest.approx(
+        3.0 * math.log(1.7), abs=1e-12)
 
 
 class TestShannonHyperspherical:
@@ -253,6 +284,15 @@ class TestRenyi:
         s = im.shannon_hyperspherical(st_, tol=1e-11).value
         lo = im.renyi_hyperspherical(st_, 1.001, tol=1e-10).value
         hi = im.renyi_hyperspherical(st_, 0.999, tol=1e-10).value
+        assert lo <= s <= hi
+        assert abs(lo - s) < 1e-3 and abs(hi - s) < 1e-3
+
+    @pytest.mark.parametrize("ns", [(0,), (3,), (1, 4)])
+    def test_cartesian_q_to_one_brackets_shannon(self, ns):
+        st_ = cart(1.0, *ns)
+        s = im.shannon_cartesian(st_, tol=1e-11).value
+        lo = im.renyi_cartesian(st_, 1.001, tol=1e-10).value
+        hi = im.renyi_cartesian(st_, 0.999, tol=1e-10).value
         assert lo <= s <= hi
         assert abs(lo - s) < 1e-3 and abs(hi - s) < 1e-3
 

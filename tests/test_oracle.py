@@ -240,6 +240,21 @@ class TestLqIntegral:
         exact = float(_mp_lq_integral(spec, q, a))
         assert oracle.lq_integral(spec, q, a) == pytest.approx(exact, rel=1e-13)
 
+    @pytest.mark.parametrize("spec,q,a", [
+        (PolySpec("hermite", 2, None), 2, 0.0),
+        (PolySpec("hermite", 4, None), 3, 0.0),
+        (PolySpec("hermite", 12, None), 2, 0.0),
+        (PolySpec("hermite", 24, None), 2, 0.0),  # the paper's Lauricella sum is <= 0 here
+        (PolySpec("hermite", 30, None), 3, 0.0),
+        (PolySpec("laguerre", 3, 0.5), 2, 0.5),
+        (PolySpec("laguerre", 4, 1.0), 3, 0.0),
+        (PolySpec("laguerre", 12, 2.5), 2, 1.5),
+        (PolySpec("gegenbauer", 6, 1.5), 2, 0.5),
+    ])
+    def test_integer_q_matches_mpmath(self, spec, q, a):
+        exact = float(_mp_lq_integral(spec, q, a))
+        assert oracle.lq_integral(spec, q, a) == pytest.approx(exact, rel=1e-13)
+
     @pytest.mark.parametrize("spec,a", [
         (PolySpec("gegenbauer", 3, 2.0), 1.2),
         (PolySpec("hermite", 5, None), 0.0),
