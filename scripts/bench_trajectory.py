@@ -3,14 +3,19 @@
 
     python3 scripts/bench_trajectory.py --pr N
     python3 scripts/bench_trajectory.py --pr M --root ../earlier-checkout
+    python3 scripts/bench_trajectory.py --pr N --parent ../parent-checkout
 
 Each workload listed in the checkout's BENCHMARK.json runs through
 ``perfbench/run.py`` (end-to-end metrics, no trace) once per seed in SEEDS,
 one after another, from the checkout given by --root (default: this
 repository).  BENCH_<pr>.json, written to this repository, holds per workload
 and seed the run's result line and its environment stamp, plus the
-``src/dho`` line count of that checkout.  It records numbers only: it sets
-no bound and gates nothing.
+``src/dho`` line count of that checkout.  With --parent, each workload and
+seed also runs from that checkout, as a pair with the --root run; which of
+the two goes first flips from one workload to the next, since the host's
+speed drifts between runs.  Those runs and that checkout's line count go
+under "parent", and each run records its place in its pair ("order" 0 or
+1).  It records numbers only: it sets no bound and gates nothing.
 """
 
 from __future__ import annotations
@@ -53,23 +58,34 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--pr", type=int, required=True, help="number in the output name")
     p.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
+    p.add_argument("--parent", type=Path, default=None,
+                   help="checkout to run in alternating pairs with --root")
     args = p.parse_args(argv)
 
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    runs = []
-    for workload in (w["name"] for w in spec["workloads"]):
+    runs, parent_runs = [], []
+    sides = [("root", root, runs)]
+    if args.parent is not None:
+        sides.append(("parent", args.parent.resolve(), parent_runs))
+    for i, workload in enumerate(w["name"] for w in spec["workloads"]):
         for seed in SEEDS:
-            run = run_one(root, workload, seed, spec["run_seconds"])
-            runs.append(run)
-            status = "ok" if "result" in run else f"failed (rc {run['returncode']})"
-            print(f"{workload} seed {seed}: {status} in {run['elapsed_s']:.1f} s",
-                  file=sys.stderr)
+            for order, (name, checkout, out) in enumerate(sides if i % 2 else sides[::-1]):
+                run = run_one(checkout, workload, seed, spec["run_seconds"])
+                if args.parent is not None:
+                    run["order"] = order
+                out.append(run)
+                status = "ok" if "result" in run else f"failed (rc {run['returncode']})"
+                print(f"{workload} seed {seed} {name}: {status} in {run['elapsed_s']:.1f} s",
+                      file=sys.stderr)
     record = {"pr": args.pr, "src_dho_lines": src_lines(root),
               "run_seconds": spec["run_seconds"], "seeds": list(SEEDS), "runs": runs}
+    if args.parent is not None:
+        record["parent"] = {"src_dho_lines": src_lines(args.parent.resolve()),
+                            "runs": parent_runs}
     (REPO / f"BENCH_{args.pr}.json").write_text(
         json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    return 0 if all("result" in r for r in runs) else 1
+    return 0 if all("result" in r for r in runs + parent_runs) else 1
 
 
 if __name__ == "__main__":

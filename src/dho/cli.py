@@ -128,6 +128,14 @@ def _json_number(x):
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
+def _require_finite(name: str, value) -> None:
+    """Refuse a parameter that is set but not a finite real number (tol > 0)."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
+                              or not math.isfinite(value) or name == "tol" and value <= 0):
+        raise DomainError(f"{name} must be a finite real number"
+                          f"{' > 0' if name == 'tol' else ''}, got {value!r}")
+
+
 def _compute_one(state, quantity: str, space: Space, engine: str, args) -> dict:
     """Evaluate one quantity for one state; shared by compute and sweep."""
     if quantity not in QUANTITIES:
@@ -138,11 +146,7 @@ def _compute_one(state, quantity: str, space: Space, engine: str, args) -> dict:
     if param and getattr(args, param) is None:
         raise ParseError(f"--{param} is required for {quantity}")
     for name in ("k", "q", "s", "tol"):
-        value = getattr(args, name)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, float))
-                                  or not math.isfinite(value) or name == "tol" and value <= 0):
-            raise DomainError(f"{name} must be a finite real number"
-                              f"{' > 0' if name == 'tol' else ''}, got {value!r}")
+        _require_finite(name, getattr(args, name))
     # the Rydberg and high-D limits are taken along hyperspherical ladders
     if not isinstance(state, HyperState) and (not cartesian or engine == "asymptotic"):
         raise DomainError(f"{quantity} ({engine}) requires a hyperspherical state; "
@@ -166,12 +170,9 @@ def cmd_compute(args) -> int:
 
 def cmd_uncertainty(args) -> int:
     state = states.parse_state(args.state)
-    q = args.q if args.q is not None else 2.0
-    if args.relation == "all":
-        reports = uncertainty.check_all(state, q=q)
-    else:
-        kwargs = {"q": q} if args.relation == "renyi_conjugate" else {}
-        reports = [uncertainty.check(args.relation, state, **kwargs)]
+    _require_finite("q", args.q)
+    reports = (uncertainty.check_all(state, q=args.q) if args.relation == "all"
+               else [uncertainty.check(args.relation, state, q=args.q)])
     for rep in reports:
         rec = asdict(rep)
         rec["state"] = states.state_to_dict(state)
@@ -386,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     u.add_argument("--state", required=True)
     u.add_argument("--relation", default="all",
                    choices=["all"] + sorted(uncertainty.RELATIONS))
-    u.add_argument("--q", type=float, default=None, help="conjugate Renyi order")
+    u.add_argument("--q", type=float, default=2.0, help="conjugate Renyi order")
     u.set_defaults(fn=cmd_uncertainty)
 
     s = sub.add_parser("sweep", help="grid sweep from a JSON config")

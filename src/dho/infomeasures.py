@@ -20,7 +20,7 @@ import numpy as np
 
 from . import oracle, specfun, states
 from .errors import DomainError, UnsupportedError
-from .moments import oracle_radial_moment, radial_moment
+from .moments import oracle_radial_moment, radial_density_integral, radial_moment
 from .specfun import EULER_GAMMA, PolySpec
 from .states import CartesianState, HyperState, Space
 
@@ -295,20 +295,8 @@ def radial_shannon_direct(state: HyperState, space: Space,
                           tol: float | None = None) -> float:
     """- int rho_rad ln rho_rad r^(D-1) dr, done in the radius variable."""
     D = state.spec.dim
-    w = _width(state.spec.omega, space)
-    spec = PolySpec("laguerre", state.n_r, state.alpha, "orthonormal")
-    roots = (np.sqrt(specfun.poly_roots(spec) / w) if state.n_r > 0 else np.array([]))
-
-    def f(r):
-        if r <= 0.0:
-            return 0.0
-        lg = float(states.log_radial_density(state, space, np.array([r]))[0])
-        if lg == -math.inf:
-            return 0.0
-        return -math.exp(lg + (D - 1.0) * math.log(r)) * lg
-
-    return oracle.integrate_adaptive(f, 0.0, math.inf,
-                                     singular_points=roots, tol=tol).value
+    return radial_density_integral(
+        state, space, lambda lg, lr: -math.exp(lg + (D - 1.0) * lr) * lg, tol).value
 
 
 def shannon_hyperspherical(state: HyperState, space: Space = Space.POSITION,
@@ -409,19 +397,8 @@ def radial_renyi_direct(state: HyperState, q: float, space: Space,
                         tol: float | None = None) -> float:
     """ln int rho_rad^q r^(D-1) dr / (1-q), integrated in the radius variable."""
     D = state.spec.dim
-    w = _width(state.spec.omega, space)
-    spec = PolySpec("laguerre", state.n_r, state.alpha, "orthonormal")
-    roots = (np.sqrt(specfun.poly_roots(spec) / w) if state.n_r > 0 else np.array([]))
-
-    def f(r):
-        if r <= 0.0:
-            return 0.0
-        lg = float(states.log_radial_density(state, space, np.array([r]))[0])
-        if lg == -math.inf:
-            return 0.0
-        return math.exp(q * lg + (D - 1.0) * math.log(r))
-
-    est = oracle.integrate_adaptive(f, 0.0, math.inf, singular_points=roots, tol=tol)
+    est = radial_density_integral(
+        state, space, lambda lg, lr: math.exp(q * lg + (D - 1.0) * lr), tol)
     return math.log(est.value) / (1.0 - q)
 
 

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from . import oracle, specfun
+from . import oracle, specfun, states
 from .errors import DomainError
 from .specfun import PolySpec
 from .states import HyperState, Space
@@ -150,14 +150,13 @@ def oracle_radial_moment(state: HyperState, k: float,
     return out
 
 
-def oracle_radial_moment_adaptive(state: HyperState, k: float,
-                                  space: Space = Space.POSITION,
-                                  tol: float | None = None) -> oracle.IntegralEstimate:
-    """<r^k> = int r^k rho(r) r^(D-1) dr via the adaptive engine, in r itself."""
-    from . import states as st
+def radial_density_integral(state: HyperState, space: Space, g,
+                            tol: float | None = None) -> oracle.IntegralEstimate:
+    """int_0^inf g(ln rho(r), ln r) dr by QUADPACK, split at the radial nodes.
 
-    _require_exists(state, k)
-    D = state.spec.dim
+    rho is the state's radial density in the space; where it vanishes (r <= 0
+    or ln rho = -inf) the integrand is 0 and g is not called.
+    """
     w = state.spec.omega if space is Space.POSITION else 1.0 / state.spec.omega
     spec = PolySpec("laguerre", state.n_r, state.alpha, "orthonormal")
     roots = np.sqrt(specfun.poly_roots(spec) / w) if state.n_r > 0 else np.array([])
@@ -165,7 +164,17 @@ def oracle_radial_moment_adaptive(state: HyperState, k: float,
     def f(r):
         if r <= 0.0:
             return 0.0
-        lg = float(st.log_radial_density(state, space, np.array([r]))[0])
-        return math.exp(lg + (k + D - 1.0) * math.log(r))
+        lg = float(states.log_radial_density(state, space, np.array([r]))[0])
+        return 0.0 if lg == -math.inf else g(lg, math.log(r))
 
     return oracle.integrate_adaptive(f, 0.0, math.inf, singular_points=roots, tol=tol)
+
+
+def oracle_radial_moment_adaptive(state: HyperState, k: float,
+                                  space: Space = Space.POSITION,
+                                  tol: float | None = None) -> oracle.IntegralEstimate:
+    """<r^k> = int r^k rho(r) r^(D-1) dr via the adaptive engine, in r itself."""
+    _require_exists(state, k)
+    D = state.spec.dim
+    return radial_density_integral(
+        state, space, lambda lg, lr: math.exp(lg + (k + D - 1.0) * lr), tol)

@@ -155,14 +155,5 @@ def check(relation_id: str, state, **params) -> RelationReport:
 
 def check_all(state, q: float = 2.0, tol: float = 1e-11) -> list[RelationReport]:
     """Every relation applicable to the state, in registry order."""
-    out = []
-    for rid in RELATIONS:
-        if rid in HYPER_ONLY and not isinstance(state, HyperState):
-            continue
-        kwargs = {}
-        if rid == "renyi_conjugate":
-            kwargs["q"] = q
-        if rid in ("bbm", "rudnicki_central", "renyi_conjugate"):
-            kwargs["tol"] = tol
-        out.append(check(rid, state, **kwargs))
-    return out
+    return [check(rid, state, q=q, tol=tol) for rid in RELATIONS
+            if rid not in HYPER_ONLY or isinstance(state, HyperState)]

@@ -491,7 +491,7 @@ def check_saturation_census(preset="quick") -> CheckResult:
         for rid in ("heisenberg_general", "heisenberg_central", "stam",
                     "fisher_product_general", "fisher_product_central",
                     "bbm", "renyi_conjugate"):
-            rep = uncertainty.check(rid, g, **({"q": 2.0} if rid == "renyi_conjugate" else {}))
+            rep = uncertainty.check(rid, g, q=2.0)
             if not rep.saturated:
                 bad.append(f"{rid}@D={D}")
     # equality conditions of the closed forms

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from dho import cli
+from dho import cli, specfun
 
 GROUND3 = '{"kind":"hyper","D":3,"omega":1,"nr":0,"mu":[0,0]}'
 
@@ -129,6 +129,28 @@ def test_non_finite_or_out_of_range_parameter_is_domain_error(extra, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "domain error" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--state", '{"kind":"hyper","D":3,"omega":1,"nr":2,"mu":[1,0]}',
+     "--quantity", "renyi", "--q", "1e308"],
+    ["compute", "--state", '{"kind":"cartesian","omega":1,"n":[2]}',
+     "--quantity", "renyi", "--q", "1e308"],
+    ["uncertainty", "--state", GROUND3, "--q", "inf"],
+    ["uncertainty", "--state", GROUND3, "--relation", "bbm", "--q", "nan"],
+    ["compute", "--state", '{"kind":"hyper","D":3,"omega":1,"nr":7000,"mu":[0,0]}',
+     "--quantity", "disequilibrium"],
+])
+def test_unbounded_order_or_non_finite_q_is_refused_before_any_rule(argv, monkeypatch,
+                                                                     capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("a Gauss rule was built")
+
+    monkeypatch.setattr(specfun, "gauss_nodes", build)
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("domain error") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("state, extra", [

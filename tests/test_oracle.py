@@ -107,6 +107,64 @@ class TestGaussRules:
         with pytest.raises(DomainError):
             oracle.gauss_rule("hermite", 0)
 
+    def test_orders_above_the_bound_are_refused_before_any_build(self, monkeypatch):
+        def build(family, parameter, order, weights=False):
+            assert order <= oracle.GAUSS_MAX_ORDER, "built a rule past the bound"
+            return np.zeros(1), np.zeros(1)
+
+        monkeypatch.setattr(specfun, "gauss_nodes", build)
+        monkeypatch.setattr(oracle, "_RULE_CACHE", oracle.BoundedCache(4))
+        oracle.gauss_rule("hermite", oracle.GAUSS_MAX_ORDER)
+        with pytest.raises(UnsupportedError, match="order <= 12000"):
+            oracle.gauss_rule("hermite", oracle.GAUSS_MAX_ORDER + 1)
+        # integer-q lq_integral needs order q n + 2 (+ ceil(a) // 2 for laguerre)
+        for spec, a in ((PolySpec("hermite", 5000), 0.0), (PolySpec("laguerre", 5999, 0.5), 1.5),
+                        (PolySpec("gegenbauer", 4000, 1.0), 0.5)):
+            with pytest.raises(UnsupportedError):
+                oracle.lq_integral(spec, 3.0, a)
+        with pytest.raises(UnsupportedError):
+            oracle.lq_integral(PolySpec("hermite", 2), 1e308)
+
+    def test_rules_through_a_small_cache_equal_fresh_builds(self, monkeypatch):
+        small = oracle.BoundedCache(3)
+        monkeypatch.setattr(oracle, "_RULE_CACHE", small)
+        requests = [("laguerre", order, (0.5 * (order % 3),)) for order in range(5, 12)]
+        requests += [("hermite", 7, ()), ("jacobi", 6, (0.5, -0.25))] + requests[::-1]
+        for family, order, params in requests:
+            rule = oracle.gauss_rule(family, order, *params)
+            assert len(small) <= small.maxsize
+            assert small[(family, params, order)] is rule
+        assert len(small) == small.maxsize
+        for (family, params, order), rule in small.items():
+            nodes, log_w = specfun.gauss_nodes(family, params[0] if len(params) == 1
+                                               else params or None, order, weights=True)
+            assert np.array_equal(rule.nodes, nodes)
+            assert np.array_equal(rule.log_weights, log_w)
+            assert np.array_equal(rule.weights, np.exp(log_w))
+
+
+class TestBoundedCache:
+    def test_evicts_the_least_recently_used_entry(self):
+        cache = oracle.BoundedCache(2)
+        for key in "abc":
+            assert cache.get_or_compute(key, key.upper) == key.upper()
+        assert list(cache.items()) == [("b", "B"), ("c", "C")]
+
+    def test_a_hit_refreshes_an_entry(self):
+        cache = oracle.BoundedCache(2)
+        cache.get_or_compute("a", lambda: 1)
+        cache.get_or_compute("b", lambda: 2)
+        assert cache.get_or_compute("a", lambda: pytest.fail("a hit was recomputed")) == 1
+        cache.get_or_compute("c", lambda: 3)
+        assert list(cache) == ["a", "c"]
+
+    def test_len_never_exceeds_maxsize(self):
+        cache = oracle.BoundedCache(3)
+        for i in range(40):
+            cache.get_or_compute((i * 7) % 11, lambda i=i: (i * 7) % 11)
+            assert len(cache) <= 3
+        assert len(cache) == 3
+
 
 class TestAdaptive:
     def test_exponential(self):
@@ -369,7 +427,7 @@ class TestNestedLevels:
             return est
 
         monkeypatch.setattr(oracle, "integrate_panels_vectorized", both)
-        monkeypatch.setattr(oracle, "_ENTROPY_CACHE", {})
+        monkeypatch.setattr(oracle, "_ENTROPY_CACHE", oracle.BoundedCache(256))
         run()
         (est, seen, ref, final_x), = calls
         assert est == ref  # value, error estimate and node count, exactly
@@ -403,3 +461,41 @@ class TestConcurrency:
             key = (10 + (i % 5), 0.5 + (i % 3), 2 + (i % 3), i % 2, 3 + (i % 2))
             by_key.setdefault(key, res)
             assert by_key[key] == res
+
+    def test_bounded_cache_under_thread_contention(self):
+        import concurrent.futures as cf
+        import sys
+        import time
+
+        class Yielding(oracle.BoundedCache):
+            """Invites a thread switch inside each membership and size test."""
+
+            def __contains__(self, key):
+                found = super().__contains__(key)
+                time.sleep(0)
+                return found
+
+            def __len__(self):
+                size = super().__len__()
+                time.sleep(0)
+                return size
+
+        cache = Yielding(4)
+
+        def work(i):
+            key = (i * 5) % 13
+            return key, cache.get_or_compute(key, lambda: key * key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with cf.ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(work, i) for i in range(2000)]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        # without the lock a key evicted between the test and the use raises
+        # KeyError, and two threads that both see one entry too many both evict
+        assert all(value == key * key for key, value in results)
+        assert len(cache) == 4
+        assert all(value == key * key for key, value in cache.items())

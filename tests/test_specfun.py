@@ -260,3 +260,5 @@ def test_every_lru_cache_is_bounded():
         for name, value in vars(module).items():
             if callable(getattr(value, "cache_info", None)):
                 assert value.cache_info().maxsize is not None, f"{info.name}.{name}"
+            if name.endswith("_CACHE"):  # a plain dict would grow without limit
+                assert isinstance(value, oracle.BoundedCache), f"{info.name}.{name}"
