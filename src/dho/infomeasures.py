@@ -114,7 +114,10 @@ def hermite_entropy_oracle(n: int, tol: float | None = None) -> oracle.IntegralE
     roots = specfun.poly_roots(spec) if n > 0 else np.array([])
 
     def f(x):
-        h = float(specfun._eval_orthogonal("hermite", n, None, np.array([x]))[0])
+        # the orthogonal Hermite recurrence of specfun._eval_orthogonal, on one float
+        h_prev, h = 0.0, 1.0
+        for k in range(n):
+            h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
         h2 = h * h
         if h2 <= 0.0:
             return 0.0
@@ -148,13 +151,13 @@ def _axis_shannon_std(n: int, tol: float) -> float:
     """Oracle entropy of the unit-width 1-D density for degree n."""
     spec = PolySpec("hermite", n, None, "orthonormal")
     roots = specfun.poly_roots(spec) if n > 0 else np.array([])
+    evaluate = specfun.scaled_evaluator(spec)
 
     def f(t):
-        m, s = specfun.eval_poly_scaled(spec, np.array([t]))
-        m0, s0 = float(m[0]), float(s[0])
-        if m0 == 0.0:
+        m, s = evaluate(t)
+        if m == 0.0:
             return 0.0
-        lg = -t * t + 2.0 * (math.log(abs(m0)) + s0)
+        lg = -t * t + 2.0 * (math.log(abs(m)) + s)
         return -math.exp(lg) * lg
 
     est = oracle.integrate_adaptive(f, -math.inf, math.inf,
@@ -246,9 +249,10 @@ def angular_shannon_direct(state: HyperState, tol: float | None = None) -> float
         lam = aj + mj1
         roots = (specfun.poly_roots(PolySpec("gegenbauer", deg, lam))
                  if deg > 0 else np.array([]))
+        factor = states.angular_density_factor_at(state, j)
 
-        def f(x, j=j, aj=aj):
-            val = float(states.angular_density_factor(state, j, x))
+        def f(x, aj=aj, factor=factor):
+            val = factor(x)
             if val <= 0.0:
                 return 0.0
             return -(1.0 - x * x) ** (aj - 0.5) * val * math.log(val)
@@ -259,17 +263,26 @@ def angular_shannon_direct(state: HyperState, tol: float | None = None) -> float
     return total
 
 
+def _in_float_range(value: float, name: str) -> float:
+    """value, refused when it has left the float range (0 or inf) at this q."""
+    if value == 0.0 or value == math.inf:
+        raise UnsupportedError(f"{name} = {value!r} leaves the float range at this q")
+    return value
+
+
 def angular_entropic_moment(state: HyperState, q: float,
                             tol: float | None = None) -> float:
     """Lambda_q = int |Y|^(2q) dOmega: one Gegenbauer lq_integral per factor
-    (integer q exact by Gauss-Jacobi)."""
+    (integer q exact by Gauss-Jacobi).  A factor or a Lambda_q that leaves the
+    float range raises UnsupportedError."""
     if q <= 0:
         raise DomainError("q must be positive")
     log_val = (1.0 - q) * math.log(2.0 * math.pi)
     for aj, deg, mj1 in _angular_factors(state):
         spec = PolySpec("gegenbauer", deg, aj + mj1, "orthonormal")
-        log_val += math.log(oracle.lq_integral(spec, q, q * mj1 + aj - 0.5, tol=tol))
-    return math.exp(log_val)
+        log_val += math.log(_in_float_range(
+            oracle.lq_integral(spec, q, q * mj1 + aj - 0.5, tol=tol), "an angular lq_integral"))
+    return _in_float_range(math.exp(log_val), "Lambda_q")
 
 
 def angular_renyi(state: HyperState, q: float, tol: float | None = None) -> float:
@@ -349,7 +362,8 @@ def renyi_cartesian(state: CartesianState, q: float, space: Space = Space.POSITI
         raise DomainError(f"unknown engine {engine!r}")
     w = _width(state.spec.omega, space)
     value = math.fsum(
-        math.log(oracle.lq_integral(PolySpec("hermite", n), q, tol=tol))
+        math.log(_in_float_range(oracle.lq_integral(PolySpec("hermite", n), q, tol=tol),
+                                 "a Hermite lq_integral"))
         + 0.5 * (q - 1.0) * math.log(w) for n in state.n) / (1.0 - q)
     exact = float(q).is_integer()
     if engine == ENGINE_CLOSED and exact:
@@ -389,7 +403,8 @@ def radial_renyi(state: HyperState, q: float, space: Space,
     """-ln(2 w^(D/2)) + ln N(D, q) / (1 - q) with the weighted Laguerre norm."""
     D = state.spec.dim
     w = _width(state.spec.omega, space)
-    norm = oracle.weighted_Lq_norm(state.n_r, state.l, D, q, tol=tol)
+    norm = _in_float_range(oracle.weighted_Lq_norm(state.n_r, state.l, D, q, tol=tol),
+                           "the radial lq_integral")
     return -math.log(2.0) - (D / 2.0) * math.log(w) + math.log(norm) / (1.0 - q)
 
 

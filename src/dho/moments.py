@@ -160,11 +160,12 @@ def radial_density_integral(state: HyperState, space: Space, g,
     w = state.spec.omega if space is Space.POSITION else 1.0 / state.spec.omega
     spec = PolySpec("laguerre", state.n_r, state.alpha, "orthonormal")
     roots = np.sqrt(specfun.poly_roots(spec) / w) if state.n_r > 0 else np.array([])
+    log_density = states.radial_log_density_at(state, space)
 
     def f(r):
         if r <= 0.0:
             return 0.0
-        lg = float(states.log_radial_density(state, space, np.array([r]))[0])
+        lg = log_density(r)
         return 0.0 if lg == -math.inf else g(lg, math.log(r))
 
     return oracle.integrate_adaptive(f, 0.0, math.inf, singular_points=roots, tol=tol)

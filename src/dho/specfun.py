@@ -4,12 +4,15 @@ Hermite / Laguerre / Gegenbauer polynomials, terminating hypergeometric sums,
 the finite Lauricella-A sum of the paper's integer-order Renyi form, the
 Dougall Gegenbauer square linearization, and exact Wigner 3j symbols.
 
-One scaled orthonormal three-term recurrence (`_recurrence`, mantissas over a
-per-node log scale, so any degree and parameter stays finite) serves
-evaluation, roots and Gauss rules: `gauss_nodes` polishes Jacobi-matrix
-eigenvalues (Golub-Welsch) by Newton on it and takes log weights from the
-confluent Christoffel-Darboux identity.  Only the classical (orthogonal)
-normalization has its own unscaled loop.
+One scaled orthonormal three-term recurrence (mantissas over a per-node log
+scale, so any degree and parameter stays finite) serves evaluation, roots and
+Gauss rules.  It has one coefficient table (`_jacobi_coeffs`) and two loops:
+`_recurrence` over ndarrays, behind `eval_poly_scaled` and `gauss_nodes`
+(Golub-Welsch eigenvalues polished by Newton, log weights from the confluent
+Christoffel-Darboux identity), and `scaled_evaluator`'s loop over one float,
+for the QUADPACK integrands that ask for one point at a time.  The float loop
+repeats the ndarray loop's operations in order, so both give the same bits.
+Only the classical (orthogonal) normalization has its own unscaled loop.
 """
 
 from __future__ import annotations
@@ -286,6 +289,35 @@ def eval_poly_scaled(spec: PolySpec, x):
         flat_p[block], _, _, _, flat_logs[block] = _recurrence(
             flat_x[block], diag, off, n, log_mass)
     return p, logs
+
+
+def scaled_evaluator(spec: PolySpec):
+    """x -> (mantissa, log_scale) of spec at one float x, in eval_poly_scaled's bits.
+
+    The coefficient table is built once, here.  The loop repeats
+    _recurrence's steps in their order, rescale rule included; the rescale
+    takes its logarithm from numpy, as _recurrence does, since numpy's log
+    and math.log can differ in the last bit.
+    """
+    if spec.normalization != "orthonormal":
+        raise DomainError("scaled evaluation is defined for orthonormal specs")
+    n = spec.degree
+    diag, off = _jacobi_coeffs(spec.family, spec.parameter, max(n + 1, 2))
+    diag, off = diag.tolist(), off.tolist()
+    steps = tuple(zip(diag[:n], [0.0] + off[:n - 1], off[:n]))
+    log_scale = -0.5 * _log_weight_mass(spec.family, spec.parameter)
+
+    def evaluate(x: float) -> tuple[float, float]:
+        p_prev, p_cur, logs = 0.0, 1.0, log_scale
+        for d, b_prev, b_next in steps:
+            p_prev, p_cur = p_cur, ((x - d) * p_cur - b_prev * p_prev) / b_next
+            if abs(p_cur) > 1e120:
+                sc = abs(p_cur)
+                p_prev, p_cur = p_prev / sc, p_cur / sc
+                logs = logs + float(np.log(sc))
+        return p_cur, logs
+
+    return evaluate
 
 
 def eval_poly(spec: PolySpec, x):

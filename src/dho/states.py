@@ -167,6 +167,31 @@ def log_radial_density(state: HyperState, space: Space, r) -> np.ndarray:
     return out
 
 
+def radial_log_density_at(state: HyperState, space: Space):
+    """r -> log_radial_density(state, space, r) for one float r, in its bits.
+
+    The float route of the QUADPACK integrands: logarithms come from numpy,
+    as in log_radial_density, since numpy's log and math.log can differ in
+    the last bit.
+    """
+    w = _radial_width(state, space)
+    l = state.l
+    evaluate = specfun.scaled_evaluator(PolySpec("laguerre", state.n_r, state.alpha))
+    const = math.log(2.0) + (state.spec.dim / 2.0) * math.log(w)
+
+    def log_density(r: float) -> float:
+        if r < 0:
+            raise DomainError("radius must be nonnegative")
+        x = w * r * r
+        m, s = evaluate(x)
+        log_l2 = 2.0 * ((float(np.log(abs(m))) if m != 0.0 else -math.inf) + s)
+        if x > 0:
+            return const + l * float(np.log(x)) - x + log_l2
+        return const + log_l2 if l == 0 else const + l * -math.inf - x + log_l2
+
+    return log_density
+
+
 def radial_density(state: HyperState, space: Space, r):
     """Radial factor of the density at radius r (no r^(D-1) Jacobian)."""
     scalar = np.isscalar(r)
@@ -205,6 +230,26 @@ def angular_density_factor(state: HyperState, j: int, x):
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     val = specfun.eval_poly(spec, xa) ** 2 * (1.0 - xa * xa) ** mj1
     return float(val[0]) if scalar else val
+
+
+def angular_density_factor_at(state: HyperState, j: int):
+    """x -> angular_density_factor(state, j, x) for one float x, in its bits.
+
+    The exponential and the power come from numpy, as in
+    angular_density_factor, since numpy's and libm's can differ in the last
+    bit.
+    """
+    aj, deg, mj1 = angular_factor_params(state, j)
+    evaluate = specfun.scaled_evaluator(PolySpec("gegenbauer", deg, aj + mj1))
+
+    def factor(x: float) -> float:
+        if abs(x) > 1.0 + 1e-12:
+            raise DomainError("gegenbauer argument must lie in [-1, 1]")
+        m, s = evaluate(x)
+        p = m * float(np.exp(s))
+        return p * p * float(np.power(1.0 - x * x, mj1))
+
+    return factor
 
 
 def angular_factor_params(state: HyperState, j: int) -> tuple[float, int, int]:

@@ -153,6 +153,30 @@ def test_unbounded_order_or_non_finite_q_is_refused_before_any_rule(argv, monkey
     assert err.startswith("domain error") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("state, q, engine", [
+    (GROUND3, "300", "closed"), (GROUND3, "700", "closed"), (GROUND3, "2000", "closed"),
+    (GROUND3, "1e308", "closed"), (GROUND3, "300", "oracle"),
+    ('{"kind":"cartesian","omega":1,"n":[0]}', "1e308", "closed"),
+    ('{"kind":"cartesian","omega":1,"n":[0]}', "1e308", "oracle"),
+])
+def test_renyi_whose_lq_integral_leaves_the_float_range_is_refused(state, q, engine,
+                                                                   capsys):
+    # Lambda_q = (4 pi)^(1-q) underflows from q ~ 280 at D = 3; larger q
+    # underflows single lq_integral factors
+    assert cli.main(["compute", "--state", state, "--quantity", "renyi", "--q", q,
+                     "--engine", engine]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("domain error") and "float range" in err
+    assert "Traceback" not in err
+
+
+def test_renyi_below_the_float_range_edge_is_still_served(capsys):
+    assert cli.main(["compute", "--state", GROUND3, "--quantity", "renyi",
+                     "--q", "250"]) == 0
+    assert math.isfinite(json.loads(capsys.readouterr().out)["value"])
+
+
 @pytest.mark.parametrize("state, extra", [
     ('{"kind":"hyper","D":3,"omega":1e300,"nr":0,"mu":[0,0]}',
      ["--quantity", "moment", "--k", "4", "--space", "momentum"]),

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import gammaln
 
 from dho import infomeasures as im
-from dho import oracle, specfun, validation
+from dho import cli, moments, oracle, specfun, states, validation
 from dho.errors import DomainError, UnsupportedError
 from dho.infomeasures import ENGINE_CLOSED, ENGINE_ORACLE, RenyiOrder
 from dho.specfun import EULER_GAMMA
@@ -136,12 +136,13 @@ class TestShannonCartesian:
 def _axis_quadpack(n, g):
     """QUADPACK integral of g(ln rho) over the unit-width axis density of degree n."""
     spec = specfun.PolySpec("hermite", n)
+    evaluate = specfun.scaled_evaluator(spec)  # eval_poly_scaled's bits, one float at a time
 
     def f(t):
-        m, s = specfun.eval_poly_scaled(spec, np.array([t]))
-        if m[0] == 0.0:
+        m, s = evaluate(t)
+        if m == 0.0:
             return 0.0
-        return g(-t * t + 2.0 * (math.log(abs(m[0])) + s[0]))
+        return g(-t * t + 2.0 * (math.log(abs(m)) + s))
 
     return oracle.integrate_adaptive(f, -math.inf, math.inf,
                                      singular_points=specfun.poly_roots(spec), tol=1e-12).value
@@ -435,3 +436,48 @@ class TestAngularShannonAssembly:
             assembled = im.angular_shannon(st_, tol=1e-12)
             direct = im.angular_shannon_direct(st_, tol=1e-12)
             assert assembled == pytest.approx(direct, abs=1e-10)
+
+
+def test_quadpack_integrands_evaluate_no_ndarray_per_point(monkeypatch, capsys):
+    # a QUADPACK integrand runs once per point; the ndarray routes cost ~150 us
+    # a call there, so inside one they must not run at all (roots and Gauss
+    # rules are built outside the integrands and do not count)
+    inside, calls, evals = [False], [], [0]
+    quad = oracle.quad
+
+    def counted_quad(f, *args, **kwargs):
+        def g(x, *a):
+            inside[0] = True
+            evals[0] += 1
+            try:
+                return f(x, *a)
+            finally:
+                inside[0] = False
+
+        return quad(g, *args, **kwargs)
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            if inside[0]:
+                calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    monkeypatch.setattr(oracle, "quad", counted_quad)
+    for module, name in ((specfun, "eval_poly_scaled"), (specfun, "eval_poly"),
+                         (specfun, "_eval_orthogonal"), (states, "log_radial_density"),
+                         (states, "angular_density_factor")):
+        counted(module, name)
+    im._axis_shannon_std.cache_clear()  # a cached axis entropy runs no integrand
+    for state in ('{"kind":"hyper","D":4,"omega":1.3,"nr":3,"mu":[2,1,-1]}',
+                  '{"kind":"cartesian","omega":0.8,"n":[3,0,5]}'):
+        assert cli.main(["compute", "--state", state, "--quantity", "shannon",
+                         "--engine", "oracle", "--space", "momentum"]) == 0
+    capsys.readouterr()
+    moments.oracle_radial_moment_adaptive(hyper(0.7, 3, 4, 2, 1), 1.5)
+    im.hermite_entropy_oracle(4)
+    assert evals[0] > 1000
+    assert calls == []

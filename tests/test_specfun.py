@@ -83,6 +83,31 @@ class TestEvalPoly:
         assert np.array_equal(m2.ravel(), mant[:-1]) and np.array_equal(s2.ravel(), logs[:-1])
 
 
+@pytest.mark.parametrize("family, param", [
+    ("hermite", None), ("laguerre", 0.5), ("laguerre", 7.0),
+    ("gegenbauer", 0.5), ("gegenbauer", 3.5)])
+@pytest.mark.parametrize("degree", [0, 1, 2, 8, 30, 200, 800])
+def test_float_evaluator_is_bit_identical_to_eval_poly_scaled(family, param, degree):
+    if family == "hermite":
+        edge = math.sqrt(2.0 * degree + 1.0)
+        lo, hi = -edge, edge
+    elif family == "laguerre":
+        lo, hi = 0.0, 4.0 * degree + 2.0 * param + 2.0
+    else:
+        lo, hi = -1.0, 1.0
+    far = np.logspace(-3, 100, 60)  # reaches past the support until p_n passes 1e120
+    x = np.concatenate([np.linspace(lo, hi, 301), lo - far, hi + far])
+    spec = PolySpec(family, degree, param)
+    mant, logs = specfun.eval_poly_scaled(spec, x)
+    evaluate = specfun.scaled_evaluator(spec)
+    got = [evaluate(v) for v in x.tolist()]
+    assert all(type(m) is float and type(s) is float for m, s in got)
+    assert [m for m, _ in got] == mant.tolist()
+    assert [s for _, s in got] == logs.tolist()
+    if degree >= 2:
+        assert len(set(logs.tolist())) > 1  # the rescale fired
+
+
 class TestRoots:
     def test_hermite_n1(self):
         roots = specfun.poly_roots(PolySpec("hermite", 1))

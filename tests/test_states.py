@@ -115,6 +115,33 @@ class TestDensities:
                 est = oracle.integrate_adaptive(f, -1.0, 1.0, tol=1e-12)
                 assert est.value == pytest.approx(1.0, abs=1e-11)
 
+    @pytest.mark.parametrize("D, omega, nr, mu", [
+        (3, 1.0, 0, (0, 0)), (3, 1.7, 5, (0, 0)), (3, 0.6, 4, (2, -1)),
+        (2, 2.0, 8, (-3,)), (5, 1.0, 30, (4, 3, 1, 0))])
+    @pytest.mark.parametrize("space", list(Space))
+    def test_float_radial_log_density_is_bit_identical(self, D, omega, nr, mu, space):
+        st_ = hyper(omega, D, nr, *mu)
+        # numpy's log and math.log differ by an ulp at ~1e-4 of these points
+        rng = np.random.default_rng(nr + D)
+        r = np.concatenate([[0.0, 5e-324, 1e-170, 1e-3], rng.uniform(0.0, 14.0, 20000),
+                            [40.0, 1e3, 1e150, 1e200]])
+        with np.errstate(all="ignore"):  # x = omega r^2 overflows at the far end
+            ref = states.log_radial_density(st_, space, r)
+        log_density = states.radial_log_density_at(st_, space)
+        got = np.array([log_density(v) for v in r.tolist()])
+        assert np.array_equal(got, ref, equal_nan=True)
+        with pytest.raises(DomainError):
+            log_density(-1.0)
+
+    @pytest.mark.parametrize("D, mu", [(3, (0, 0)), (3, (4, -3)), (5, (6, 5, 3, -2))])
+    def test_float_angular_factor_is_bit_identical(self, D, mu):
+        st_ = hyper(1.0, D, 1, *mu)
+        x = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(D).uniform(-1, 1, 400)])
+        for j in range(1, D - 1):
+            factor = states.angular_density_factor_at(st_, j)
+            got = [factor(v) for v in x.tolist()]
+            assert got == states.angular_density_factor(st_, j, x).tolist()
+
     def test_d3_l1_m0_factor_shape(self):
         st_ = hyper(1.0, 3, 0, 1, 0)
         xs = np.array([0.2, 0.5, -0.8])
