@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: parse errors (2), domain errors (3),
 convergence errors (4).
 """
 
+from contextlib import contextmanager
+
 
 class DhoError(Exception):
     """Base class for all library errors."""
@@ -31,3 +33,12 @@ class ConvergenceError(DhoError, RuntimeError):
         super().__init__(message)
         self.value = value
         self.error_estimate = error_estimate
+
+
+@contextmanager
+def refuse_overflow(name: str):
+    """Turn a float overflow inside the block into an UnsupportedError naming name."""
+    try:
+        yield
+    except OverflowError:
+        raise UnsupportedError(f"{name} leaves the float range") from None

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import oracle, specfun, states
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, UnsupportedError, refuse_overflow
 from .moments import oracle_radial_moment, radial_density_integral, radial_moment
 from .specfun import EULER_GAMMA, PolySpec
 from .states import CartesianState, HyperState, Space
@@ -110,11 +110,12 @@ def hermite_entropy(n: int) -> float:
 
 
 def hermite_entropy_oracle(n: int, tol: float | None = None) -> oracle.IntegralEstimate:
-    spec = PolySpec("hermite", n, None, "orthogonal")
+    spec = PolySpec("hermite", n)
     roots = specfun.poly_roots(spec) if n > 0 else np.array([])
 
     def f(x):
-        # the orthogonal Hermite recurrence of specfun._eval_orthogonal, on one float
+        # the classical (orthogonal) Hermite recurrence, independent of specfun's
+        # orthonormal one that the served kernels use
         h_prev, h = 0.0, 1.0
         for k in range(n):
             h_prev, h = h, 2.0 * x * h - 2.0 * k * h_prev
@@ -132,7 +133,7 @@ def _axis_root_sums(n: int) -> float:
     """The Hermite-root hypergeometric sums of E(H_n)."""
     if n == 0:
         return 0.0
-    roots = [float(x) for x in specfun.poly_roots(PolySpec("hermite", n, None, "orthogonal"))]
+    roots = [float(x) for x in specfun.poly_roots(PolySpec("hermite", n))]
     s22 = math.fsum(x * x * specfun.hyp_pFq([1.0, 1.0], [1.5, 2.0], -x * x)
                     for x in roots)
     s11 = math.fsum(
@@ -149,7 +150,7 @@ def _axis_root_sums(n: int) -> float:
 @lru_cache(maxsize=256)
 def _axis_shannon_std(n: int, tol: float) -> float:
     """Oracle entropy of the unit-width 1-D density for degree n."""
-    spec = PolySpec("hermite", n, None, "orthonormal")
+    spec = PolySpec("hermite", n)
     roots = specfun.poly_roots(spec) if n > 0 else np.array([])
     evaluate = specfun.scaled_evaluator(spec)
 
@@ -249,7 +250,7 @@ def angular_shannon_direct(state: HyperState, tol: float | None = None) -> float
         lam = aj + mj1
         roots = (specfun.poly_roots(PolySpec("gegenbauer", deg, lam))
                  if deg > 0 else np.array([]))
-        factor = states.angular_density_factor_at(state, j)
+        factor = states.angular_density_factor(state, j)
 
         def f(x, aj=aj, factor=factor):
             val = factor(x)
@@ -279,7 +280,7 @@ def angular_entropic_moment(state: HyperState, q: float,
         raise DomainError("q must be positive")
     log_val = (1.0 - q) * math.log(2.0 * math.pi)
     for aj, deg, mj1 in _angular_factors(state):
-        spec = PolySpec("gegenbauer", deg, aj + mj1, "orthonormal")
+        spec = PolySpec("gegenbauer", deg, aj + mj1)
         log_val += math.log(_in_float_range(
             oracle.lq_integral(spec, q, q * mj1 + aj - 0.5, tol=tol), "an angular lq_integral"))
     return _in_float_range(math.exp(log_val), "Lambda_q")
@@ -412,9 +413,10 @@ def radial_renyi_direct(state: HyperState, q: float, space: Space,
                         tol: float | None = None) -> float:
     """ln int rho_rad^q r^(D-1) dr / (1-q), integrated in the radius variable."""
     D = state.spec.dim
-    est = radial_density_integral(
-        state, space, lambda lg, lr: math.exp(q * lg + (D - 1.0) * lr), tol)
-    return math.log(est.value) / (1.0 - q)
+    with refuse_overflow(f"the radial Renyi integral at q = {q!r}"):
+        est = radial_density_integral(
+            state, space, lambda lg, lr: math.exp(q * lg + (D - 1.0) * lr), tol)
+    return math.log(_in_float_range(est.value, "the radial Renyi integral")) / (1.0 - q)
 
 
 def renyi_hyperspherical(state: HyperState, q: float, space: Space = Space.POSITION,
@@ -513,8 +515,8 @@ def disequilibrium_angular(state: HyperState) -> float:
             f"the Dougall angular sum is shown exact only for l <= {ANGULAR_FORM_MAX_L}; "
             "the served disequilibrium covers every state")
     for aj, deg, mj1 in _angular_factors(state):
-        exp_ = specfun.gegenbauer_square_linearize(deg, aj + mj1, mj1)
-        out *= math.fsum(c * c for _, c in exp_.coefficients)
+        out *= math.fsum(c * c for _, c in specfun.gegenbauer_square_linearize(
+            deg, aj + mj1, mj1))
     return out
 
 

@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import oracle, specfun, states
-from .errors import DomainError
+from .errors import DomainError, refuse_overflow
 from .specfun import PolySpec
 from .states import HyperState, Space
 
@@ -63,9 +63,10 @@ def _moment_finite_sum(state: HyperState, k: float) -> float:
 def radial_moment(state: HyperState, k: float, space: Space = Space.POSITION) -> float:
     """<r^k> (or <p^k> = omega^k <r^k>) for the state; requires k > -D - 2l."""
     _require_exists(state, k)
-    value = _moment_finite_sum(state, k)
-    if space is Space.MOMENTUM:
-        value *= state.spec.omega ** k
+    with refuse_overflow(f"<r^k> at k = {k!r}"):
+        value = _moment_finite_sum(state, k)
+        if space is Space.MOMENTUM:
+            value *= state.spec.omega ** k
     return value
 
 
@@ -135,18 +136,18 @@ def oracle_radial_moment(state: HyperState, k: float,
     _require_exists(state, k)
     nr, alpha = state.n_r, state.alpha
     rule = oracle.gauss_rule("laguerre", nr + 2, alpha + k / 2.0)
-    spec = PolySpec("laguerre", nr, alpha, "orthonormal")
+    spec = PolySpec("laguerre", nr, alpha)
 
     def log_g(x):
         m, s = specfun.eval_poly_scaled(spec, x)
         with np.errstate(divide="ignore"):
             return 2.0 * (np.log(np.abs(m)) + s)
 
-    val = rule.integrate_log(log_g)
     omega = state.spec.omega
-    out = omega ** (-k / 2.0) * val
-    if space is Space.MOMENTUM:
-        out *= omega ** k
+    with refuse_overflow(f"<r^k> at k = {k!r}"):
+        out = omega ** (-k / 2.0) * rule.integrate_log(log_g)
+        if space is Space.MOMENTUM:
+            out *= omega ** k
     return out
 
 
@@ -158,9 +159,9 @@ def radial_density_integral(state: HyperState, space: Space, g,
     or ln rho = -inf) the integrand is 0 and g is not called.
     """
     w = state.spec.omega if space is Space.POSITION else 1.0 / state.spec.omega
-    spec = PolySpec("laguerre", state.n_r, state.alpha, "orthonormal")
+    spec = PolySpec("laguerre", state.n_r, state.alpha)
     roots = np.sqrt(specfun.poly_roots(spec) / w) if state.n_r > 0 else np.array([])
-    log_density = states.radial_log_density_at(state, space)
+    log_density = states.log_radial_density(state, space)
 
     def f(r):
         if r <= 0.0:

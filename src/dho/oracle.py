@@ -428,7 +428,7 @@ def weighted_Lq_norm(n_r: int, l: int, D: float, q: float,
     s = D / 2.0 + l * q - 1.0  # beta + q*alpha
     if s <= -1.0:
         raise DomainError("convergence condition D/2 + l q - 1 > -1 violated")
-    spec = PolySpec("laguerre", n_r, l + D / 2.0 - 1.0, "orthonormal")
+    spec = PolySpec("laguerre", n_r, l + D / 2.0 - 1.0)
     return lq_integral(spec, q, s, tol=tol)
 
 
@@ -446,8 +446,6 @@ def polynomial_entropy(spec: PolySpec, beta_shift: float = 0.0,
     integrand vanishes (0 ln 0 = 0).  beta_shift applies to Laguerre only.
     Degrees above PANEL_MAX_DEGREE (2000) raise UnsupportedError.
     """
-    if spec.normalization != "orthonormal":
-        raise DomainError("polynomial_entropy is defined for orthonormal specs")
     if beta_shift != 0.0 and spec.family != "laguerre":
         raise DomainError("beta_shift applies to the laguerre weight only")
     if tol is None:

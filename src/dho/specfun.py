@@ -4,15 +4,15 @@ Hermite / Laguerre / Gegenbauer polynomials, terminating hypergeometric sums,
 the finite Lauricella-A sum of the paper's integer-order Renyi form, the
 Dougall Gegenbauer square linearization, and exact Wigner 3j symbols.
 
-One scaled orthonormal three-term recurrence (mantissas over a per-node log
-scale, so any degree and parameter stays finite) serves evaluation, roots and
-Gauss rules.  It has one coefficient table (`_jacobi_coeffs`) and two loops:
-`_recurrence` over ndarrays, behind `eval_poly_scaled` and `gauss_nodes`
-(Golub-Welsch eigenvalues polished by Newton, log weights from the confluent
+Every polynomial is the orthonormal member of its family, evaluated by one
+scaled three-term recurrence (mantissas over a per-node log scale, so any
+degree and parameter stays finite) that also serves roots and Gauss rules.
+It has one coefficient table (`_jacobi_coeffs`) and two loops: `_recurrence`
+over ndarrays, behind `eval_poly_scaled` and `gauss_nodes` (Golub-Welsch
+eigenvalues polished by Newton, log weights from the confluent
 Christoffel-Darboux identity), and `scaled_evaluator`'s loop over one float,
 for the QUADPACK integrands that ask for one point at a time.  The float loop
 repeats the ndarray loop's operations in order, so both give the same bits.
-Only the classical (orthogonal) normalization has its own unscaled loop.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import DomainError, UnsupportedError
 EULER_GAMMA = 0.5772156649015329
 
 FAMILIES = ("hermite", "laguerre", "gegenbauer")
-NORMALIZATIONS = ("orthogonal", "orthonormal")
 
 # nodes per _recurrence pass in eval_poly_scaled: each recurrence step makes
 # ~7 passes over its arrays, and blocks of this size keep them in L2 cache
@@ -49,13 +48,10 @@ class PolySpec:
     family: str
     degree: int
     parameter: float | None = None
-    normalization: str = "orthonormal"
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise DomainError(f"unknown family {self.family!r}")
-        if self.normalization not in NORMALIZATIONS:
-            raise DomainError(f"unknown normalization {self.normalization!r}")
         if self.degree < 0 or self.degree != int(self.degree):
             raise DomainError("degree must be a nonnegative integer")
         if self.family == "hermite":
@@ -67,29 +63,6 @@ class PolySpec:
         elif self.family == "gegenbauer":
             if self.parameter is None or self.parameter <= -0.5:
                 raise DomainError("gegenbauer requires lambda > -1/2")
-
-
-@dataclass(frozen=True)
-class LinearizationExpansion:
-    """Finite expansion of a polynomial square/power in a single family.
-
-    Reconstruction: sum of value * p_index(argument_scale * x), where p is the
-    target family member with `target_parameter` and the stated normalization.
-    """
-
-    target_family: str
-    target_parameter: float | None
-    target_normalization: str
-    argument_scale: float
-    coefficients: tuple[tuple[int, float], ...]
-
-    def __call__(self, x):
-        out = 0.0 * np.asarray(x, dtype=float)
-        for idx, val in self.coefficients:
-            spec = PolySpec(self.target_family, idx, self.target_parameter,
-                            self.target_normalization)
-            out = out + val * eval_poly(spec, self.argument_scale * np.asarray(x, dtype=float))
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +241,7 @@ def gauss_nodes(family: str, parameter, n: int, weights: bool = False):
 
 
 def eval_poly_scaled(spec: PolySpec, x):
-    """Evaluate spec at x as (mantissa, log_scale): value = m * exp(s).
-
-    Only orthonormal normalization; used where plain doubles would overflow.
-    """
-    if spec.normalization != "orthonormal":
-        raise DomainError("scaled evaluation is defined for orthonormal specs")
+    """Evaluate spec at x as (mantissa, log_scale): value = m * exp(s)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = spec.degree
     diag, off = _jacobi_coeffs(spec.family, spec.parameter, max(n + 1, 2))
@@ -299,8 +267,6 @@ def scaled_evaluator(spec: PolySpec):
     takes its logarithm from numpy, as _recurrence does, since numpy's log
     and math.log can differ in the last bit.
     """
-    if spec.normalization != "orthonormal":
-        raise DomainError("scaled evaluation is defined for orthonormal specs")
     n = spec.degree
     diag, off = _jacobi_coeffs(spec.family, spec.parameter, max(n + 1, 2))
     diag, off = diag.tolist(), off.tolist()
@@ -318,43 +284,6 @@ def scaled_evaluator(spec: PolySpec):
         return p_cur, logs
 
     return evaluate
-
-
-def eval_poly(spec: PolySpec, x):
-    """Evaluate the polynomial at x (scalar or array) by recurrence."""
-    scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    if spec.family == "gegenbauer" and np.any(np.abs(xa) > 1.0 + 1e-12):
-        raise DomainError("gegenbauer argument must lie in [-1, 1]")
-    if spec.normalization == "orthonormal":
-        m, s = eval_poly_scaled(spec, xa)
-        out = m * np.exp(s)
-    else:
-        out = _eval_orthogonal(spec.family, spec.degree, spec.parameter, xa)
-    return float(out[0]) if scalar else out
-
-
-def _eval_orthogonal(family: str, n: int, parameter, x: np.ndarray) -> np.ndarray:
-    p0 = np.ones_like(x)
-    if n == 0:
-        return p0
-    if family == "hermite":
-        p1 = 2.0 * x
-        for k in range(1, n):
-            p0, p1 = p1, 2.0 * x * p1 - 2.0 * k * p0
-    elif family == "laguerre":
-        a = float(parameter)
-        p1 = a + 1.0 - x
-        for k in range(1, n):
-            p0, p1 = p1, ((2 * k + a + 1.0 - x) * p1 - (k + a) * p0) / (k + 1.0)
-    elif family == "gegenbauer":
-        lam = float(parameter)
-        p1 = 2.0 * lam * x
-        for k in range(2, n + 1):
-            p0, p1 = p1, (2.0 * (k + lam - 1.0) * x * p1 - (k + 2.0 * lam - 2.0) * p0) / k
-    else:  # pragma: no cover
-        raise DomainError(family)
-    return p1
 
 
 def poly_roots(spec: PolySpec) -> np.ndarray:
@@ -500,8 +429,9 @@ def _hyp_4F3_unit_terminating(a: Sequence[float], b: Sequence[float]) -> float:
     return math.fsum(terms)
 
 
-def gegenbauer_square_linearize(n: int, lam: float, mu_next: int) -> LinearizationExpansion:
-    """Dougall expansion of an orthonormal Gegenbauer square.
+def gegenbauer_square_linearize(n: int, lam: float,
+                                mu_next: int) -> list[tuple[int, float]]:
+    """Dougall expansion of an orthonormal Gegenbauer square, as (2k, b_k) pairs.
 
     [Ct_n^(lam)]^2 = sum_k b(lam, lam + mu_next, n; k) Ct_{2k}^(lam + mu_next),
     with b from the terminating 4F3(1).
@@ -528,8 +458,7 @@ def gegenbauer_square_linearize(n: int, lam: float, mu_next: int) -> Linearizati
                         - math.log(2 * k + lam + mu) - gammaln(2 * k + 1.0)
                         - 2.0 * gammaln(lam + mu))
         coeffs.append((2 * k, math.exp(lpref + linner) * f43))
-    return LinearizationExpansion("gegenbauer", lam + mu, "orthonormal", 1.0,
-                                  tuple(coeffs))
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ carry per-axis degrees (n_1..n_D).  Radial densities are returned WITHOUT the
 r^(D-1) Jacobian: every integral in this package writes the Jacobian
 explicitly.  The Cartesian Gaussian width parameter equals omega (see README
 for the discrepancy note on the published exponent).  Densities are assembled
-in log space so highly excited states do not overflow.
+in log space so highly excited states do not overflow.  The hyperspherical
+radial and angular densities are closures over one state, built once and
+evaluated at one float point at a time, as the QUADPACK integrands ask.
 """
 
 from __future__ import annotations
@@ -148,31 +150,14 @@ def _radial_width(state: HyperState, space: Space) -> float:
     return omega if space is Space.POSITION else 1.0 / omega
 
 
-def log_radial_density(state: HyperState, space: Space, r) -> np.ndarray:
-    """log of the radial density factor (Jacobian r^(D-1) not included)."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r < 0):
-        raise DomainError("radius must be nonnegative")
-    D = state.spec.dim
-    w = _radial_width(state, space)
-    x = w * r * r
-    spec = PolySpec("laguerre", state.n_r, state.alpha, "orthonormal")
-    m, s = specfun.eval_poly_scaled(spec, x)
-    with np.errstate(divide="ignore"):
-        log_l2 = 2.0 * (np.log(np.abs(m)) + s)
-        log_x = np.where(x > 0, np.log(np.where(x > 0, x, 1.0)), -np.inf)
-    out = math.log(2.0) + (D / 2.0) * math.log(w) + state.l * log_x - x + log_l2
-    if state.l == 0:
-        out = np.where(x > 0, out, math.log(2.0) + (D / 2.0) * math.log(w) + log_l2)
-    return out
+def log_radial_density(state: HyperState, space: Space):
+    """r -> log of the radial density factor at one float r (Jacobian
+    r^(D-1) not included).
 
-
-def radial_log_density_at(state: HyperState, space: Space):
-    """r -> log_radial_density(state, space, r) for one float r, in its bits.
-
-    The float route of the QUADPACK integrands: logarithms come from numpy,
-    as in log_radial_density, since numpy's log and math.log can differ in
-    the last bit.
+    The Laguerre recurrence coefficients are built once, here, for the
+    QUADPACK integrands that ask for one point at a time.  Logarithms come
+    from numpy, as in the Gauss-rule and panel kernels, since numpy's log and
+    math.log can differ in the last bit.
     """
     w = _radial_width(state, space)
     l = state.l
@@ -192,13 +177,9 @@ def radial_log_density_at(state: HyperState, space: Space):
     return log_density
 
 
-def radial_density(state: HyperState, space: Space, r):
+def radial_density(state: HyperState, space: Space, r: float) -> float:
     """Radial factor of the density at radius r (no r^(D-1) Jacobian)."""
-    scalar = np.isscalar(r)
-    out = np.exp(log_radial_density(state, space, r))
-    if state.l > 0:
-        out = np.where(np.atleast_1d(np.asarray(r, float)) > 0, out, 0.0)
-    return float(out[0]) if scalar else out
+    return float(np.exp(log_radial_density(state, space)(r)))
 
 
 def angular_weight_exponent(state: HyperState, j: int) -> float:
@@ -215,29 +196,14 @@ def _mu_abs(state: HyperState, idx: int) -> int:
     return abs(v) if idx == len(state.mu) else v
 
 
-def angular_density_factor(state: HyperState, j: int, x):
-    """j-th one-dimensional factor of |Y|^2: [Ct^(a_j+mu_{j+1})_{mu_j-mu_{j+1}}]^2 (1-x^2)^mu_{j+1}.
+def angular_density_factor(state: HyperState, j: int):
+    """x -> j-th one-dimensional factor of |Y|^2 at one float x,
+    [Ct^(a_j+mu_{j+1})_{mu_j-mu_{j+1}}(x)]^2 (1-x^2)^mu_{j+1}.
 
     The factor integrates to one against (1-x^2)^(alpha_j - 1/2) dx; the
-    product over j times 1/(2 pi) is the full angular density.
-    """
-    aj = angular_weight_exponent(state, j)
-    mj = _mu_abs(state, j)
-    mj1 = _mu_abs(state, j + 1)
-    deg = mj - mj1
-    spec = PolySpec("gegenbauer", deg, aj + mj1, "orthonormal")
-    scalar = np.isscalar(x)
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    val = specfun.eval_poly(spec, xa) ** 2 * (1.0 - xa * xa) ** mj1
-    return float(val[0]) if scalar else val
-
-
-def angular_density_factor_at(state: HyperState, j: int):
-    """x -> angular_density_factor(state, j, x) for one float x, in its bits.
-
-    The exponential and the power come from numpy, as in
-    angular_density_factor, since numpy's and libm's can differ in the last
-    bit.
+    product over j times 1/(2 pi) is the full angular density.  The
+    exponential and the power come from numpy, as in the kernels, since
+    numpy's and libm's can differ in the last bit.
     """
     aj, deg, mj1 = angular_factor_params(state, j)
     evaluate = specfun.scaled_evaluator(PolySpec("gegenbauer", deg, aj + mj1))
@@ -270,7 +236,7 @@ def log_cartesian_axis_density(state: CartesianState, i: int, space: Space, x):
     n = state.n[i]
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     t = math.sqrt(w) * xa
-    m, s = specfun.eval_poly_scaled(PolySpec("hermite", n, None, "orthonormal"), t)
+    m, s = specfun.eval_poly_scaled(PolySpec("hermite", n), t)
     with np.errstate(divide="ignore"):
         log_h2 = 2.0 * (np.log(np.abs(m)) + s)
     return 0.5 * math.log(w) - t * t + log_h2

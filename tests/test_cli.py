@@ -177,6 +177,37 @@ def test_renyi_below_the_float_range_edge_is_still_served(capsys):
     assert math.isfinite(json.loads(capsys.readouterr().out)["value"])
 
 
+@pytest.mark.parametrize("state, extra, name", [
+    (GROUND3, ["--quantity", "renyi", "--q", "2000", "--engine", "oracle"],
+     "the radial Renyi integral"),
+    (GROUND3, ["--quantity", "renyi", "--q", "1e308", "--engine", "oracle"],
+     "the radial Renyi integral"),
+    ('{"kind":"hyper","D":3,"omega":0.01,"nr":3,"mu":[2,0]}',
+     ["--quantity", "renyi", "--q", "300", "--engine", "oracle"], "the radial Renyi integral"),
+    (GROUND3, ["--quantity", "moment", "--k", "1000"], "<r^k>"),
+    (GROUND3, ["--quantity", "moment", "--k", "1000", "--engine", "oracle"], "<r^k>"),
+    (GROUND3, ["--quantity", "moment", "--k", "1000", "--space", "momentum"], "<r^k>"),
+    (GROUND3, ["--quantity", "heisenberg", "--k", "1000"], "<r^k>"),
+])
+def test_value_that_leaves_the_float_range_is_refused_by_name(state, extra, name, capsys):
+    # each overflowed (or underflowed) inside a float expression, and the
+    # message was a bare "math range error" or a traceback
+    assert cli.main(["compute", "--state", state, *extra]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"domain error: {name}") and "leaves the float range" in err
+
+
+@pytest.mark.parametrize("extra, value", [
+    (["--quantity", "renyi", "--q", "250", "--engine", "oracle"], 1.7503566415323064),
+    (["--quantity", "moment", "--k", "300"], 7.915483159347463e+263),
+    (["--quantity", "moment", "--k", "300", "--engine", "oracle"], 7.915483159346474e+263),
+])
+def test_value_below_the_float_range_edge_is_still_served(extra, value, capsys):
+    assert cli.main(["compute", "--state", GROUND3, *extra]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(value, rel=1e-14)
+
+
 @pytest.mark.parametrize("state, extra", [
     ('{"kind":"hyper","D":3,"omega":1e300,"nr":0,"mu":[0,0]}',
      ["--quantity", "moment", "--k", "4", "--space", "momentum"]),

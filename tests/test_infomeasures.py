@@ -7,7 +7,7 @@ import pytest
 from scipy.special import gammaln
 
 from dho import infomeasures as im
-from dho import cli, moments, oracle, specfun, states, validation
+from dho import cli, moments, oracle, specfun, validation
 from dho.errors import DomainError, UnsupportedError
 from dho.infomeasures import ENGINE_CLOSED, ENGINE_ORACLE, RenyiOrder
 from dho.specfun import EULER_GAMMA
@@ -361,7 +361,7 @@ class TestDisequilibrium:
         # the triple sum overflows here; the served exp(-R2) = 2 omega^(D/2) N Lambda_2
         # with N the Laguerre (alpha = l + D/2 - 1) L_2 norm at x^(D/2 + 2l - 1)
         st_ = hyper(1.0, 3, nr, 2, 1)
-        spec = specfun.PolySpec("laguerre", nr, 2.5, "orthonormal")
+        spec = specfun.PolySpec("laguerre", nr, 2.5)
         norm = oracle._root_panel_integral(spec, 4.5, 2.0,
                                            lambda lw, ln_y2: np.exp(lw + 2.0 * ln_y2), None)
         expected = 2.0 * norm * im.angular_entropic_moment(st_, 2.0)
@@ -439,9 +439,10 @@ class TestAngularShannonAssembly:
 
 
 def test_quadpack_integrands_evaluate_no_ndarray_per_point(monkeypatch, capsys):
-    # a QUADPACK integrand runs once per point; the ndarray routes cost ~150 us
-    # a call there, so inside one they must not run at all (roots and Gauss
-    # rules are built outside the integrands and do not count)
+    # a QUADPACK integrand runs once per point; the ndarray recurrence costs
+    # ~150 us a call there, so inside one it must not run at all (roots, Gauss
+    # rules and the float evaluators are built outside the integrands and
+    # do not count)
     inside, calls, evals = [False], [], [0]
     quad = oracle.quad
 
@@ -456,21 +457,19 @@ def test_quadpack_integrands_evaluate_no_ndarray_per_point(monkeypatch, capsys):
 
         return quad(g, *args, **kwargs)
 
-    def counted(module, name):
-        original = getattr(module, name)
+    def counted(name):
+        original = getattr(specfun, name)
 
         def wrapper(*args, **kwargs):
             if inside[0]:
                 calls.append(name)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(specfun, name, wrapper)
 
     monkeypatch.setattr(oracle, "quad", counted_quad)
-    for module, name in ((specfun, "eval_poly_scaled"), (specfun, "eval_poly"),
-                         (specfun, "_eval_orthogonal"), (states, "log_radial_density"),
-                         (states, "angular_density_factor")):
-        counted(module, name)
+    for name in ("_recurrence", "eval_poly_scaled", "scaled_evaluator"):
+        counted(name)
     im._axis_shannon_std.cache_clear()  # a cached axis entropy runs no integrand
     for state in ('{"kind":"hyper","D":4,"omega":1.3,"nr":3,"mu":[2,1,-1]}',
                   '{"kind":"cartesian","omega":0.8,"n":[3,0,5]}'):

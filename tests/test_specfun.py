@@ -13,20 +13,27 @@ from dho.errors import DomainError, UnsupportedError
 from dho.specfun import PolySpec, EULER_GAMMA
 
 
+def values(spec, x):
+    """spec at x, mantissa times scale, from eval_poly_scaled."""
+    mant, logs = specfun.eval_poly_scaled(spec, x)
+    return mant * np.exp(logs)
+
+
 class TestEvalPoly:
     def test_hermite_degree0(self):
-        spec = PolySpec("hermite", 0, None, "orthogonal")
-        for x in (-3.0, 0.0, 1.7):
-            assert specfun.eval_poly(spec, x) == 1.0
+        # orthonormal H_0 is pi^(-1/4), the inverse root of the weight mass
+        spec = PolySpec("hermite", 0)
+        assert values(spec, [-3.0, 0.0, 1.7]).tolist() == [math.pi ** -0.25] * 3
 
     def test_hermite_root_of_h2(self):
-        spec = PolySpec("hermite", 2, None, "orthogonal")
-        assert abs(specfun.eval_poly(spec, 1.0 / math.sqrt(2))) < 1e-14
+        spec = PolySpec("hermite", 2)
+        assert abs(values(spec, 1.0 / math.sqrt(2))[0]) < 1e-14
 
     def test_laguerre_value_at_zero(self):
-        # L_1^(alpha)(0) = alpha + 1, derived from the recurrence directly
-        spec = PolySpec("laguerre", 1, 0.5, "orthogonal")
-        assert specfun.eval_poly(spec, 0.0) == pytest.approx(1.5, rel=1e-15)
+        # L_1^(alpha)(0) = alpha + 1; orthonormal -L_1^(alpha) / sqrt(Gamma(alpha + 2))
+        spec = PolySpec("laguerre", 1, 0.5)
+        assert values(spec, 0.0)[0] == pytest.approx(-1.5 / math.sqrt(math.gamma(2.5)),
+                                                     rel=1e-15)
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
@@ -45,17 +52,19 @@ class TestEvalPoly:
                   else ((param,) if param is not None else ()))
         rule = oracle.gauss_rule(rule_family, 40, *params)
         for n, m in ((0, 0), (3, 3), (7, 2), (30, 30), (30, 28)):
-            pn = specfun.eval_poly(PolySpec(family, n, param), rule.nodes)
-            pm = specfun.eval_poly(PolySpec(family, m, param), rule.nodes)
+            pn = values(PolySpec(family, n, param), rule.nodes)
+            pm = values(PolySpec(family, m, param), rule.nodes)
             val = float(np.sum(rule.weights * pn * pm))
             assert val == pytest.approx(1.0 if n == m else 0.0, abs=1e-11)
 
     def test_scaled_evaluation_matches_plain(self):
         spec = PolySpec("laguerre", 12, 1.5)
         x = np.linspace(0.1, 40.0, 17)
-        mant, logs = specfun.eval_poly_scaled(spec, x)
-        assert np.allclose(mant * np.exp(logs), specfun.eval_poly(spec, x),
-                           rtol=1e-13)
+        with mp.workdps(30):
+            # orthonormal = (-1)^n L_n^alpha sqrt(n! / Gamma(n + alpha + 1))
+            norm = mp.sqrt(mp.factorial(12) / mp.gamma(14.5))
+            ref = [float(mp.laguerre(12, 1.5, v) * norm) for v in x]
+        assert np.allclose(values(spec, x), ref, rtol=1e-13, atol=0.0)
 
     def test_high_degree_large_parameter_is_finite(self):
         for n, alpha, xs in ((200, 1000.0, (800.0, 1500.0)), (800, 0.5, (1.0, 3000.0))):
@@ -128,9 +137,8 @@ class TestRoots:
             roots = specfun.poly_roots(spec)
             assert len(roots) == spec.degree
             assert np.all(np.diff(roots) > 0)
-            vals = specfun.eval_poly(spec, roots)
-            scale = np.max(np.abs(specfun.eval_poly(
-                spec, np.linspace(roots[0], roots[-1], 50))))
+            vals = values(spec, roots)
+            scale = np.max(np.abs(values(spec, np.linspace(roots[0], roots[-1], 50))))
             assert np.max(np.abs(vals)) <= 1e-12 * scale
 
 
@@ -231,21 +239,24 @@ class TestLinearizations:
     @pytest.mark.parametrize("n,lam,mu", [(0, 0.5, 0), (1, 0.5, 1), (2, 1.5, 1),
                                           (3, 1.0, 2), (4, 0.5, 2)])
     def test_gegenbauer_square_reconstruction(self, n, lam, mu):
-        exp_ = specfun.gegenbauer_square_linearize(n, lam, mu)
+        coefficients = specfun.gegenbauer_square_linearize(n, lam, mu)
+        assert [k for k, _ in coefficients] == list(range(0, 2 * n + 1, 2))
         xs = np.concatenate([np.linspace(-0.95, 0.95, 20), [0.0, 0.7, -0.7]])
-        target = specfun.eval_poly(PolySpec("gegenbauer", n, lam), xs) ** 2
-        assert np.allclose(exp_(xs), target, rtol=1e-9,
+        dougall = sum(b * values(PolySpec("gegenbauer", k, lam + mu), xs)
+                      for k, b in coefficients)
+        target = values(PolySpec("gegenbauer", n, lam), xs) ** 2
+        assert np.allclose(dougall, target, rtol=1e-9,
                            atol=1e-9 * np.max(np.abs(target)))
 
     def test_gegenbauer_sum_b2_is_quartic_integral(self):
         # sum_k b^2 equals the quartic one-factor angular integral
         n, lam, mu = 2, 1.5, 1
-        exp_ = specfun.gegenbauer_square_linearize(n, lam, mu)
-        coeff_sq_sum = math.fsum(c * c for _, c in exp_.coefficients)
+        coeff_sq_sum = math.fsum(
+            c * c for _, c in specfun.gegenbauer_square_linearize(n, lam, mu))
         a = lam + mu - 0.5
         rule = oracle.gauss_rule("jacobi", 2 * n + 4, a, a)
-        quart = float(np.sum(rule.weights * specfun.eval_poly(
-            PolySpec("gegenbauer", n, lam), rule.nodes) ** 4))
+        quart = float(np.sum(rule.weights
+                             * values(PolySpec("gegenbauer", n, lam), rule.nodes) ** 4))
         assert coeff_sq_sum == pytest.approx(quart, rel=1e-11)
 
 

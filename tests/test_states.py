@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,10 +108,10 @@ class TestDensities:
             st_ = hyper(1.0, D, 0, *mu)
             for j in range(1, D - 1):
                 aj = states.angular_weight_exponent(st_, j)
+                factor = states.angular_density_factor(st_, j)
 
                 def f(x):
-                    return (states.angular_density_factor(st_, j, x)
-                            * (1.0 - x * x) ** (aj - 0.5))
+                    return factor(x) * (1.0 - x * x) ** (aj - 0.5)
 
                 est = oracle.integrate_adaptive(f, -1.0, 1.0, tol=1e-12)
                 assert est.value == pytest.approx(1.0, abs=1e-11)
@@ -119,35 +120,44 @@ class TestDensities:
         (3, 1.0, 0, (0, 0)), (3, 1.7, 5, (0, 0)), (3, 0.6, 4, (2, -1)),
         (2, 2.0, 8, (-3,)), (5, 1.0, 30, (4, 3, 1, 0))])
     @pytest.mark.parametrize("space", list(Space))
-    def test_float_radial_log_density_is_bit_identical(self, D, omega, nr, mu, space):
+    def test_log_radial_density_matches_mpmath(self, D, omega, nr, mu, space):
         st_ = hyper(omega, D, nr, *mu)
-        # numpy's log and math.log differ by an ulp at ~1e-4 of these points
-        rng = np.random.default_rng(nr + D)
-        r = np.concatenate([[0.0, 5e-324, 1e-170, 1e-3], rng.uniform(0.0, 14.0, 20000),
-                            [40.0, 1e3, 1e150, 1e200]])
-        with np.errstate(all="ignore"):  # x = omega r^2 overflows at the far end
-            ref = states.log_radial_density(st_, space, r)
-        log_density = states.radial_log_density_at(st_, space)
-        got = np.array([log_density(v) for v in r.tolist()])
-        assert np.array_equal(got, ref, equal_nan=True)
-        with pytest.raises(DomainError):
-            log_density(-1.0)
+        w = omega if space is Space.POSITION else 1.0 / omega
+        log_density = states.log_radial_density(st_, space)
+        for r in (0.05, 0.7, 1.3, 2.9, 6.0, 11.0):
+            x = w * r * r
+            with mp.workdps(40):
+                # 2 w^(D/2) x^l e^(-x) [L~_n^alpha(x)]^2, L~ orthonormal
+                lag = mp.laguerre(nr, st_.alpha, x) ** 2 * mp.factorial(nr) / mp.gamma(
+                    nr + st_.alpha + 1)
+                ref = float(mp.log(2 * mp.mpf(w) ** (D / 2.0) * mp.mpf(x) ** st_.l
+                                   * mp.exp(-x) * lag))
+            assert log_density(r) == pytest.approx(ref, rel=1e-12, abs=1e-11)
 
-    @pytest.mark.parametrize("D, mu", [(3, (0, 0)), (3, (4, -3)), (5, (6, 5, 3, -2))])
-    def test_float_angular_factor_is_bit_identical(self, D, mu):
-        st_ = hyper(1.0, D, 1, *mu)
-        x = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(D).uniform(-1, 1, 400)])
-        for j in range(1, D - 1):
-            factor = states.angular_density_factor_at(st_, j)
-            got = [factor(v) for v in x.tolist()]
-            assert got == states.angular_density_factor(st_, j, x).tolist()
+    def test_closures_refuse_points_outside_their_domain(self):
+        st_ = hyper(1.0, 4, 2, 2, 1, 0)
+        with pytest.raises(DomainError):
+            states.log_radial_density(st_, Space.POSITION)(-1e-300)
+        with pytest.raises(DomainError):
+            states.radial_density(st_, Space.MOMENTUM, -1.0)
+        factor = states.angular_density_factor(st_, 1)
+        factor(1.0 + 1e-12)  # rounding slack at the edge is accepted
+        for x in (1.0 + 2e-12, -1.5, math.inf):
+            with pytest.raises(DomainError):
+                factor(x)
+
+    def test_radial_density_vanishes_at_the_origin_only_for_l_above_zero(self):
+        for l in (1, 3):
+            for space in Space:
+                assert states.radial_density(hyper(1.0, 3, 2, l, 0), space, 0.0) == 0.0
+        assert states.radial_density(hyper(1.0, 3, 2, 0, 0), Space.POSITION, 0.0) > 0.0
 
     def test_d3_l1_m0_factor_shape(self):
         st_ = hyper(1.0, 3, 0, 1, 0)
-        xs = np.array([0.2, 0.5, -0.8])
-        vals = states.angular_density_factor(st_, 1, xs)
+        factor = states.angular_density_factor(st_, 1)
         # orthonormal degree-1 factor is proportional to x^2
-        assert vals / xs ** 2 == pytest.approx([vals[0] / 0.04] * 3, rel=1e-12)
+        ratios = [factor(x) / (x * x) for x in (0.2, 0.5, -0.8)]
+        assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-12)
 
     def test_cartesian_ground_peak(self):
         for D in (1, 2, 4):
