@@ -6,8 +6,9 @@
 Runs every command through dho.cli.main in one process and writes argv, exit
 code (or the type of an uncaught exception) and stdout as JSON.  With
 --against, lists the outputs that differ from the old file, prints how many
-are byte-identical and the worst relative deviation of any float; differing
-argv or exit codes abort.
+are byte-identical, the worst relative deviation of any float and the worst
+|new - old| value over the old record's error_estimate, where that is a
+number; differing argv or exit codes abort.
 """
 
 import argparse
@@ -79,16 +80,28 @@ def _floats(obj):
             yield from _floats(item)
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def compare(new, old):
     same, worst, where = 0, 0.0, None
+    worst_est, where_est = None, None
     for a, b in zip(new, old):
         if a["argv"] != b["argv"] or a["exit"] != b["exit"]:
             raise SystemExit(f"argv or exit code differs: {a['argv']}")
         if a["stdout"] == b["stdout"]:
             same += 1
             continue
-        fa = list(_floats([json.loads(s) for s in a["stdout"].splitlines()]))
-        fb = list(_floats([json.loads(s) for s in b["stdout"].splitlines()]))
+        ra = [json.loads(s) for s in a["stdout"].splitlines()]
+        rb = [json.loads(s) for s in b["stdout"].splitlines()]
+        for x, y in zip(ra, rb):
+            est = y.get("error_estimate")
+            if _number(est) and est > 0 and _number(x.get("value")) and _number(y.get("value")):
+                ratio = abs(x["value"] - y["value"]) / est
+                if worst_est is None or ratio > worst_est:
+                    worst_est, where_est = ratio, a["argv"]
+        fa, fb = list(_floats(ra)), list(_floats(rb))
         # a field that turned from null into a number (or back) is reported,
         # and the record's floats are not paired up
         print("differs:" if len(fa) == len(fb) else "differs (null <-> number):",
@@ -99,6 +112,8 @@ def compare(new, old):
                 worst, where = dev, a["argv"]
     print(f"byte-identical: {same}/{len(new)}")
     print(f"worst relative float deviation: {worst:.3g}" + (f" at {where}" if where else ""))
+    if worst_est is not None:
+        print(f"worst |new - old| / old error_estimate: {worst_est:.3g} at {where_est}")
 
 
 def main():

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln, jv
 
 from . import infomeasures, oracle, specfun
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, UnsupportedError, refuse_overflow
 from .states import HyperState, Space
 
 REGIME_RYDBERG = "rydberg"
@@ -56,29 +56,38 @@ def characteristic_length(D: float, omega: float) -> float:
 # Rydberg dispersion
 
 
+def _require_excited(n_r: int) -> None:
+    """The Rydberg forms are leading terms in n_r; at n_r = 0 they vanish."""
+    if n_r < 1:
+        raise DomainError("Rydberg asymptotics need n_r >= 1")
+
+
 def rydberg_moment(k: float, n_r: int, limit: RydbergLimit = RydbergLimit(),
                    omega: float = 1.0, space: Space = Space.POSITION) -> AsymptoticValue:
     """Leading weak-* moment: (a n_r)^(k/2) 2F1(-k/2, 1/2; 1; z) omega^(-k/2).
 
-    Valid for k > -1; the extension below is an open problem and raises.
+    Valid for k > -1 and n_r >= 1; the extension below k = -1 is an open
+    problem and raises.
     """
     if k <= -1.0:
         raise UnsupportedError("Rydberg moment asymptotics hold for k > -1 only")
-    if limit.s == 0.0:
-        lg = gammaln((1.0 + k) / 2.0) - gammaln(1.0 + k / 2.0)
-        value = ((4.0 * n_r) ** (k / 2.0) * math.exp(lg) / math.sqrt(math.pi)
-                 * omega ** (-k / 2.0))
-    else:
-        from scipy.special import hyp2f1
+    _require_excited(n_r)
+    with refuse_overflow(f"<r^k> at k = {k!r}"):
+        if limit.s == 0.0:
+            lg = gammaln((1.0 + k) / 2.0) - gammaln(1.0 + k / 2.0)
+            value = ((4.0 * n_r) ** (k / 2.0) * math.exp(lg) / math.sqrt(math.pi)
+                     * omega ** (-k / 2.0))
+        else:
+            from scipy.special import hyp2f1
 
-        s = limit.s
-        # cancellation-free form of (2/s^2)(-1 + s^2 + sqrt(1 - s^2))
-        root = math.sqrt(1.0 - s * s)
-        z = 2.0 * root / (1.0 + root)
-        f = float(hyp2f1(-k / 2.0, 0.5, 1.0, z))
-        value = (limit.a * n_r) ** (k / 2.0) * f * omega ** (-k / 2.0)
-    if space is Space.MOMENTUM:
-        value *= omega ** k
+            s = limit.s
+            # cancellation-free form of (2/s^2)(-1 + s^2 + sqrt(1 - s^2))
+            root = math.sqrt(1.0 - s * s)
+            z = 2.0 * root / (1.0 + root)
+            f = float(hyp2f1(-k / 2.0, 0.5, 1.0, z))
+            value = (limit.a * n_r) ** (k / 2.0) * f * omega ** (-k / 2.0)
+        if space is Space.MOMENTUM:
+            value *= omega ** k
     return AsymptoticValue(value, REGIME_RYDBERG,
                            "leading term only; relative error O(1/n_r)")
 
@@ -87,8 +96,10 @@ def rydberg_heisenberg(k: float, n_r: int) -> AsymptoticValue:
     """(4 n_r)^k / pi * [Gamma((1+k)/2) / Gamma(1+k/2)]^2; k = 2 gives 4 n_r^2."""
     if k <= -1.0:
         raise UnsupportedError("Rydberg product asymptotics hold for k > -1 only")
+    _require_excited(n_r)
     lg = gammaln((1.0 + k) / 2.0) - gammaln(1.0 + k / 2.0)
-    value = (4.0 * n_r) ** k / math.pi * math.exp(2.0 * lg)
+    with refuse_overflow(f"<r^k><p^k> at k = {k!r}"):
+        value = (4.0 * n_r) ** k / math.pi * math.exp(2.0 * lg)
     return AsymptoticValue(value, REGIME_RYDBERG,
                            "leading term only; relative error O(1/n_r)")
 
@@ -164,8 +175,7 @@ def rydberg_shannon(state: HyperState, space: Space = Space.POSITION,
                     tol: float | None = None) -> AsymptoticValue:
     """(D/2) ln n_r + ln pi - 1 + angular entropy, -+ (D/2) ln omega."""
     D = state.spec.dim
-    if state.n_r < 1:
-        raise DomainError("Rydberg asymptotics need n_r >= 1")
+    _require_excited(state.n_r)
     ey = infomeasures.angular_shannon(state, tol=tol)
     sign = -1.0 if space is Space.POSITION else 1.0
     value = ((D / 2.0) * math.log(state.n_r) + math.log(math.pi) - 1.0 + ey
@@ -262,8 +272,7 @@ def rydberg_renyi(state: HyperState, q: float, space: Space = Space.POSITION,
     """-ln 2 + ln N_asymp / (1-q) + angular Renyi entropy, -+ (D/2) ln omega:
     radial_renyi with the weighted Laguerre norm replaced by its asymptote."""
     D = state.spec.dim
-    if state.n_r < 1:
-        raise DomainError("Rydberg asymptotics need n_r >= 1")
+    _require_excited(state.n_r)
     norm, regime = rydberg_norm_asymptotic(state.n_r, state.l, D, q)
     ang = infomeasures.angular_renyi(state, q, tol=tol)
     sign = -1.0 if space is Space.POSITION else 1.0

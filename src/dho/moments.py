@@ -40,7 +40,15 @@ def moment_3f2_form(state: HyperState, k: float) -> float:
     return state.spec.omega ** (-k / 2.0) * math.exp(lg) * f
 
 
-def _moment_finite_sum(state: HyperState, k: float) -> float:
+def _log_omega_factor(state: HyperState, k: float, space: Space) -> float:
+    """ln of the oscillator-strength factor: omega^(-k/2) for <r^k>, omega^(k/2)
+    for <p^k> = omega^k <r^k>; it is folded into the exponent, since the
+    factor or the omega-free moment can leave the float range on its own."""
+    return (k / 2.0 if space is Space.MOMENTUM else -k / 2.0) * math.log(state.spec.omega)
+
+
+def _moment_finite_sum(state: HyperState, k: float,
+                       space: Space = Space.POSITION) -> float:
     """All-positive finite-sum form, accumulated in log space."""
     from scipy.special import gammaln
 
@@ -57,17 +65,14 @@ def _moment_finite_sum(state: HyperState, k: float) -> float:
     mx = max(logs)
     s = math.fsum(math.exp(v - mx) for v in logs)
     log_pref = gammaln(nr + 1.0) - gammaln(nr + l + D / 2.0)
-    return state.spec.omega ** (-k / 2.0) * math.exp(log_pref + mx) * s
+    return math.exp(log_pref + mx + _log_omega_factor(state, k, space)) * s
 
 
 def radial_moment(state: HyperState, k: float, space: Space = Space.POSITION) -> float:
     """<r^k> (or <p^k> = omega^k <r^k>) for the state; requires k > -D - 2l."""
     _require_exists(state, k)
     with refuse_overflow(f"<r^k> at k = {k!r}"):
-        value = _moment_finite_sum(state, k)
-        if space is Space.MOMENTUM:
-            value *= state.spec.omega ** k
-    return value
+        return _moment_finite_sum(state, k, space)
 
 
 def recurrence_step(state: HyperState, k: float, m_k: float, m_km2: float) -> float:
@@ -143,12 +148,8 @@ def oracle_radial_moment(state: HyperState, k: float,
         with np.errstate(divide="ignore"):
             return 2.0 * (np.log(np.abs(m)) + s)
 
-    omega = state.spec.omega
     with refuse_overflow(f"<r^k> at k = {k!r}"):
-        out = omega ** (-k / 2.0) * rule.integrate_log(log_g)
-        if space is Space.MOMENTUM:
-            out *= omega ** k
-    return out
+        return rule.integrate_log(log_g, _log_omega_factor(state, k, space))
 
 
 def radial_density_integral(state: HyperState, space: Space, g,

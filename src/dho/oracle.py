@@ -5,9 +5,11 @@ Newton, confluent Christoffel-Darboux log weights), so extreme Laguerre
 parameters (alpha up to a few thousand) stay finite.  lq_integral, the
 weighted L_q integral of an orthonormal Hermite, Laguerre or Gegenbauer
 member, and polynomial_entropy share one family table: Gauss rules for
-integer q, vectorized tanh-sinh panels between the roots otherwise.  The
-adaptive QUADPACK integrator serves only the independent oracle routes: it
-splits at supplied singular points and maps infinite tails by an exponential
+integer q, vectorized tanh-sinh panels between the roots otherwise, with the
+member evaluated by specfun.panel_evaluator (a Taylor series about each
+interior panel's midpoint, the recurrence on the outer panels).  The adaptive
+QUADPACK integrator serves only the independent oracle routes: it splits at
+supplied singular points and maps infinite tails by an exponential
 substitution.
 """
 
@@ -30,10 +32,11 @@ from .specfun import PolySpec
 DEFAULT_TOL = 1e-11
 RYDBERG_TOL = 1e-8  # for radial quantum numbers in the hundreds and beyond
 ABS_FLOOR = 1e-14
-# Highest degree the tanh-sinh panel kernels accept.  Their work grows about
-# as degree^2: at 2000 the Hermite entropy kernel takes 8.8 s and the Laguerre
-# one and real-q lq_integral ~5 s (2-core VM, peak RSS 126 MB); at 3000 they
-# take 10-20 s.
+# Highest degree the tanh-sinh panel kernels accept.  Their root finding and
+# Taylor start values grow as degree^2, the panel nodes as degree: the Hermite,
+# Laguerre and Gegenbauer entropy kernels and real-q lq_integral take 0.13-0.25
+# s at 800, 0.54-0.69 s at 2000 (peak RSS 116 MB) and 1.3-2.0 s at 4000 (161
+# MB; 2-core VM).
 PANEL_MAX_DEGREE = 2000
 # Highest order gauss_rule builds; weighted_Lq_norm at q = 2 takes 0.65 s at
 # order 2002, 1.1 s at 4002, 3.8 s at 8002 and 8.8 s at 12000 (2-core VM).
@@ -63,13 +66,13 @@ class QuadratureRule:
     weights: np.ndarray
     log_weights: np.ndarray
 
-    def integrate_log(self, log_f) -> float:
-        """sum w_i exp(log_f(x_i)) evaluated as a stable log-sum-exp."""
+    def integrate_log(self, log_f, log_scale: float = 0.0) -> float:
+        """exp(log_scale) sum w_i exp(log_f(x_i)), as a stable log-sum-exp."""
         lo = self.log_weights + log_f(self.nodes)
         m = np.max(lo)
         if not np.isfinite(m):
             return 0.0
-        return float(math.exp(m) * np.sum(np.exp(lo - m)))
+        return float(math.exp(m + log_scale) * np.sum(np.exp(lo - m)))
 
 
 @dataclass(frozen=True)
@@ -295,7 +298,10 @@ def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
     absorbed by the double-exponential clustering; each refinement level
     roughly doubles the digits until tol is met.  Levels are nested: after
     the first, f_vec sees only the nodes the level adds, and each total is
-    still summed over the full array of values.
+    still summed over the full array of values.  Where tanh rounds a node to
+    u = +-1 (about half of them, |t| > 3.19) its x is the panel edge
+    mid +- half: f_vec sees each panel's two edges once, at the first level,
+    and those values fill every such node.
     """
     if tol is None:
         tol = default_tolerance()
@@ -304,13 +310,22 @@ def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
         raise DomainError("need at least one panel")
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
+    npanel = len(mid)
     prev = vals = None
     for level in range(4, max_level + 1):
         u, w, odd, reuse = _tanh_sinh_level(level)
         fresh = odd if vals is not None else np.ones_like(odd)
-        x = (mid[:, None] + half[:, None] * u[fresh][None, :]).ravel()
-        new = np.empty((len(mid), len(u)))
-        new[:, fresh] = np.asarray(f_vec(x), dtype=float).reshape(len(mid), -1)
+        inner = fresh & (np.abs(u) < 1.0)
+        x = (mid[:, None] + half[:, None] * u[inner][None, :]).ravel()
+        if vals is None:
+            x = np.concatenate([x, mid - half, mid + half])
+        fx = np.asarray(f_vec(x), dtype=float)
+        if vals is None:
+            lo_vals, hi_vals = fx[x.size - 2 * npanel:].reshape(2, npanel, 1)
+        new = np.empty((npanel, len(u)))
+        new[:, inner] = fx[:npanel * np.count_nonzero(inner)].reshape(npanel, -1)
+        new[:, fresh & (u == -1.0)] = lo_vals
+        new[:, fresh & (u == 1.0)] = hi_vals
         if vals is not None:
             new[:, ~odd] = vals[:, reuse]
         vals = new
@@ -366,9 +381,10 @@ def _root_panel_integral(spec: PolySpec, a: float, q: float, integrand,
             return -q * (x * x)
 
     roots = specfun.poly_roots(spec) if n > 0 else np.array([])
+    evaluate = specfun.panel_evaluator(spec, roots)
 
     def f_vec(x):
-        m, sc = specfun.eval_poly_scaled(spec, x)
+        m, sc = evaluate(x)
         with np.errstate(divide="ignore", invalid="ignore"):
             ln_y2 = 2.0 * (np.log(np.abs(m)) + sc)
             lw = log_weight(x)

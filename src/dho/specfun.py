@@ -4,15 +4,20 @@ Hermite / Laguerre / Gegenbauer polynomials, terminating hypergeometric sums,
 the finite Lauricella-A sum of the paper's integer-order Renyi form, the
 Dougall Gegenbauer square linearization, and exact Wigner 3j symbols.
 
-Every polynomial is the orthonormal member of its family, evaluated by one
-scaled three-term recurrence (mantissas over a per-node log scale, so any
-degree and parameter stays finite) that also serves roots and Gauss rules.
-It has one coefficient table (`_jacobi_coeffs`) and two loops: `_recurrence`
-over ndarrays, behind `eval_poly_scaled` and `gauss_nodes` (Golub-Welsch
-eigenvalues polished by Newton, log weights from the confluent
-Christoffel-Darboux identity), and `scaled_evaluator`'s loop over one float,
-for the QUADPACK integrands that ask for one point at a time.  The float loop
-repeats the ndarray loop's operations in order, so both give the same bits.
+Every polynomial is the orthonormal member of its family, evaluated as a
+mantissa over a per-node log scale, so any degree and parameter stays finite.
+The scaled three-term recurrence (`_recurrence`, one coefficient table
+`_jacobi_coeffs`) costs O(n) per node.  It serves `eval_poly_scaled`, and
+`gauss_nodes` for roots and Gauss rules (Golub-Welsch eigenvalues polished by
+Newton, log weights from the confluent Christoffel-Darboux identity).
+`scaled_evaluator` repeats its steps on one float, in the same bits, for the
+QUADPACK integrands that ask for one point at a time.  `panel_evaluator`
+serves the tanh-sinh kernels between consecutive roots at O(1) per node: a
+Taylor series about each panel's midpoint, whose coefficients follow from the
+family's second-order ODE (the local series of Glaser, Liu & Rokhlin, SIAM J.
+Sci. Comput. 29, 2007) and whose start values come from one recurrence pass
+over the midpoints; each panel starts afresh, so no error is carried from one
+panel to the next.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ FAMILIES = ("hermite", "laguerre", "gegenbauer")
 # nodes per _recurrence pass in eval_poly_scaled: each recurrence step makes
 # ~7 passes over its arrays, and blocks of this size keep them in L2 cache
 RECURRENCE_BLOCK = 32768
+# terms of the Taylor series panel_evaluator sums on each root panel
+TAYLOR_TERMS = 48
 
 
 @dataclass(frozen=True)
@@ -257,6 +264,103 @@ def eval_poly_scaled(spec: PolySpec, x):
         flat_p[block], _, _, _, flat_logs[block] = _recurrence(
             flat_x[block], diag, off, n, log_mass)
     return p, logs
+
+
+def _taylor_panels(spec: PolySpec, roots: np.ndarray):
+    """Taylor coefficients of spec about the midpoint of every root panel.
+
+    Panel p (0..n) runs from roots[p-1] to roots[p]; the two outer panels
+    have no coefficients.  On an interior panel with centre c and half-width
+    h, spec = sum_j t_j s^j * exp(scale) with s = (x - c)/h and
+    t_j = y^(j)(c) h^j / j!: t_0 and t_1 come from one derivative recurrence
+    pass over the centres, and t_{j+2} from t_{j+1} and t_j by the family's
+    ODE differentiated j times,
+
+        hermite:     y^(j+2) = 2x y^(j+1) + 2(j-n) y^(j)
+        laguerre:    x y^(j+2) = -(j+a+1-x) y^(j+1) - (n-j) y^(j)
+        gegenbauer:  (1-x^2) y^(j+2) = (2j+2lam+1) x y^(j+1) + (j(j+2lam) - n(n+2lam)) y^(j)
+
+    Returns (centre, half, coeffs (TAYLOR_TERMS, n+1), scale, taylor), where
+    taylor marks the panels the series serves: interior panels whose last two
+    terms fall below 1e-17 of the largest, and whose half-width is at most
+    half the distance from the centre to the ODE's singular point (x = 0
+    for laguerre, +-1 for gegenbauer).
+    """
+    n, K = spec.degree, TAYLOR_TERMS
+    c = 0.5 * (roots[1:] + roots[:-1])
+    h = 0.5 * (roots[1:] - roots[:-1])
+    hh = h * h
+    diag, off = _jacobi_coeffs(spec.family, spec.parameter, n + 1)
+    y, _, dy, _, logs = _recurrence(c, diag, off, n,
+                                    _log_weight_mass(spec.family, spec.parameter),
+                                    derivative=True)
+    if spec.family == "hermite":
+        lead, room = 1.0, np.inf
+
+        def step(j):
+            return 2.0 * (j + 1) * c * h, 2.0 * (j - n) * hh
+    elif spec.family == "laguerre":
+        a = float(spec.parameter)
+        lead = room = c
+
+        def step(j):
+            return -(j + 1) * (j + a + 1.0 - c) * h, -(n - j) * hh
+    else:
+        lam = float(spec.parameter)
+        lead, room = (1.0 - c) * (1.0 + c), 1.0 - np.abs(c)
+
+        def step(j):
+            return ((j + 1) * (2 * j + 2 * lam + 1.0) * c * h,
+                    (j * (j + 2 * lam) - n * (n + 2 * lam)) * hh)
+
+    t = np.empty((K, n - 1))
+    t[0], t[1] = y, h * dy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(K - 2):
+            a1, a0 = step(j)
+            t[j + 2] = (a1 * t[j + 1] + a0 * t[j]) / ((j + 1) * (j + 2) * lead)
+        size = np.max(np.abs(t), axis=0)
+        taylor = ((np.abs(t[K - 2]) + np.abs(t[K - 1]) <= 1e-17 * size)
+                  & np.isfinite(size) & (h <= 0.5 * room))
+    coeffs = np.zeros((K, n + 1))
+    coeffs[:, 1:n] = t
+    centre, half, scale = np.zeros(n + 1), np.ones(n + 1), np.zeros(n + 1)
+    centre[1:n], half[1:n], scale[1:n] = c, h, logs
+    return centre, half, coeffs, scale, np.concatenate([[False], taylor, [False]])
+
+
+def panel_evaluator(spec: PolySpec, roots: np.ndarray):
+    """x -> (mantissa, log_scale) of spec on an ndarray, for the root-panel kernels.
+
+    roots are spec's roots, ascending.  Interior panels that _taylor_panels
+    serves evaluate a TAYLOR_TERMS-term series about their midpoint (O(1)
+    work per node, found by searchsorted; a node on a root may take either
+    neighbour); every other node, and every node when the degree is at most
+    TAYLOR_TERMS, goes through eval_poly_scaled.
+    """
+    if spec.degree <= TAYLOR_TERMS:
+        return lambda x: eval_poly_scaled(spec, x)
+    centre, half, coeffs, scale, taylor = _taylor_panels(spec, roots)
+
+    def evaluate(x):
+        x = np.asarray(x, dtype=float).ravel()
+        panel = np.searchsorted(roots, x)
+        served = taylor[panel]
+        m, logs = np.empty(x.shape), np.empty(x.shape)
+        if not served.all():
+            m[~served], logs[~served] = eval_poly_scaled(spec, x[~served])
+        where = np.flatnonzero(served)
+        for i in range(0, where.size, RECURRENCE_BLOCK):
+            at = where[i:i + RECURRENCE_BLOCK]
+            p = panel[at]
+            s = (x[at] - centre[p]) / half[p]
+            acc = coeffs[-1, p]
+            for row in coeffs[-2::-1]:
+                acc = acc * s + row[p]
+            m[at], logs[at] = acc, scale[p]
+        return m, logs
+
+    return evaluate
 
 
 def scaled_evaluator(spec: PolySpec):

@@ -198,6 +198,40 @@ def test_value_that_leaves_the_float_range_is_refused_by_name(state, extra, name
     assert err.startswith(f"domain error: {name}") and "leaves the float range" in err
 
 
+@pytest.mark.parametrize("quantity", ["moment", "heisenberg"])
+@pytest.mark.parametrize("k", ["2", "1000"])
+def test_rydberg_asymptotics_refuse_the_ground_radial_state(quantity, k, capsys):
+    # the leading term (4 n_r)^(k/2) vanishes at n_r = 0: it printed value 0.0
+    assert cli.main(["compute", "--state", GROUND3, "--quantity", quantity, "--k", k,
+                     "--engine", "asymptotic"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "domain error: Rydberg asymptotics need n_r >= 1\n"
+
+
+@pytest.mark.parametrize("quantity, name", [("moment", "<r^k>"), ("heisenberg", "<r^k><p^k>")])
+def test_rydberg_asymptotics_out_of_the_float_range_are_refused_by_name(quantity, name,
+                                                                        capsys):
+    # (4 n_r)^(k/2) overflowed to a bare "(34, 'Numerical result out of range')"
+    state = '{"kind":"hyper","D":3,"omega":1,"nr":100,"mu":[0,0]}'
+    assert cli.main(["compute", "--state", state, "--quantity", quantity, "--k", "1000",
+                     "--engine", "asymptotic"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"domain error: {name} at k = 1000.0 leaves the float range\n"
+
+
+@pytest.mark.parametrize("engine", ["closed", "oracle"])
+def test_moment_whose_omega_free_part_overflows_is_served(engine, capsys):
+    # <r^400> at omega = 10 is 10^-200 Gamma(201.5) / Gamma(1.5) = 1.26e176; the
+    # omega-free factor alone overflows, which exited 3 before
+    state = '{"kind":"hyper","D":3,"omega":10,"nr":0,"mu":[0,0]}'
+    assert cli.main(["compute", "--state", state, "--quantity", "moment", "--k", "400",
+                     "--engine", engine]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert value == pytest.approx(1.2608738702695202e176, rel=1e-12)
+
+
 @pytest.mark.parametrize("extra, value", [
     (["--quantity", "renyi", "--q", "250", "--engine", "oracle"], 1.7503566415323064),
     (["--quantity", "moment", "--k", "300"], 7.915483159347463e+263),

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,7 +82,8 @@ class TestClosedForm:
         exact = moments._moment_finite_sum(st_, -1.0)
         finite_sum = moments._moment_finite_sum
         monkeypatch.setattr(moments, "_moment_finite_sum",
-                            lambda state, k: finite_sum(state, k) * (1.0 + 1e-9))
+                            lambda state, k, *space: finite_sum(state, k, *space)
+                            * (1.0 + 1e-9))
         assert moments.radial_moment(st_, -1.0) == exact * (1.0 + 1e-9)
         assert validation.check_moment_dual_forms("quick").status == validation.FAIL
 
@@ -102,6 +104,42 @@ class TestOracleAgreement:
         for k in (-1.0, 2.0):
             est = moments.oracle_radial_moment_adaptive(st_, k, tol=1e-11)
             assert est.value == pytest.approx(moments.radial_moment(st_, k), rel=1e-10)
+
+
+def _mp_moment(state, k, space):
+    """<r^k> (or <p^k>) from the Laguerre polynomial's power-series coefficients,
+    integrated term by term at 60 digits."""
+    with mp.workdps(60):
+        nr, a, omega = state.n_r, mp.mpf(state.alpha), mp.mpf(state.spec.omega)
+        c = [(-1) ** m * mp.binomial(nr + a, nr - m) / mp.factorial(m) for m in range(nr + 1)]
+        s = mp.fsum(c[i] * c[j] * mp.gamma(a + mp.mpf(k) / 2 + i + j + 1)
+                    for i in range(nr + 1) for j in range(nr + 1))
+        value = s * mp.factorial(nr) / mp.gamma(nr + a + 1) * omega ** (-mp.mpf(k) / 2)
+        return value * omega ** k if space is Space.MOMENTUM else value
+
+
+class TestOmegaFactorInTheExponent:
+    # each value is representable while the omega-free moment, or <r^k> on
+    # the way to <p^k> = omega^k <r^k>, overflows
+    CASES = [(10.0, 3, 0, 0, 400.0, Space.POSITION), (10.0, 4, 3, 2, 360.0, Space.POSITION),
+             (0.1, 3, 2, 1, 400.0, Space.MOMENTUM), (0.05, 6, 1, 0, 330.0, Space.MOMENTUM)]
+
+    @pytest.mark.parametrize("omega, D, nr, l, k, space", CASES)
+    def test_both_engines_match_mpmath(self, omega, D, nr, l, k, space):
+        state = hyper(omega, D, nr, l)
+        exact = _mp_moment(state, k, space)
+        assert max(_mp_moment(hyper(1.0, D, nr, l), k, space),
+                   _mp_moment(state, k, Space.POSITION)) > mp.mpf("1e308")
+        for value in (moments.radial_moment(state, k, space),
+                      moments.oracle_radial_moment(state, k, space)):
+            assert math.isfinite(value)
+            assert abs(value - exact) <= 1e-12 * abs(exact)
+
+    def test_unit_omega_has_no_factor(self):
+        state = hyper(1.0, 3, 4, 1)
+        for k in (-1.5, 1.0, 3.0):
+            for engine in (moments.radial_moment, moments.oracle_radial_moment):
+                assert engine(state, k) == engine(state, k, Space.MOMENTUM)
 
 
 class TestRecurrence:

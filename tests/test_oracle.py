@@ -330,6 +330,28 @@ class TestLqIntegral:
             oracle.lq_integral(PolySpec("hermite", 2, None), 0.0)
 
 
+class TestTaylorPanels:
+    @pytest.mark.parametrize("spec", [
+        PolySpec("hermite", 200), PolySpec("laguerre", 200, 0.5),
+        PolySpec("gegenbauer", 200, 1.0), PolySpec("laguerre", 800, 0.5),
+        PolySpec("gegenbauer", 800, 1.0)],
+        ids=lambda spec: f"{spec.family}-{spec.degree}")
+    def test_kernels_match_the_recurrence_route(self, spec, monkeypatch):
+        # (Hermite at 800 takes 1.7 s on the recurrence; tests/test_specfun.py
+        # checks its series against 40-digit values)
+        def kernels():
+            out = [oracle._entropy_kernel(spec, 0.0, oracle.default_tolerance())]
+            if spec.degree == 200 or spec.family == "laguerre":  # real q: the Rydberg case
+                out.append(oracle.lq_integral(spec, 0.8, 0.0 if spec.family == "hermite"
+                                              else 0.5))
+            return out
+
+        taylor = kernels()
+        monkeypatch.setattr(specfun, "TAYLOR_TERMS", spec.degree)  # recurrence everywhere
+        for got, ref in zip(taylor, kernels()):
+            assert got == pytest.approx(ref, rel=1e-12)
+
+
 class TestPolynomialEntropy:
     def test_laguerre_degree0(self):
         for alpha in (0.5, 2.0, 7.0):
@@ -420,20 +442,28 @@ class TestNestedLevels:
 
             est = nested(recording, edges, tol=tol, max_level=max_level)
             tol = oracle.default_tolerance() if tol is None else tol
-            calls.append((est, seen, *_all_nodes_reference(f_vec, edges, tol, max_level)))
+            calls.append((est, seen, *_all_nodes_reference(f_vec, edges, tol, max_level),
+                          len(edges) - 1))
             return est
 
         monkeypatch.setattr(oracle, "integrate_panels_vectorized", both)
         monkeypatch.setattr(oracle, "_ENTROPY_CACHE", oracle.BoundedCache(256))
         run()
-        (est, seen, ref, final_x), = calls
+        (est, seen, ref, final_x, npanel), = calls
         assert est == ref  # value, error estimate and node count, exactly
         assert len(seen) > 1  # refinement went past the first level
-        # f_vec saw the final level's panels x nodes, each once (as a multiset:
-        # tanh saturates, so many nodes of a panel sit exactly on its edges)
+        assert est.subdivisions == final_x.size
+        # f_vec saw each node inside a panel of the final level once, and each
+        # panel's two edges once (as a multiset): tanh rounds about half of
+        # the nodes to u = +-1, which sit exactly on the edges
+        rows = final_x.reshape(npanel, -1)
+        u = next(u for u, _ in map(_all_level_nodes, range(4, 12))
+                 if u.size == rows.shape[1])
+        assert u[0] == -1.0 and u[-1] == 1.0
+        expected = np.concatenate([rows[:, np.abs(u) < 1.0].ravel(), rows[:, 0], rows[:, -1]])
         got = np.concatenate(seen)
-        assert got.size == est.subdivisions == final_x.size
-        assert np.array_equal(np.sort(got), np.sort(final_x))
+        assert np.array_equal(np.sort(got), np.sort(expected))
+        assert got.size < 0.6 * final_x.size
 
 
 class TestConcurrency:

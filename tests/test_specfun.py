@@ -298,3 +298,88 @@ def test_every_lru_cache_is_bounded():
                 assert value.cache_info().maxsize is not None, f"{info.name}.{name}"
             if name.endswith("_CACHE"):  # a plain dict would grow without limit
                 assert isinstance(value, oracle.BoundedCache), f"{info.name}.{name}"
+
+
+def _mp_classical(family, n, param, x):
+    """The orthonormal member at x, by the classical recurrence in 40 digits."""
+    with mp.workdps(40):
+        x = mp.mpf(x)
+        if family == "hermite":
+            p0, p1 = mp.mpf(1), 2 * x
+            for k in range(1, n):
+                p0, p1 = p1, 2 * x * p1 - 2 * k * p0
+            return p1 / mp.sqrt(mp.sqrt(mp.pi) * mp.mpf(2) ** n * mp.factorial(n))
+        a = mp.mpf(param)
+        if family == "laguerre":  # leading coefficient (-1)^n / n!
+            p0, p1 = mp.mpf(1), 1 + a - x
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + a + 1 - x) * p1 - (k + a) * p0) / (k + 1)
+            return (-1) ** n * p1 / mp.sqrt(mp.gamma(n + a + 1) / mp.factorial(n))
+        p0, p1 = mp.mpf(1), 2 * a * x
+        for k in range(1, n):
+            p0, p1 = p1, (2 * (k + a) * x * p1 - (k + 2 * a - 1) * p0) / (k + 1)
+        h = (mp.pi * mp.mpf(2) ** (1 - 2 * a) * mp.gamma(n + 2 * a)
+             / (mp.factorial(n) * (n + a) * mp.gamma(a) ** 2))
+        return p1 / mp.sqrt(h)
+
+
+class TestPanelEvaluator:
+    FAMILIES = [("hermite", None), ("laguerre", 0.5), ("gegenbauer", 1.0)]
+
+    @pytest.mark.parametrize("family, param", FAMILIES)
+    def test_taylor_matches_40_digit_values(self, family, param):
+        spec = PolySpec(family, 800, param)
+        roots = specfun.poly_roots(spec)
+        centre, half, _, _, taylor = specfun._taylor_panels(spec, roots)
+        served = np.flatnonzero(taylor)
+        assert served.size > 790
+        evaluate = specfun.panel_evaluator(spec, roots)
+        s = np.array([-0.97, -0.4, 0.0, 0.5, 0.99])
+        for p in (served[0], served[served.size // 2], served[-1]):
+            x = centre[p] + half[p] * s
+            m, logs = evaluate(x)
+            rm, rlogs = specfun.eval_poly_scaled(spec, x)
+            with mp.workdps(40):
+                ref = [_mp_classical(family, 800, param, v) for v in x.tolist()]
+                amp = max(abs(r) for r in ref)
+                for i, r in enumerate(ref):
+                    err = abs(mp.mpf(float(m[i])) * mp.exp(float(logs[i])) - r)
+                    rec = abs(mp.mpf(float(rm[i])) * mp.exp(float(rlogs[i])) - r)
+                    assert err <= max(10 * rec, 1e-10 * amp), (p, s[i])
+
+    def test_wide_panel_near_the_turning_point_takes_the_recurrence(self):
+        spec = PolySpec("laguerre", 800, 0.5)
+        roots = specfun.poly_roots(spec)
+        centre, half, coeffs, _, taylor = specfun._taylor_panels(spec, roots)
+        widest = int(np.argmax(half[1:-1])) + 1
+        assert widest == 799 and not taylor[widest]
+        # the series is cut, not the distance to x = 0
+        assert half[widest] <= 0.5 * centre[widest]
+        x = centre[widest] + half[widest] * np.linspace(-0.9, 0.9, 11)
+        got = specfun.panel_evaluator(spec, roots)(x)
+        ref = specfun.eval_poly_scaled(spec, x)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_panel_next_to_the_singular_point_takes_the_recurrence(self):
+        for spec in (PolySpec("laguerre", 800, 0.5), PolySpec("gegenbauer", 800, 1.0)):
+            _, _, _, _, taylor = specfun._taylor_panels(spec, specfun.poly_roots(spec))
+            assert not taylor[1] and taylor[2]  # the first panel is too wide for |c|
+
+    @pytest.mark.parametrize("family, param", FAMILIES)
+    def test_small_degrees_are_the_recurrence_bit_for_bit(self, family, param):
+        spec = PolySpec(family, specfun.TAYLOR_TERMS, param)
+        roots = specfun.poly_roots(spec)
+        x = np.linspace(roots[0], roots[-1], 1001)
+        got = specfun.panel_evaluator(spec, roots)(x)
+        ref = specfun.eval_poly_scaled(spec, x)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    def test_nodes_on_roots_and_outer_panels(self):
+        spec = PolySpec("hermite", 200)
+        roots = specfun.poly_roots(spec)
+        x = np.concatenate([[roots[0] - 1.0], roots, [roots[-1] + 1.0]])
+        m, logs = specfun.panel_evaluator(spec, roots)(x)
+        rm, rlogs = specfun.eval_poly_scaled(spec, x)
+        peak = np.max(np.abs(rm * np.exp(rlogs)))
+        assert np.max(np.abs(m * np.exp(logs) - rm * np.exp(rlogs))) < 1e-12 * peak
+        assert m[0] == rm[0] and m[-1] == rm[-1]  # outer panels: the recurrence
