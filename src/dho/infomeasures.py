@@ -56,10 +56,6 @@ class MeasureValue:
     error_estimate: float | None = None
 
 
-def _width(omega: float, space: Space) -> float:
-    return omega if space is Space.POSITION else 1.0 / omega
-
-
 # ---------------------------------------------------------------------------
 # Fisher information
 
@@ -69,7 +65,7 @@ def fisher(state: HyperState, space: Space = Space.POSITION,
     """4 (2 n_r + l - |m| + D/2) omega^(+-1); the oracle engine takes the moment
     combination 4<p^2> - 2|m|(2l + D - 2)<r^-2> on quadrature moments."""
     D = state.spec.dim
-    w = _width(state.spec.omega, space)
+    w = states.width(state, space)
     if engine == ENGINE_CLOSED:
         return MeasureValue(4.0 * (2 * state.n_r + state.l - abs(state.m) + D / 2.0) * w,
                             space, ENGINE_CLOSED)
@@ -179,7 +175,7 @@ def shannon_cartesian(state: CartesianState, space: Space = Space.POSITION,
     """
     if tol is None:
         tol = oracle.default_tolerance()
-    w = _width(state.spec.omega, space)
+    w = states.width(state, space)
     if engine == ENGINE_CLOSED:
         value = math.fsum(n + 0.5 + oracle.polynomial_entropy(PolySpec("hermite", n), tol=tol)
                           - 0.5 * math.log(w) for n in state.n)
@@ -210,10 +206,11 @@ def angular_shannon_swave(D: int) -> float:
 
 
 def _gegenbauer_entropy(degree: int, lam: float, tol: float | None) -> float:
+    spec = PolySpec("gegenbauer", degree, lam)
     if degree == 0:
         # constant orthonormal polynomial: entropy is the log weight mass
-        return specfun._log_weight_mass("gegenbauer", lam)
-    return oracle.polynomial_entropy(PolySpec("gegenbauer", degree, lam), tol=tol)
+        return specfun._log_weight_mass(spec)
+    return oracle.polynomial_entropy(spec, tol=tol)
 
 
 def angular_log_moment_constant(state: HyperState) -> float:
@@ -274,7 +271,7 @@ def _in_float_range(value: float, name: str) -> float:
 def angular_entropic_moment(state: HyperState, q: float,
                             tol: float | None = None) -> float:
     """Lambda_q = int |Y|^(2q) dOmega: one Gegenbauer lq_integral per factor
-    (integer q exact by Gauss-Jacobi).  A factor or a Lambda_q that leaves the
+    (integer q exact by Gauss-Gegenbauer).  A factor or a Lambda_q that leaves the
     float range raises UnsupportedError."""
     if q <= 0:
         raise DomainError("q must be positive")
@@ -299,7 +296,7 @@ def radial_shannon_assembled(state: HyperState, space: Space,
     """Radial Shannon entropy by the exact decomposition; the Laguerre entropy
     kernel is numeric."""
     D, l, nr = state.spec.dim, state.l, state.n_r
-    w = _width(state.spec.omega, space)
+    w = states.width(state, space)
     ent = oracle.polynomial_entropy(PolySpec("laguerre", nr, state.alpha), tol=tol)
     return (2 * nr + l + D / 2.0 - math.log(2.0)
             - l * specfun.digamma(nr + l + D / 2.0) + ent - (D / 2.0) * math.log(w))
@@ -361,7 +358,7 @@ def renyi_cartesian(state: CartesianState, q: float, space: Space = Space.POSITI
     RenyiOrder(q)
     if engine not in (ENGINE_CLOSED, ENGINE_ORACLE):
         raise DomainError(f"unknown engine {engine!r}")
-    w = _width(state.spec.omega, space)
+    w = states.width(state, space)
     value = math.fsum(
         math.log(_in_float_range(oracle.lq_integral(PolySpec("hermite", n), q, tol=tol),
                                  "a Hermite lq_integral"))
@@ -403,7 +400,7 @@ def radial_renyi(state: HyperState, q: float, space: Space,
                  tol: float | None = None) -> float:
     """-ln(2 w^(D/2)) + ln N(D, q) / (1 - q) with the weighted Laguerre norm."""
     D = state.spec.dim
-    w = _width(state.spec.omega, space)
+    w = states.width(state, space)
     norm = _in_float_range(oracle.weighted_Lq_norm(state.n_r, state.l, D, q, tol=tol),
                            "the radial lq_integral")
     return -math.log(2.0) - (D / 2.0) * math.log(w) + math.log(norm) / (1.0 - q)
@@ -535,7 +532,7 @@ def disequilibrium(state: HyperState, engine: str = ENGINE_CLOSED,
                    tol: float | None = None) -> MeasureValue:
     """int rho^2 over position space, served as exp(-R_2[rho]) with R_2's engine
     tag and error estimate; the closed R_2 is exact (Gauss-Laguerre x
-    Gauss-Jacobi).  disequilibrium_radial x disequilibrium_angular (and the 3j
+    Gauss-Gegenbauer).  disequilibrium_radial x disequilibrium_angular (and the 3j
     route at D = 3) are the paper's product forms, compared in validate."""
     r2 = renyi_hyperspherical(state, 2.0, Space.POSITION, engine, tol=tol)
     return MeasureValue(math.exp(-r2.value), Space.POSITION, r2.engine,

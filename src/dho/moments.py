@@ -123,9 +123,9 @@ def reflection_moment_rminus3(state: HyperState) -> float:
 
 
 def heisenberg_product(state: HyperState, k: float) -> float:
-    """<r^k><p^k>; independent of the oscillator strength."""
-    rk = radial_moment(state, k)
-    return state.spec.omega ** k * rk * rk
+    """<r^k><p^k>; independent of the oscillator strength, so taken at omega = 1."""
+    rk = radial_moment(states.at_unit_omega(state), k)
+    return rk * rk
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +159,7 @@ def radial_density_integral(state: HyperState, space: Space, g,
     rho is the state's radial density in the space; where it vanishes (r <= 0
     or ln rho = -inf) the integrand is 0 and g is not called.
     """
-    w = state.spec.omega if space is Space.POSITION else 1.0 / state.spec.omega
+    w = states.width(state, space)
     spec = PolySpec("laguerre", state.n_r, state.alpha)
     roots = np.sqrt(specfun.poly_roots(spec) / w) if state.n_r > 0 else np.array([])
     log_density = states.log_radial_density(state, space)

@@ -1,6 +1,7 @@
 """High-precision numerical integration engine.
 
-Gauss rules come from specfun.gauss_nodes (Golub-Welsch nodes polished by
+Gauss rules are the Gauss-Hermite, -Laguerre and -Gegenbauer rules of the
+PolySpec families, from specfun.gauss_nodes (Golub-Welsch nodes polished by
 Newton, confluent Christoffel-Darboux log weights), so extreme Laguerre
 parameters (alpha up to a few thousand) stay finite.  lq_integral, the
 weighted L_q integral of an orthonormal Hermite, Laguerre or Gegenbauer
@@ -59,9 +60,6 @@ def default_tolerance() -> float:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    family: str                 # hermite | laguerre | jacobi
-    parameters: tuple
-    order: int
     nodes: np.ndarray
     weights: np.ndarray
     log_weights: np.ndarray
@@ -113,12 +111,13 @@ _RULE_CACHE = BoundedCache(512)  # benchmark workloads use up to 392 rules
 
 
 def gauss_rule(family: str, order: int, *parameters: float) -> QuadratureRule:
-    """Gauss rule for the named weight family.
+    """Gauss rule of the weight of PolySpec(family, order, *parameters).
 
     hermite: weight e^{-x^2} on R, no parameters.
     laguerre: weight x^alpha e^{-x} on [0, inf), parameter alpha > -1.
-    jacobi: weight (1-x)^a (1+x)^b on [-1, 1], parameters a, b > -1.
-    Orders above GAUSS_MAX_ORDER raise UnsupportedError.
+    gegenbauer: weight (1-x^2)^(lambda-1/2) on [-1, 1], parameter lambda > -1/2.
+    PolySpec refuses any other family or parameter (DomainError); orders
+    above GAUSS_MAX_ORDER raise UnsupportedError.
     """
     if order < 1:
         raise DomainError("order must be >= 1")
@@ -127,31 +126,16 @@ def gauss_rule(family: str, order: int, *parameters: float) -> QuadratureRule:
             f"Gauss rules are bounded to order <= {GAUSS_MAX_ORDER} (got "
             f"{order if order < 1e9 else 'over 1e9'}); their work grows as order^2")
     params = tuple(float(p) for p in parameters)
-    return _RULE_CACHE.get_or_compute((family, params, int(order)),
-                                      lambda: _build_rule(family, params, order))
+    return _RULE_CACHE.get_or_compute(
+        (family, params, int(order)),
+        lambda: _build_rule(PolySpec(family, int(order), *params)))
 
 
-def _build_rule(family: str, params: tuple, order: int) -> QuadratureRule:
-    if family == "hermite":
-        if params:
-            raise DomainError("hermite rule takes no parameters")
-        parameter = None
-    elif family == "laguerre":
-        (parameter,) = params
-        if parameter <= -1.0:
-            raise DomainError("laguerre rule requires alpha > -1")
-    elif family == "jacobi":
-        a, b = params
-        if a <= -1.0 or b <= -1.0:
-            raise DomainError("jacobi rule requires a, b > -1")
-        parameter = params
-    else:
-        raise DomainError(f"unknown rule family {family!r}")
-
-    nodes, log_w = specfun.gauss_nodes(family, parameter, order, weights=True)
+def _build_rule(spec: PolySpec) -> QuadratureRule:
+    nodes, log_w = specfun.gauss_nodes(spec, weights=True)
     with np.errstate(over="ignore"):
         weights = np.exp(log_w)
-    return QuadratureRule(family, params, order, nodes, weights, log_w)
+    return QuadratureRule(nodes, weights, log_w)
 
 
 # ---------------------------------------------------------------------------
@@ -401,10 +385,10 @@ def lq_integral(spec: PolySpec, q: float, a: float = 0.0,
 
     w is x^a e^(-q x) for laguerre, (1 - x^2)^a for gegenbauer and e^(-q x^2)
     for hermite (a unused).  Integer q is exact through the Gauss rule of the
-    weight (generalized Laguerre of parameter a at u/q, Jacobi (a, a), Hermite
-    at u/sqrt(q)), whose order above GAUSS_MAX_ORDER (12000) is refused; real
-    q goes through tanh-sinh panels between the roots, which refuse degrees
-    above PANEL_MAX_DEGREE (2000).
+    weight (generalized Laguerre of parameter a at u/q, Gegenbauer of
+    parameter a + 1/2, Hermite at u/sqrt(q)), whose order above
+    GAUSS_MAX_ORDER (12000) is refused; real q goes through tanh-sinh panels
+    between the roots, which refuse degrees above PANEL_MAX_DEGREE (2000).
     """
     if not q > 0:
         raise DomainError("q must be positive")
@@ -417,7 +401,7 @@ def lq_integral(spec: PolySpec, q: float, a: float = 0.0,
         rule = gauss_rule("laguerre", order + int(math.ceil(abs(a))) // 2, a)
         scale, factor = qi, math.exp(-(a + 1.0) * math.log(qi))
     elif spec.family == "gegenbauer":
-        rule, scale, factor = gauss_rule("jacobi", order, a, a), 1, 1.0
+        rule, scale, factor = gauss_rule("gegenbauer", order, a + 0.5), 1, 1.0
     else:
         rule, scale = gauss_rule("hermite", order), math.sqrt(qi)
         factor = 1.0 / scale

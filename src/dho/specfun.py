@@ -8,8 +8,9 @@ Every polynomial is the orthonormal member of its family, evaluated as a
 mantissa over a per-node log scale, so any degree and parameter stays finite.
 The scaled three-term recurrence (`_recurrence`, one coefficient table
 `_jacobi_coeffs`) costs O(n) per node.  It serves `eval_poly_scaled`, and
-`gauss_nodes` for roots and Gauss rules (Golub-Welsch eigenvalues polished by
-Newton, log weights from the confluent Christoffel-Darboux identity).
+`gauss_nodes` for roots and the Gauss-Hermite, -Laguerre and -Gegenbauer rules
+(Golub-Welsch eigenvalues polished by Newton, log weights from the confluent
+Christoffel-Darboux identity).
 `scaled_evaluator` repeats its steps on one float, in the same bits, for the
 QUADPACK integrands that ask for one point at a time.  `panel_evaluator`
 serves the tanh-sinh kernels between consecutive roots at O(1) per node: a
@@ -37,8 +38,8 @@ EULER_GAMMA = 0.5772156649015329
 
 FAMILIES = ("hermite", "laguerre", "gegenbauer")
 
-# nodes per _recurrence pass in eval_poly_scaled: each recurrence step makes
-# ~7 passes over its arrays, and blocks of this size keep them in L2 cache
+# nodes per Horner pass in panel_evaluator: each Taylor term makes a few passes
+# over its arrays, and blocks of this size keep them in L2 cache
 RECURRENCE_BLOCK = 32768
 # terms of the Taylor series panel_evaluator sums on each root panel
 TAYLOR_TERMS = 48
@@ -131,62 +132,39 @@ def log_abs_binomial(x: float, m: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # recurrence evaluation
 
-def _jacobi_coeffs(family: str, parameter, order: int):
-    """Diagonal / off-diagonal of the symmetric Jacobi matrix (orthonormal).
-
-    Besides the three PolySpec families, "jacobi" with parameter (a, b) is the
-    weight (1-x)^a (1+x)^b on [-1, 1], used for Gauss rules.
-    """
-    k = np.arange(order, dtype=float)
-    if family == "hermite":
-        diag = np.zeros(order)
+def _jacobi_coeffs(spec: PolySpec, size: int):
+    """Diagonal / off-diagonal of spec's family's symmetric Jacobi matrix
+    (orthonormal), size x size."""
+    k = np.arange(size, dtype=float)
+    if spec.family == "hermite":
+        diag = np.zeros(size)
         off = np.sqrt(k[1:] / 2.0)
-    elif family == "laguerre":
-        a = float(parameter)
+    elif spec.family == "laguerre":
+        a = float(spec.parameter)
         diag = 2.0 * k + a + 1.0
         off = np.sqrt(k[1:] * (k[1:] + a))
-    elif family == "gegenbauer":
-        lam = float(parameter)
-        diag = np.zeros(order)
+    else:
+        lam = float(spec.parameter)
+        diag = np.zeros(size)
         kk = k[1:]
         # k=1 entry written pole-free (the k+lam-1 factor cancels)
-        off = np.empty(order - 1) if order > 1 else np.empty(0)
-        if order > 1:
+        off = np.empty(size - 1) if size > 1 else np.empty(0)
+        if size > 1:
             off[0] = 0.5 * math.sqrt(2.0 / (1.0 + lam))
-            if order > 2:
+            if size > 2:
                 kk2 = kk[1:]
                 off[1:] = 0.5 * np.sqrt(kk2 * (kk2 + 2 * lam - 1.0)
                                         / ((kk2 + lam) * (kk2 + lam - 1.0)))
-    elif family == "jacobi":
-        a, b = (float(v) for v in parameter)
-        ab = a + b
-        kk = k[1:]
-        diag = np.empty(order)
-        diag[0] = (b - a) / (ab + 2.0)
-        # k = 1 has a removable 0/0 at a + b = -1; off[0] gets its pole-free form
-        with np.errstate(invalid="ignore", divide="ignore"):
-            diag[1:] = (b * b - a * a) / ((2 * kk + ab) * (2 * kk + ab + 2.0))
-            off = np.sqrt(4.0 * kk * (kk + a) * (kk + b) * (kk + ab)
-                          / ((2 * kk + ab) ** 2 * (2 * kk + ab + 1.0)
-                             * (2 * kk + ab - 1.0)))
-        if order > 1:
-            off[0] = math.sqrt(4.0 * (1 + a) * (1 + b) / ((2 + ab) ** 2 * (3 + ab)))
-    else:  # pragma: no cover
-        raise DomainError(family)
     return diag, off
 
 
-def _log_weight_mass(family: str, parameter) -> float:
-    """log of integral of the family weight over its support."""
-    if family == "hermite":
+def _log_weight_mass(spec: PolySpec) -> float:
+    """log of integral of spec's family weight over its support."""
+    if spec.family == "hermite":
         return 0.5 * math.log(math.pi)
-    if family == "laguerre":
-        return math.lgamma(float(parameter) + 1.0)
-    if family == "jacobi":
-        a, b = (float(v) for v in parameter)
-        return ((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0)
-                + math.lgamma(b + 1.0) - math.lgamma(a + b + 2.0))
-    lam = float(parameter)
+    if spec.family == "laguerre":
+        return math.lgamma(float(spec.parameter) + 1.0)
+    lam = float(spec.parameter)
     return 0.5 * math.log(math.pi) + math.lgamma(lam + 0.5) - math.lgamma(lam + 1.0)
 
 
@@ -220,8 +198,9 @@ def _recurrence(x, diag, off, n, log_mass, derivative=False):
     return p_cur, p_prev, d_cur, d_prev, logs
 
 
-def gauss_nodes(family: str, parameter, n: int, weights: bool = False):
-    """Zeros of the degree-n orthonormal member, ascending (Golub-Welsch).
+def gauss_nodes(spec: PolySpec, weights: bool = False):
+    """Zeros of spec, ascending (Golub-Welsch): the nodes of its family's
+    Gauss rule of order spec.degree.
 
     Eigenvalues of the leading n x n Jacobi matrix get two capped Newton steps
     on the recurrence (the ratio p/p' is free of the log scale).  With
@@ -231,8 +210,9 @@ def gauss_nodes(family: str, parameter, n: int, weights: bool = False):
     """
     from scipy.linalg import eigh_tridiagonal
 
-    diag, off = _jacobi_coeffs(family, parameter, n + 1)
-    log_mass = _log_weight_mass(family, parameter)
+    n = spec.degree
+    diag, off = _jacobi_coeffs(spec, n + 1)
+    log_mass = _log_weight_mass(spec)
     x = eigh_tridiagonal(diag[:n], off[:n - 1], eigvals_only=True)
     for _ in range(2):
         p, _, dp, _, _ = _recurrence(x, diag, off, n, log_mass, derivative=True)
@@ -250,19 +230,8 @@ def gauss_nodes(family: str, parameter, n: int, weights: bool = False):
 def eval_poly_scaled(spec: PolySpec, x):
     """Evaluate spec at x as (mantissa, log_scale): value = m * exp(s)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    n = spec.degree
-    diag, off = _jacobi_coeffs(spec.family, spec.parameter, max(n + 1, 2))
-    log_mass = _log_weight_mass(spec.family, spec.parameter)
-    if x.size <= RECURRENCE_BLOCK:
-        p, _, _, _, logs = _recurrence(x, diag, off, n, log_mass)
-        return p, logs
-    # the recurrence acts per node, so blocks give the same bits as one pass
-    p, logs = np.empty(x.shape), np.empty(x.shape)
-    flat_x, flat_p, flat_logs = x.reshape(-1), p.reshape(-1), logs.reshape(-1)
-    for i in range(0, x.size, RECURRENCE_BLOCK):
-        block = slice(i, i + RECURRENCE_BLOCK)
-        flat_p[block], _, _, _, flat_logs[block] = _recurrence(
-            flat_x[block], diag, off, n, log_mass)
+    diag, off = _jacobi_coeffs(spec, max(spec.degree + 1, 2))
+    p, _, _, _, logs = _recurrence(x, diag, off, spec.degree, _log_weight_mass(spec))
     return p, logs
 
 
@@ -290,9 +259,8 @@ def _taylor_panels(spec: PolySpec, roots: np.ndarray):
     c = 0.5 * (roots[1:] + roots[:-1])
     h = 0.5 * (roots[1:] - roots[:-1])
     hh = h * h
-    diag, off = _jacobi_coeffs(spec.family, spec.parameter, n + 1)
-    y, _, dy, _, logs = _recurrence(c, diag, off, n,
-                                    _log_weight_mass(spec.family, spec.parameter),
+    diag, off = _jacobi_coeffs(spec, n + 1)
+    y, _, dy, _, logs = _recurrence(c, diag, off, n, _log_weight_mass(spec),
                                     derivative=True)
     if spec.family == "hermite":
         lead, room = 1.0, np.inf
@@ -372,10 +340,10 @@ def scaled_evaluator(spec: PolySpec):
     and math.log can differ in the last bit.
     """
     n = spec.degree
-    diag, off = _jacobi_coeffs(spec.family, spec.parameter, max(n + 1, 2))
+    diag, off = _jacobi_coeffs(spec, max(n + 1, 2))
     diag, off = diag.tolist(), off.tolist()
     steps = tuple(zip(diag[:n], [0.0] + off[:n - 1], off[:n]))
-    log_scale = -0.5 * _log_weight_mass(spec.family, spec.parameter)
+    log_scale = -0.5 * _log_weight_mass(spec)
 
     def evaluate(x: float) -> tuple[float, float]:
         p_prev, p_cur, logs = 0.0, 1.0, log_scale
@@ -395,7 +363,7 @@ def poly_roots(spec: PolySpec) -> np.ndarray:
     n = spec.degree
     if n < 1:
         raise DomainError("roots require degree >= 1")
-    roots = gauss_nodes(spec.family, spec.parameter, n)
+    roots = gauss_nodes(spec)
     if spec.family == "gegenbauer":
         roots = np.clip(roots, -1.0, 1.0)
     return roots

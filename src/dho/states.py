@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -132,6 +132,12 @@ class CartesianState:
 State = HyperState | CartesianState
 
 
+def at_unit_omega(state: State) -> State:
+    """The state with omega = 1, on which omega-free products are evaluated:
+    their omega-scaled factors can leave the float range on their own."""
+    return replace(state, spec=OscillatorSpec(1.0, state.spec.dim))
+
+
 def energy(state: State) -> float:
     """(N + D/2) omega, or equivalently (2 n_r + l + D/2) omega."""
     spec = state.spec
@@ -144,8 +150,10 @@ def energy(state: State) -> float:
 # densities
 
 
-def _radial_width(state: HyperState, space: Space) -> float:
-    """Scale carrying the omega dependence: x = width * r^2 inside the density."""
+def width(state: State, space: Space) -> float:
+    """Scale carrying the omega dependence of a density: omega in position
+    space, 1/omega in momentum space (x = width * r^2 inside the radial
+    density, t = sqrt(width) * x along a Cartesian axis)."""
     omega = state.spec.omega
     return omega if space is Space.POSITION else 1.0 / omega
 
@@ -159,7 +167,7 @@ def log_radial_density(state: HyperState, space: Space):
     from numpy, as in the Gauss-rule and panel kernels, since numpy's log and
     math.log can differ in the last bit.
     """
-    w = _radial_width(state, space)
+    w = width(state, space)
     l = state.l
     evaluate = specfun.scaled_evaluator(PolySpec("laguerre", state.n_r, state.alpha))
     const = math.log(2.0) + (state.spec.dim / 2.0) * math.log(w)
@@ -225,14 +233,9 @@ def angular_factor_params(state: HyperState, j: int) -> tuple[float, int, int]:
     return aj, _mu_abs(state, j) - mj1, mj1
 
 
-def _cartesian_width(state: CartesianState, space: Space) -> float:
-    omega = state.spec.omega
-    return omega if space is Space.POSITION else 1.0 / omega
-
-
 def log_cartesian_axis_density(state: CartesianState, i: int, space: Space, x):
     """log of the 1-D density along axis i (0-based)."""
-    w = _cartesian_width(state, space)
+    w = width(state, space)
     n = state.n[i]
     xa = np.atleast_1d(np.asarray(x, dtype=float))
     t = math.sqrt(w) * xa

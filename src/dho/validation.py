@@ -15,11 +15,8 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-from scipy.special import gammaln
-
 from . import asymptotics, infomeasures, moments, oracle, specfun, states, uncertainty
-from .infomeasures import ENGINE_CLOSED, ENGINE_ORACLE
+from .infomeasures import ENGINE_ORACLE
 from .specfun import PolySpec
 from .states import CartesianState, HyperState, OscillatorSpec, Space
 

@@ -312,6 +312,39 @@ def test_uncertainty_report():
     assert sat["bbm"] and sat["heisenberg_general"]
 
 
+OMEGA_FREE = ("heisenberg_general", "heisenberg_central", "fisher_product_general",
+              "fisher_product_central")
+
+
+def _uncertainty_records(omega, nr, mu, capsys):
+    state = json.dumps({"kind": "hyper", "D": 3, "omega": omega, "nr": nr, "mu": mu})
+    assert cli.main(["uncertainty", "--state", state]) == 0
+    return {r["relation_id"]: r for r in map(json.loads, capsys.readouterr().out.splitlines())}
+
+
+@pytest.mark.parametrize("nr, mu", [(0, [1, 0]), (1, [1, 1])])
+@pytest.mark.parametrize("omega", [1e-200, 1e-12, 1e12, 1e200])
+def test_uncertainty_verdicts_do_not_depend_on_omega(omega, nr, mu, capsys):
+    ref = _uncertainty_records(1.0, nr, mu, capsys)
+    got = _uncertainty_records(omega, nr, mu, capsys)
+    assert got.keys() == ref.keys()
+    for rid, rec in got.items():
+        assert all(math.isfinite(rec[key]) for key in ("lhs", "bound", "slack")), rid
+        assert rec["satisfied"] and rec["saturated"] == ref[rid]["saturated"], rid
+    for rid in OMEGA_FREE:  # evaluated on the state at omega = 1
+        assert (got[rid]["lhs"], got[rid]["bound"]) == (ref[rid]["lhs"], ref[rid]["bound"])
+    # stam prints its omega-scaled sides
+    for key in ("lhs", "bound"):
+        assert got["stam"][key] == pytest.approx(omega * ref["stam"][key], rel=1e-12)
+
+
+@pytest.mark.parametrize("omega", [1e-200, 1e-12, 1e12, 1e200])
+def test_heisenberg_product_does_not_depend_on_omega(omega, capsys):
+    state = json.dumps({"kind": "hyper", "D": 3, "omega": omega, "nr": 0, "mu": [1, 0]})
+    assert cli.main(["compute", "--state", state, "--quantity", "heisenberg", "--k", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 6.25
+
+
 def test_compute_deterministic_bytes():
     args = ("compute", "--state", GROUND3, "--quantity", "shannon")
     _, out1, _ = run_cli(*args)

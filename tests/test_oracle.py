@@ -12,12 +12,12 @@ from dho.errors import DomainError, UnsupportedError
 from dho.specfun import PolySpec
 
 
-def _symmetric_jacobi_moment(a: float, k: int) -> float:
-    # int_-1^1 x^k (1-x^2)^a dx, exact for even k
+def _gegenbauer_moment(lam: float, k: int) -> float:
+    # int_-1^1 x^k (1-x^2)^(lam - 1/2) dx, exact for even k
     if k % 2:
         return 0.0
     m = k // 2
-    return math.exp(gammaln(m + 0.5) + gammaln(a + 1.0) - gammaln(m + a + 1.5))
+    return math.exp(gammaln(m + 0.5) + gammaln(lam + 0.5) - gammaln(m + lam + 1.0))
 
 
 class TestGaussRules:
@@ -32,7 +32,7 @@ class TestGaussRules:
         assert r.weights[0] == pytest.approx(1.0, rel=1e-14)
 
     def test_legendre_order_2(self):
-        r = oracle.gauss_rule("jacobi", 2, 0.0, 0.0)
+        r = oracle.gauss_rule("gegenbauer", 2, 0.5)
         assert r.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], rel=1e-14)
         assert r.weights == pytest.approx([1.0, 1.0], rel=1e-14)
 
@@ -54,18 +54,18 @@ class TestGaussRules:
             exact = math.exp(gammaln(k + 1.0 + alpha))
             assert got == pytest.approx(exact, rel=1e-12)
 
-    @pytest.mark.parametrize("a", [-0.5, 0.0, 1.5])
-    def test_symmetric_jacobi_exactness(self, a):
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
+    def test_gegenbauer_exactness(self, lam):
         order = 17
-        r = oracle.gauss_rule("jacobi", order, a, a)
+        r = oracle.gauss_rule("gegenbauer", order, lam)
         for k in range(0, 2 * order - 1):
             got = float(np.sum(r.weights * r.nodes ** k))
-            exact = _symmetric_jacobi_moment(a, k)
+            exact = _gegenbauer_moment(lam, k)
             scale = float(np.sum(r.weights * np.abs(r.nodes) ** k))
             assert abs(got - exact) <= 1e-12 * max(scale, 1e-300)
 
     def test_nodes_increasing_weights_positive(self):
-        for fam, params in (("hermite", ()), ("laguerre", (2.0,)), ("jacobi", (0.3, 1.1))):
+        for fam, params in (("hermite", ()), ("laguerre", (2.0,)), ("gegenbauer", (1.2,))):
             r = oracle.gauss_rule(fam, 25, *params)
             assert np.all(np.diff(r.nodes) > 0)
             assert np.all(r.weights > 0)
@@ -107,9 +107,18 @@ class TestGaussRules:
         with pytest.raises(DomainError):
             oracle.gauss_rule("hermite", 0)
 
+    def test_jacobi_family_is_refused(self):
+        with pytest.raises(DomainError, match="unknown family 'jacobi'"):
+            oracle.gauss_rule("jacobi", 6, 0.5)
+
+    @pytest.mark.parametrize("lam", [-0.5, -0.75])
+    def test_gegenbauer_lambda_at_or_below_minus_half_is_refused(self, lam):
+        with pytest.raises(DomainError, match="lambda > -1/2"):
+            oracle.gauss_rule("gegenbauer", 6, lam)
+
     def test_orders_above_the_bound_are_refused_before_any_build(self, monkeypatch):
-        def build(family, parameter, order, weights=False):
-            assert order <= oracle.GAUSS_MAX_ORDER, "built a rule past the bound"
+        def build(spec, weights=False):
+            assert spec.degree <= oracle.GAUSS_MAX_ORDER, "built a rule past the bound"
             return np.zeros(1), np.zeros(1)
 
         monkeypatch.setattr(specfun, "gauss_nodes", build)
@@ -129,15 +138,15 @@ class TestGaussRules:
         small = oracle.BoundedCache(3)
         monkeypatch.setattr(oracle, "_RULE_CACHE", small)
         requests = [("laguerre", order, (0.5 * (order % 3),)) for order in range(5, 12)]
-        requests += [("hermite", 7, ()), ("jacobi", 6, (0.5, -0.25))] + requests[::-1]
+        requests += [("hermite", 7, ()), ("gegenbauer", 6, (0.25,))] + requests[::-1]
         for family, order, params in requests:
             rule = oracle.gauss_rule(family, order, *params)
             assert len(small) <= small.maxsize
             assert small[(family, params, order)] is rule
         assert len(small) == small.maxsize
         for (family, params, order), rule in small.items():
-            nodes, log_w = specfun.gauss_nodes(family, params[0] if len(params) == 1
-                                               else params or None, order, weights=True)
+            nodes, log_w = specfun.gauss_nodes(PolySpec(family, order, *params),
+                                               weights=True)
             assert np.array_equal(rule.nodes, nodes)
             assert np.array_equal(rule.log_weights, log_w)
             assert np.array_equal(rule.weights, np.exp(log_w))

@@ -47,10 +47,7 @@ class TestEvalPoly:
         ("hermite", None), ("laguerre", 0.5), ("laguerre", 4.0),
         ("gegenbauer", 0.5), ("gegenbauer", 2.5)])
     def test_orthonormality_under_matching_gauss_rule(self, family, param):
-        rule_family = "jacobi" if family == "gegenbauer" else family
-        params = ((param - 0.5, param - 0.5) if family == "gegenbauer"
-                  else ((param,) if param is not None else ()))
-        rule = oracle.gauss_rule(rule_family, 40, *params)
+        rule = oracle.gauss_rule(family, 40, *(() if param is None else (param,)))
         for n, m in ((0, 0), (3, 3), (7, 2), (30, 30), (30, 28)):
             pn = values(PolySpec(family, n, param), rule.nodes)
             pm = values(PolySpec(family, m, param), rule.nodes)
@@ -253,8 +250,7 @@ class TestLinearizations:
         n, lam, mu = 2, 1.5, 1
         coeff_sq_sum = math.fsum(
             c * c for _, c in specfun.gegenbauer_square_linearize(n, lam, mu))
-        a = lam + mu - 0.5
-        rule = oracle.gauss_rule("jacobi", 2 * n + 4, a, a)
+        rule = oracle.gauss_rule("gegenbauer", 2 * n + 4, lam + mu)
         quart = float(np.sum(rule.weights
                              * values(PolySpec("gegenbauer", n, lam), rule.nodes) ** 4))
         assert coeff_sq_sum == pytest.approx(quart, rel=1e-11)

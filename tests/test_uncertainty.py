@@ -27,6 +27,12 @@ class TestReportInvariants:
         assert not rep.saturated or rep.satisfied
         assert rep.slack == lhs - bound
 
+    @pytest.mark.parametrize("lhs, bound", [(math.inf, 1.0), (1.0, math.nan),
+                                            (-math.inf, 0.0)])
+    def test_non_finite_sides_are_refused(self, lhs, bound):
+        with pytest.raises(DomainError, match="not finite"):
+            uncertainty.RelationReport.build("x", lhs, bound)
+
     def test_unknown_relation(self):
         with pytest.raises(DomainError):
             uncertainty.check("nope", hyper(1.0, 3, 0, 0, 0))
