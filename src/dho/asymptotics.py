@@ -46,11 +46,6 @@ class AsymptoticValue:
     order_note: str
 
 
-def characteristic_length(D: float, omega: float) -> float:
-    """Pseudo-classical orbit radius sqrt(D / (2 omega))."""
-    return math.sqrt(D / (2.0 * omega))
-
-
 # ---------------------------------------------------------------------------
 # Rydberg dispersion
 
@@ -378,17 +373,3 @@ def highdim_renyi(state: HyperState, q: float, space: Space = Space.POSITION) ->
              - q * nr * math.log(2.0)) / (1.0 - q)
     value = lead + sub + const + sign * (D / 2.0) * math.log(omega)
     return AsymptoticValue(value, REGIME_HIGH_DIM, "O(log D) remainder")
-
-
-def highdim_angular_renyi_swave(D: int) -> AsymptoticValue:
-    """ln(2 pi^(D/2)/Gamma(D/2)), the uniform-density value, for any order."""
-    return AsymptoticValue(infomeasures.angular_shannon_swave(D), REGIME_HIGH_DIM,
-                           "exact for S-wave states at every D")
-
-
-def highdim_angular_renyi_circular(D: int, n: int, q: float) -> AsymptoticValue:
-    """Angular Renyi entropy of the circular state (all mu = n - 1)."""
-    value = (-0.5 * D * math.log(D) + 0.5 * D * math.log(2.0 * math.e * math.pi)
-             + 0.5 * math.log(D)
-             + (gammaln((n - 1.0) * q + 1.0) - q * gammaln(float(n))) / (1.0 - q))
-    return AsymptoticValue(value, REGIME_HIGH_DIM, "O(1) remainder")

@@ -26,7 +26,8 @@ def _require_exists(state: HyperState, k: float) -> None:
 
 
 def _3f2_parameters(state: HyperState, k: float) -> tuple:
-    return (-state.n_r, -k / 2.0, k / 2.0 + 1.0, state.l + state.spec.dim / 2.0, 1.0)
+    """(numerators, denominators) of the moment's terminating 3F2(1)."""
+    return (-state.n_r, -k / 2.0, k / 2.0 + 1.0), (state.l + state.spec.dim / 2.0, 1.0)
 
 
 def moment_3f2_form(state: HyperState, k: float) -> float:
@@ -35,7 +36,7 @@ def moment_3f2_form(state: HyperState, k: float) -> float:
 
     _require_exists(state, k)
     D, l = state.spec.dim, state.l
-    f = specfun.hyp_3F2_unit(*_3f2_parameters(state, k))
+    f = math.fsum(specfun.hyp_unit_terms(*_3f2_parameters(state, k)))
     lg = gammaln(l + (D + k) / 2.0) - gammaln(l + D / 2.0)
     return state.spec.omega ** (-k / 2.0) * math.exp(lg) * f
 
@@ -171,13 +172,3 @@ def radial_density_integral(state: HyperState, space: Space, g,
         return 0.0 if lg == -math.inf else g(lg, math.log(r))
 
     return oracle.integrate_adaptive(f, 0.0, math.inf, singular_points=roots, tol=tol)
-
-
-def oracle_radial_moment_adaptive(state: HyperState, k: float,
-                                  space: Space = Space.POSITION,
-                                  tol: float | None = None) -> oracle.IntegralEstimate:
-    """<r^k> = int r^k rho(r) r^(D-1) dr via the adaptive engine, in r itself."""
-    _require_exists(state, k)
-    D = state.spec.dim
-    return radial_density_integral(
-        state, space, lambda lg, lr: math.exp(lg + (k + D - 1.0) * lr), tol)

@@ -116,9 +116,12 @@ def gauss_rule(family: str, order: int, *parameters: float) -> QuadratureRule:
     hermite: weight e^{-x^2} on R, no parameters.
     laguerre: weight x^alpha e^{-x} on [0, inf), parameter alpha > -1.
     gegenbauer: weight (1-x^2)^(lambda-1/2) on [-1, 1], parameter lambda > -1/2.
-    PolySpec refuses any other family or parameter (DomainError); orders
-    above GAUSS_MAX_ORDER raise UnsupportedError.
+    PolySpec refuses any other family or parameter (DomainError), and so does
+    this function more than one parameter; orders above GAUSS_MAX_ORDER raise
+    UnsupportedError.
     """
+    if len(parameters) > 1:
+        raise DomainError(f"{family!r} takes at most one parameter, got {len(parameters)}")
     if order < 1:
         raise DomainError("order must be >= 1")
     if order > GAUSS_MAX_ORDER:

@@ -85,11 +85,6 @@ def digamma(x: float) -> float:
     return float(psi(x))
 
 
-def _gamma_sign(y: float) -> float:
-    """Sign of Gamma(y) for y not a non-positive integer."""
-    return 1.0 if y > 0 else (-1.0) ** math.ceil(-y)
-
-
 def pochhammer(a: float, j: int) -> float:
     """Rising factorial (a)_j as a direct product; exact sign handling."""
     if j < 0 or j != int(j):
@@ -116,17 +111,20 @@ def log_abs_binomial(x: float, m: int) -> tuple[float, float]:
         return -math.inf, 0.0
     if m == 0:
         return 0.0, 1.0
-    if x == math.floor(x):
-        xi = int(x)
-        if 0 <= xi < m:
-            return -math.inf, 0.0
-        if xi < 0:
-            # binom(-t, m) = (-1)^m binom(t + m - 1, m)
-            lg = (math.lgamma(m - xi + 0.0) - math.lgamma(m + 1.0)
-                  - math.lgamma(float(-xi)))
-            return lg, float((-1) ** m)
-    lg = math.lgamma(x + 1.0) - math.lgamma(m + 1.0) - math.lgamma(x - m + 1.0)
-    return lg, _gamma_sign(x + 1.0) * _gamma_sign(x - m + 1.0)
+    if x < 0.0:
+        # binom(x, m) = (-1)^m binom(m - x - 1, m): no Gamma pole on the way
+        return math.lgamma(m - x) - math.lgamma(m + 1.0) - math.lgamma(-x), float((-1) ** m)
+    if x == math.floor(x) and x < m:
+        return -math.inf, 0.0
+    y = x - m + 1.0
+    if y <= 0.0:
+        # 1/Gamma(y) = sin(pi y) Gamma(1 - y) / pi, with sin(pi y) taken from
+        # x - round(x), exact where y itself has lost x's fraction
+        n = round(x)
+        lg = (math.lgamma(x + 1.0) - math.lgamma(m + 1.0) + math.lgamma(m - x)
+              + math.log(abs(math.sin(math.pi * (x - n)))) - math.log(math.pi))
+        return lg, (-1.0) ** (m - 1 + n) * math.copysign(1.0, x - n)
+    return math.lgamma(x + 1.0) - math.lgamma(m + 1.0) - math.lgamma(y), 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -373,28 +371,29 @@ def poly_roots(spec: PolySpec) -> np.ndarray:
 # hypergeometric sums
 
 
-def hyp_3F2_unit(a1: float, a2: float, a3: float, b1: float, b2: float) -> float:
-    """Terminating 3F2 at unit argument, compensated summation.
+def hyp_unit_terms(numerators: Sequence[float], denominators: Sequence[float]) -> list[float]:
+    """The terms of a terminating pFq at unit argument, up to the first zero one;
+    math.fsum of them is the compensated sum.
 
-    One of a1..a3 must be a non-positive integer.
+    One numerator must be a non-positive integer.
     """
-    return math.fsum(hyp_3F2_unit_terms(a1, a2, a3, b1, b2))
-
-
-def hyp_3F2_unit_terms(a1: float, a2: float, a3: float, b1: float,
-                       b2: float) -> list[float]:
-    """The terms hyp_3F2_unit sums, up to the first zero one."""
-    tops = [a for a in (a1, a2, a3) if a <= 0 and a == math.floor(a)]
+    tops = [a for a in numerators if a <= 0 and a == math.floor(a)]
     if not tops:
-        raise UnsupportedError("3F2(1) requires a non-positive integer numerator")
+        raise UnsupportedError(f"{len(numerators)}F{len(denominators)}(1) requires a "
+                               "non-positive integer numerator")
     jmax = int(-max(tops))
     terms = [1.0]
     term = 1.0
     for j in range(jmax):
-        den = (b1 + j) * (b2 + j)
+        num = 1.0
+        for a in numerators:
+            num *= a + j
+        den = 1.0
+        for b in denominators:
+            den *= b + j
         if den == 0.0:
-            raise DomainError("3F2 denominator pochhammer hits a pole")
-        term *= (a1 + j) * (a2 + j) * (a3 + j) / (den * (j + 1.0))
+            raise DomainError("pFq denominator pochhammer hits a pole")
+        term *= num / (den * (j + 1.0))
         if term == 0.0:
             break
         terms.append(term)
@@ -484,23 +483,6 @@ def lauricella_FA_finite(q: int, nu: int, n: int) -> float:
     return math.fsum(pochhammer(q * nu + 0.5, J) * c for J, c in enumerate(poly))
 
 
-def _hyp_4F3_unit_terminating(a: Sequence[float], b: Sequence[float]) -> float:
-    """Terminating 4F3 at unit argument (first numerator a[0] <= 0 integer)."""
-    jmax = int(round(-a[0]))
-    terms = [1.0]
-    term = 1.0
-    for j in range(jmax):
-        numf = 1.0
-        for ai in a:
-            numf *= ai + j
-        denf = 1.0
-        for bi in b:
-            denf *= bi + j
-        term *= numf / (denf * (j + 1.0))
-        terms.append(term)
-    return math.fsum(terms)
-
-
 def gegenbauer_square_linearize(n: int, lam: float,
                                 mu_next: int) -> list[tuple[int, float]]:
     """Dougall expansion of an orthonormal Gegenbauer square, as (2k, b_k) pairs.
@@ -517,9 +499,9 @@ def gegenbauer_square_linearize(n: int, lam: float,
     mu = float(mu_next)
     coeffs = []
     for k in range(n + 1):
-        f43 = _hyp_4F3_unit_terminating(
-            [k - n, k + n + 2 * lam, k + lam, k + lam + mu + 0.5],
-            [2 * k + lam + mu + 1.0, k + 2 * lam, k + lam + 0.5])
+        f43 = math.fsum(hyp_unit_terms(
+            (k - n, k + n + 2 * lam, k + lam, k + lam + mu + 0.5),
+            (2 * k + lam + mu + 1.0, k + 2 * lam, k + lam + 0.5)))
         lpref = (math.log(n + lam) + gammaln(k + 0.5) + gammaln(k + lam)
                  + gammaln(k + n + 2 * lam) + gammaln(lam + mu)
                  - 0.5 * math.log(math.pi) - gammaln(1.0 + n - k)

@@ -93,14 +93,6 @@ class HyperState:
         return 2 * self.n_r + self.l
 
     @property
-    def eta(self) -> float:
-        return self.n + (self.spec.dim - 3) / 2.0
-
-    @property
-    def big_l(self) -> float:
-        return self.l + (self.spec.dim - 3) / 2.0
-
-    @property
     def alpha(self) -> float:
         return self.l + self.spec.dim / 2.0 - 1.0
 
@@ -243,12 +235,6 @@ def log_cartesian_axis_density(state: CartesianState, i: int, space: Space, x):
     with np.errstate(divide="ignore"):
         log_h2 = 2.0 * (np.log(np.abs(m)) + s)
     return 0.5 * math.log(w) - t * t + log_h2
-
-
-def cartesian_axis_density(state: CartesianState, i: int, space: Space, x):
-    scalar = np.isscalar(x)
-    out = np.exp(log_cartesian_axis_density(state, i, space, x))
-    return float(out[0]) if scalar else out
 
 
 def cartesian_density(state: CartesianState, space: Space, x) -> float:

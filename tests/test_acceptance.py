@@ -30,9 +30,9 @@ def report(criterion: str, passed: bool, detail: str = ""):
 
 def test_criterion_1_moments():
     t0 = time.monotonic()
-    oracle_chk = validation.check_moments_closed_vs_oracle("full")
-    dual_chk = validation.check_moment_dual_forms("full")
-    loop_chk = validation.check_moment_recurrence_reflection("full")
+    oracle_chk = validation.CHECKS["moments_closed_vs_oracle"]("full")
+    dual_chk = validation.CHECKS["moment_3f2_vs_finite_sum"]("full")
+    loop_chk = validation.CHECKS["moment_recurrence_and_reflection"]("full")
     elapsed = time.monotonic() - t0
     ok = (oracle_chk.max_deviation <= 1e-10 and dual_chk.max_deviation <= 1e-12
           and loop_chk.max_deviation <= 1e-11 and elapsed < 30.0)
@@ -43,14 +43,14 @@ def test_criterion_1_moments():
 
 
 def test_criterion_2_heisenberg():
-    chk = validation.check_heisenberg("full")
+    chk = validation.CHECKS["heisenberg_k2_exact"]("full")
     report("2 heisenberg", chk.max_deviation <= 1e-12,
            f"dev {chk.max_deviation:.1e} <= 1e-12 incl. ground saturation and "
            "omega invariance")
 
 
 def test_criterion_3_fisher():
-    chk = validation.check_fisher("full")
+    chk = validation.CHECKS["fisher_closed_and_moment_form"]("full")
     g = HyperState(OscillatorSpec(2.0, 3), 0, (0, 0))
     sat = all(uncertainty.check(rid, g).saturated
               for rid in ("stam", "fisher_product_general", "fisher_product_central"))
@@ -61,9 +61,9 @@ def test_criterion_3_fisher():
 
 def test_criterion_4_shannon():
     ref = validation.check_shannon_reference_values()
-    cart = validation.check_shannon_cartesian_vs_oracle("full")
-    bbm = validation.check_shannon_bbm_and_cross_engine("full")
-    swave = validation.check_swave_angular_entropy()
+    cart = validation.CHECKS["shannon_cartesian_vs_oracle"]("full")
+    bbm = validation.CHECKS["shannon_bbm_saturation_and_cross_engine"]("full")
+    swave = validation.CHECKS["swave_angular_entropy"]("full")
     ok = (ref.status == "pass" and cart.max_deviation <= 1e-7
           and bbm.max_deviation <= 1e-9 and swave.max_deviation <= 1e-10)
     report("4 shannon", ok,
@@ -73,11 +73,11 @@ def test_criterion_4_shannon():
 
 
 def test_criterion_5_renyi_disequilibrium():
-    ren = validation.check_renyi_cartesian_vs_oracle("full")
-    ground = validation.check_renyi_ground_values()
-    diseq = validation.check_disequilibrium("full")
-    routes = validation.check_disequilibrium_d3_routes("full")
-    conj = validation.check_renyi_conjugate("full")
+    ren = validation.CHECKS["renyi_cartesian_vs_oracle"]("full")
+    ground = validation.CHECKS["renyi_ground_closed_form"]("full")
+    diseq = validation.CHECKS["disequilibrium_closed_vs_oracle"]("full")
+    routes = validation.CHECKS["disequilibrium_d3_3j_vs_dougall_vs_oracle"]("full")
+    conj = validation.CHECKS["renyi_conjugate_bound_and_ground_saturation"]("full")
     ok = (ren.max_deviation <= 1e-8 and ground.max_deviation <= 1e-10
           and diseq.max_deviation <= 1e-9 and routes.max_deviation <= 1e-9
           and conj.status == "pass")
@@ -110,7 +110,7 @@ def test_criterion_7_rydberg():
 
 
 def test_criterion_8_highdim():
-    r2 = validation.check_highdim_moments("full")
+    r2 = validation.CHECKS["highdim_ground_r2_exact"]("full")
     ren = validation.check_highdim_renyi_remainder("full")
     scaling = validation.shannon_scaling_report()
     produced = scaling.status == "scaling_report" and scaling.extra.get("rows")
@@ -125,7 +125,7 @@ def test_criterion_8_highdim():
 
 
 def test_criterion_9_uncertainty_suite():
-    rel = validation.check_uncertainty_relations("full")
+    rel = validation.CHECKS["uncertainty_all_relations"]("full")
     census = validation.check_saturation_census("full")
     report("9 uncertainty suite", rel.status == "pass" and census.status == "pass",
            f"{rel.detail}, zero violations; census matches the closed-form "

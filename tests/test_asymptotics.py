@@ -90,8 +90,7 @@ class TestHighDimMoments:
     def test_characteristic_length(self):
         for k in (1.0, 2.0, 4.0):
             v = asy.highdim_moment(k, 1600, 2.0, form="leading").value
-            assert v ** (1.0 / k) == pytest.approx(
-                asy.characteristic_length(1600, 2.0), rel=1e-13)
+            assert v ** (1.0 / k) == pytest.approx(math.sqrt(1600 / (2 * 2.0)), rel=1e-13)
 
     def test_small_d_warns_in_note(self):
         note = asy.highdim_moment(2.0, 10, 1.0).order_note
@@ -244,20 +243,6 @@ class TestHighDimEntropies:
         st_ = hyper(1.0, 40, 2, *([3] * 39))
         assert asy._log_etilde(st_) == pytest.approx(0.0, abs=1e-10)
         assert asy._log_mtilde(st_, 2.0) == pytest.approx(0.0, abs=1e-10)
-
-    def test_swave_angular_value(self):
-        got = asy.highdim_angular_renyi_swave(64).value
-        assert got == pytest.approx(im.angular_shannon_swave(64), rel=1e-13)
-
-    def test_circular_state_formula(self):
-        # q -> the Gamma-ratio constant vanishes at n = 1 (uniform-like)
-        a = asy.highdim_angular_renyi_circular(64, 1, 2.0)
-        b = asy.highdim_angular_renyi_swave(64)
-        assert a.value == pytest.approx(
-            -32 * math.log(64) + 32 * math.log(2 * math.e * math.pi)
-            + 0.5 * math.log(64), rel=1e-13)
-        # and the S-wave closed value approaches the same leading behavior
-        assert abs(a.value - b.value) / 64.0 < 0.05
 
     def test_conjugate_sum_saturates_as_d_grows(self):
         q = 2.0

@@ -290,7 +290,7 @@ def test_closed_values_take_one_route(monkeypatch, capsys):
 
     for module, name in ((cli.infomeasures, "_fisher_from_moments"),
                          (cli.moments, "moment_3f2_form"),
-                         (cli.moments.specfun, "hyp_3F2_unit_terms"),
+                         (cli.moments.specfun, "hyp_unit_terms"),
                          (cli.infomeasures, "disequilibrium_radial"),
                          (cli.infomeasures, "disequilibrium_angular"),
                          (cli.infomeasures, "disequilibrium_angular_3j")):

@@ -68,7 +68,8 @@ class TestFisher:
         from_moments = im._fisher_from_moments
         monkeypatch.setattr(im, "_fisher_from_moments", lambda st_, sp, oracle_engine:
                             from_moments(st_, sp, oracle_engine) * (1.0 + 1e-9))
-        assert validation.check_fisher("quick").status == validation.FAIL
+        check = validation.CHECKS["fisher_closed_and_moment_form"]
+        assert check("quick").status == validation.FAIL
 
 
 class TestHermiteEntropy:
@@ -253,7 +254,8 @@ class TestRenyi:
         form = im.renyi_cartesian_lauricella
         monkeypatch.setattr(im, "renyi_cartesian_lauricella",
                             lambda st_, q: form(st_, q) + 1e-7)
-        assert validation.check_renyi_cartesian_vs_oracle("quick").status == validation.FAIL
+        check = validation.CHECKS["renyi_cartesian_vs_oracle"]
+        assert check("quick").status == validation.FAIL
 
     def test_hyper_ground_q2_total(self):
         st_ = hyper(1.0, 3, 0, 0, 0)
@@ -373,7 +375,8 @@ class TestDisequilibrium:
     def test_validate_compares_the_product_form(self, name, monkeypatch):
         form = getattr(im, name)
         monkeypatch.setattr(im, name, lambda st_: form(st_) * (1.0 + 1e-8))
-        assert validation.check_disequilibrium("quick").status == validation.FAIL
+        check = validation.CHECKS["disequilibrium_closed_vs_oracle"]
+        assert check("quick").status == validation.FAIL
 
 
     @pytest.mark.parametrize("name, st_", [
@@ -476,7 +479,8 @@ def test_quadpack_integrands_evaluate_no_ndarray_per_point(monkeypatch, capsys):
         assert cli.main(["compute", "--state", state, "--quantity", "shannon",
                          "--engine", "oracle", "--space", "momentum"]) == 0
     capsys.readouterr()
-    moments.oracle_radial_moment_adaptive(hyper(0.7, 3, 4, 2, 1), 1.5)
+    moments.radial_density_integral(hyper(0.7, 3, 4, 2, 1), Space.POSITION,
+                                    lambda lg, lr: math.exp(lg + 3.5 * lr))
     im.hermite_entropy_oracle(4)
     assert evals[0] > 1000
     assert calls == []

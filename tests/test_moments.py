@@ -85,7 +85,7 @@ class TestClosedForm:
                             lambda state, k, *space: finite_sum(state, k, *space)
                             * (1.0 + 1e-9))
         assert moments.radial_moment(st_, -1.0) == exact * (1.0 + 1e-9)
-        assert validation.check_moment_dual_forms("quick").status == validation.FAIL
+        assert validation.CHECKS["moment_3f2_vs_finite_sum"]("quick").status == validation.FAIL
 
 
 class TestOracleAgreement:
@@ -99,12 +99,6 @@ class TestOracleAgreement:
             assert moments.oracle_radial_moment(st_, k) == pytest.approx(
                 moments.radial_moment(st_, k), rel=1e-10)
 
-    def test_adaptive_oracle_spot(self):
-        st_ = hyper(1.0, 3, 2, 1)
-        for k in (-1.0, 2.0):
-            est = moments.oracle_radial_moment_adaptive(st_, k, tol=1e-11)
-            assert est.value == pytest.approx(moments.radial_moment(st_, k), rel=1e-10)
-
 
 def _mp_moment(state, k, space):
     """<r^k> (or <p^k>) from the Laguerre polynomial's power-series coefficients,
@@ -116,6 +110,17 @@ def _mp_moment(state, k, space):
                     for i in range(nr + 1) for j in range(nr + 1))
         value = s * mp.factorial(nr) / mp.gamma(nr + a + 1) * omega ** (-mp.mpf(k) / 2)
         return value * omega ** k if space is Space.MOMENTUM else value
+
+
+# k/2 - m + 1 rounds near (or onto) a Gamma pole in the finite sum's
+# binomials: near an even negative k, near k = -D - 2l, and at a tiny k
+@pytest.mark.parametrize("D, nr, l, k", [(3, 10, 1, -2.0 + 1e-12), (4, 10, 2, -2.0 + 1e-12),
+                                         (6, 8, 0, -4.0 + 1e-7), (8, 8, 5, -18.0 + 1e-9),
+                                         (2, 1, 0, 1e-20), (5, 9, 0, 4.0 + 1e-10)])
+def test_closed_sum_matches_mpmath_near_integer_half_k(D, nr, l, k):
+    state = hyper(1.3, D, nr, l)
+    exact = _mp_moment(state, k, Space.POSITION)
+    assert abs(moments.radial_moment(state, k) - exact) <= 1e-13 * abs(exact)
 
 
 class TestOmegaFactorInTheExponent:

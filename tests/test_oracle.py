@@ -107,6 +107,13 @@ class TestGaussRules:
         with pytest.raises(DomainError):
             oracle.gauss_rule("hermite", 0)
 
+    @pytest.mark.parametrize("family, params", [("laguerre", (1.0, 2.0)),
+                                                ("gegenbauer", (0.5, 0.5)),
+                                                ("hermite", (0.0, 0.0))])
+    def test_more_than_one_parameter_is_refused(self, family, params):
+        with pytest.raises(DomainError, match="at most one parameter"):
+            oracle.gauss_rule(family, 5, *params)
+
     def test_jacobi_family_is_refused(self):
         with pytest.raises(DomainError, match="unknown family 'jacobi'"):
             oracle.gauss_rule("jacobi", 6, 0.5)
