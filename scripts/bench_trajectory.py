@@ -15,7 +15,10 @@ seed also runs from that checkout, as a pair with the --root run; which of
 the two goes first flips from one workload to the next, since the host's
 speed drifts between runs.  Those runs and that checkout's line count go
 under "parent", and each run records its place in its pair ("order" 0 or
-1).  It records numbers only: it sets no bound and gates nothing.
+1).  Each checkout also gets a "layers" section: build times measured in one
+process with fresh caches, best of LAYER_REPEATS (Gauss-Laguerre rules,
+a member's roots and tanh-sinh panel evaluator, one entropy kernel; see
+LAYER_CODE).  It records numbers only: it sets no bound and gates nothing.
 """
 
 from __future__ import annotations
@@ -29,6 +32,42 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 SEEDS = (1,)
+LAYER_REPEATS = 5
+# run in a checkout's root; uses only names that older checkouts also have
+LAYER_CODE = """
+import json, sys, time
+sys.path.insert(0, "src")
+from dho import oracle, specfun
+from dho.specfun import PolySpec
+
+def fresh():
+    for name in ("_RULE_CACHE", "_ENTROPY_CACHE", "_MEMBER_CACHE"):
+        getattr(oracle, name, {}).clear()
+
+def best(work):
+    times = []
+    for _ in range(%d):
+        fresh()
+        t = time.perf_counter()
+        work()
+        times.append(time.perf_counter() - t)
+    return round(min(times), 5)
+
+def member(n):
+    spec = PolySpec("laguerre", n, 0.5)
+    specfun.panel_evaluator(spec, specfun.poly_roots(spec))
+
+best(lambda: oracle.gauss_rule("laguerre", 40, 0.5))  # imports scipy.linalg
+out = {}
+for order in (402, 802, 1602, 2002):
+    out[f"gauss_rule.laguerre_0.5.order_{order}_s"] = best(
+        lambda: oracle.gauss_rule("laguerre", order, 0.5))
+for n in (400, 800, 2000):
+    out[f"member.laguerre_0.5.degree_{n}_s"] = best(lambda: member(n))
+out["polynomial_entropy.laguerre_0.5.degree_800_s"] = best(
+    lambda: oracle.polynomial_entropy(PolySpec("laguerre", 800, 0.5)))
+print(json.dumps(out))
+""" % LAYER_REPEATS
 
 
 def src_lines(root: Path) -> int:
@@ -52,6 +91,15 @@ def run_one(root: Path, workload: str, seed: int, seconds: float) -> dict:
     else:
         out["stderr"] = proc.stderr.strip()[-500:]
     return out
+
+
+def layers(root: Path) -> dict:
+    """Per-layer build times of the checkout at root (LAYER_CODE)."""
+    proc = subprocess.run([sys.executable, "-c", LAYER_CODE], cwd=root,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        return {"error": proc.stderr.strip()[-500:]}
+    return json.loads(proc.stdout)
 
 
 def main(argv=None) -> int:
@@ -78,14 +126,18 @@ def main(argv=None) -> int:
                 status = "ok" if "result" in run else f"failed (rc {run['returncode']})"
                 print(f"{workload} seed {seed} {name}: {status} in {run['elapsed_s']:.1f} s",
                       file=sys.stderr)
-    record = {"pr": args.pr, "src_dho_lines": src_lines(root),
+    record = {"pr": args.pr, "src_dho_lines": src_lines(root), "layers": layers(root),
               "run_seconds": spec["run_seconds"], "seeds": list(SEEDS), "runs": runs}
     if args.parent is not None:
-        record["parent"] = {"src_dho_lines": src_lines(args.parent.resolve()),
+        parent = args.parent.resolve()
+        record["parent"] = {"src_dho_lines": src_lines(parent), "layers": layers(parent),
                             "runs": parent_runs}
     (REPO / f"BENCH_{args.pr}.json").write_text(
         json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    return 0 if all("result" in r for r in runs + parent_runs) else 1
+    ok = all("result" in r for r in runs + parent_runs)
+    ok = ok and "error" not in record["layers"] and "error" not in record.get(
+        "parent", {}).get("layers", {})
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ representation (lowercase exponents), CSV rows follow RFC 4180, and sweep row
 order is the lexicographic order of the configuration ranges regardless of the
 parallel execution order.  Exit codes: 2 parse error, 3 domain error (also an
 unserved quantity x engine pair, a non-finite parameter or a float overflow),
-4 convergence error (a partial result is still printed).
+4 convergence error (nothing is printed on stdout).
 """
 
 from __future__ import annotations
@@ -418,9 +418,7 @@ def main(argv=None) -> int:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ConvergenceError as exc:
-        if exc.value is not None:
-            _emit({"value": _json_number(exc.value),
-                   "error_estimate": _json_number(exc.error_estimate), "converged": False})
+        # its value, if any, is an inner integral's, not the quantity's
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
 

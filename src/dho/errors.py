@@ -26,7 +26,7 @@ class ParseError(DhoError, ValueError):
 class ConvergenceError(DhoError, RuntimeError):
     """Numerical integration failed to reach the requested tolerance.
 
-    Carries the best available estimate so callers can still report it.
+    value and error_estimate, if set, are the failed integral's, not the quantity's.
     """
 
     def __init__(self, message, value=None, error_estimate=None):

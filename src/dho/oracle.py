@@ -1,14 +1,15 @@
 """High-precision numerical integration engine.
 
 Gauss rules are the Gauss-Hermite, -Laguerre and -Gegenbauer rules of the
-PolySpec families, from specfun.gauss_nodes (Golub-Welsch nodes polished by
-Newton, confluent Christoffel-Darboux log weights), so extreme Laguerre
-parameters (alpha up to a few thousand) stay finite.  lq_integral, the
-weighted L_q integral of an orthonormal Hermite, Laguerre or Gegenbauer
-member, and polynomial_entropy share one family table: Gauss rules for
-integer q, vectorized tanh-sinh panels between the roots otherwise, with the
-member evaluated by specfun.panel_evaluator (a Taylor series about each
-interior panel's midpoint, the recurrence on the outer panels).  The adaptive
+PolySpec families, from specfun.gauss_nodes (Golub-Welsch nodes, confluent
+Christoffel-Darboux log weights), so extreme Laguerre parameters (alpha up
+to a few thousand) stay finite.  lq_integral, the weighted L_q integral of
+an orthonormal Hermite, Laguerre or Gegenbauer member, and
+polynomial_entropy share one family table: Gauss rules for integer q,
+vectorized tanh-sinh panels between the roots otherwise, with the member
+evaluated by specfun.panel_evaluator (a Taylor series about each interior
+panel's midpoint, the recurrence on the outer panels); a member's roots and
+evaluator are built once and kept in _MEMBER_CACHE.  The adaptive
 QUADPACK integrator serves only the independent oracle routes: it splits at
 supplied singular points and maps infinite tails by an exponential
 substitution.
@@ -34,13 +35,13 @@ DEFAULT_TOL = 1e-11
 RYDBERG_TOL = 1e-8  # for radial quantum numbers in the hundreds and beyond
 ABS_FLOOR = 1e-14
 # Highest degree the tanh-sinh panel kernels accept.  Their root finding and
-# Taylor start values grow as degree^2, the panel nodes as degree: the Hermite,
-# Laguerre and Gegenbauer entropy kernels and real-q lq_integral take 0.13-0.25
-# s at 800, 0.54-0.69 s at 2000 (peak RSS 116 MB) and 1.3-2.0 s at 4000 (161
-# MB; 2-core VM).
+# Taylor start values grow as degree^2, the panel nodes as degree: with fresh
+# caches the Hermite, Laguerre and Gegenbauer entropy kernels and real-q
+# lq_integral take 0.09-0.19 s at 800, 0.30-0.56 s at 2000 (peak RSS 116 MB)
+# and 0.8-1.4 s at 4000 (161 MB; 2-core VM).
 PANEL_MAX_DEGREE = 2000
-# Highest order gauss_rule builds; weighted_Lq_norm at q = 2 takes 0.65 s at
-# order 2002, 1.1 s at 4002, 3.8 s at 8002 and 8.8 s at 12000 (2-core VM).
+# Highest order gauss_rule builds; weighted_Lq_norm at q = 2 takes 0.21 s at
+# order 2002, 0.66 s at 4002, 2.5 s at 8002 and 4.7 s at 12000 (2-core VM).
 GAUSS_MAX_ORDER = 12000
 
 
@@ -298,7 +299,8 @@ def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
     npanel = len(mid)
-    prev = vals = None
+    prev = vals = total = None
+    diff = math.inf  # no estimate until two levels have run
     for level in range(4, max_level + 1):
         u, w, odd, reuse = _tanh_sinh_level(level)
         fresh = odd if vals is not None else np.ones_like(odd)
@@ -317,15 +319,28 @@ def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
             new[:, ~odd] = vals[:, reuse]
         vals = new
         total = float(np.sum((half[:, None] * w[None, :]) * vals))
-        if prev is not None and abs(total - prev) <= max(tol * abs(total), ABS_FLOOR):
-            return IntegralEstimate(total, abs(total - prev), len(mid) * len(u))
+        diff = math.inf if prev is None else abs(total - prev)
+        if diff <= max(tol * abs(total), ABS_FLOOR):
+            return IntegralEstimate(total, diff, len(mid) * len(u))
         prev = total
-    raise ConvergenceError("tanh-sinh refinement exhausted", value=prev,
-                           error_estimate=abs(total - prev))
+    raise ConvergenceError("tanh-sinh refinement exhausted", value=total, error_estimate=diff)
 
 
 # ---------------------------------------------------------------------------
 # weighted L_q integrals of orthonormal family members
+
+
+# (roots, panel evaluator) per PolySpec, built once for all of a member's
+# kernels.  sweep-rydberg uses 12 members (Laguerre up to degree 800), the
+# other workloads up to 134 small ones (degree <= 200).  A member of degree n
+# holds about 425 (n + 1) bytes: 27 MB for 32 at PANEL_MAX_DEGREE.
+_MEMBER_CACHE = BoundedCache(32)
+
+
+def _build_member(spec: PolySpec):
+    roots = specfun.poly_roots(spec) if spec.degree > 0 else np.array([])
+    roots.setflags(write=False)  # shared by every kernel of the member
+    return roots, specfun.panel_evaluator(spec, roots)
 
 
 def _root_panel_integral(spec: PolySpec, a: float, q: float, integrand,
@@ -367,8 +382,7 @@ def _root_panel_integral(spec: PolySpec, a: float, q: float, integrand,
         def log_weight(x):
             return -q * (x * x)
 
-    roots = specfun.poly_roots(spec) if n > 0 else np.array([])
-    evaluate = specfun.panel_evaluator(spec, roots)
+    roots, evaluate = _MEMBER_CACHE.get_or_compute(spec, lambda: _build_member(spec))
 
     def f_vec(x):
         m, sc = evaluate(x)

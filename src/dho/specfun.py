@@ -9,8 +9,8 @@ mantissa over a per-node log scale, so any degree and parameter stays finite.
 The scaled three-term recurrence (`_recurrence`, one coefficient table
 `_jacobi_coeffs`) costs O(n) per node.  It serves `eval_poly_scaled`, and
 `gauss_nodes` for roots and the Gauss-Hermite, -Laguerre and -Gegenbauer rules
-(Golub-Welsch eigenvalues polished by Newton, log weights from the confluent
-Christoffel-Darboux identity).
+(Golub-Welsch eigenvalues; one recurrence pass gives their Newton step and,
+through the confluent Christoffel-Darboux identity, their log weights).
 `scaled_evaluator` repeats its steps on one float, in the same bits, for the
 QUADPACK integrands that ask for one point at a time.  `panel_evaluator`
 serves the tanh-sinh kernels between consecutive roots at O(1) per node: a
@@ -43,6 +43,12 @@ FAMILIES = ("hermite", "laguerre", "gegenbauer")
 RECURRENCE_BLOCK = 32768
 # terms of the Taylor series panel_evaluator sums on each root panel
 TAYLOR_TERMS = 48
+# lowest degree at which panel_evaluator sums those series.  Entropy kernels,
+# fresh caches, best of 11 (2-core VM), series / recurrence: 15.5 / 11.9 ms at
+# degree 49, 34.7 / 33.6 at 80, 41.9 / 44.4 at 100, 55.2 / 70.5 at 128; end to
+# end 49 and 80 are level (sweep-rydberg ops/s, medians of 10 alternating
+# pairs: 49.6 at 80, 46.7 at 49; 80 faster in 5)
+TAYLOR_MIN_DEGREE = 80
 
 
 @dataclass(frozen=True)
@@ -196,33 +202,55 @@ def _recurrence(x, diag, off, n, log_mass, derivative=False):
     return p_cur, p_prev, d_cur, d_prev, logs
 
 
+def _second_derivative(spec: PolySpec, x, y, dy):
+    """y'' of spec from its ODE, given y and y' at x (mantissas of one scale)."""
+    n = spec.degree
+    if spec.family == "hermite":
+        return 2.0 * x * dy - 2.0 * n * y
+    if spec.family == "laguerre":
+        return ((x - spec.parameter - 1.0) * dy - n * y) / x
+    lam = spec.parameter
+    return ((2.0 * lam + 1.0) * x * dy - n * (n + 2.0 * lam) * y) / ((1.0 - x) * (1.0 + x))
+
+
 def gauss_nodes(spec: PolySpec, weights: bool = False):
     """Zeros of spec, ascending (Golub-Welsch): the nodes of its family's
     Gauss rule of order spec.degree.
 
-    Eigenvalues of the leading n x n Jacobi matrix get two capped Newton steps
-    on the recurrence (the ratio p/p' is free of the log scale).  With
-    `weights`, also returns the log Gauss weights from the confluent
-    Christoffel-Darboux identity 1/w = b_n (p_n' p_{n-1} - p_{n-1}' p_n),
-    which holds at any x and never leaves log space.
+    Eigenvalues of the leading n x n Jacobi matrix take one capped Newton
+    step from one derivative recurrence pass (p/p' is free of the log scale).
+    The same pass gives the log Gauss weights (returned with `weights`) by
+    the confluent Christoffel-Darboux identity 1/w = b_n (p_n' p_{n-1} -
+    p_{n-1}' p_n), which holds at any x and never leaves log space, with p_n,
+    p_n' and p_{n-1} carried to the new node to first order (p_n'' from the
+    ODE).  Nodes whose step exceeded 1e-14 of |x| (those near 0, where the
+    error is largest: about 50 of 2002 for Laguerre alpha = 1/2) take a
+    second Newton step, and their weights come from a third pass there.
     """
     from scipy.linalg import eigh_tridiagonal
 
     n = spec.degree
     diag, off = _jacobi_coeffs(spec, n + 1)
     log_mass = _log_weight_mass(spec)
-    x = eigh_tridiagonal(diag[:n], off[:n - 1], eigvals_only=True)
-    for _ in range(2):
-        p, _, dp, _, _ = _recurrence(x, diag, off, n, log_mass, derivative=True)
+
+    def newton(x, polish=True):
+        p, p1, dp, dp1, logs = _recurrence(x, diag, off, n, log_mass, derivative=True)
         step = np.where(dp != 0.0, p / np.where(dp == 0.0, 1.0, dp), 0.0)
         # Newton from eigenvalue starts is already near-converged; cap the move
         cap = 1e-6 * (1 + np.abs(x))
-        x = x - np.clip(step, -cap, cap)
-    x = np.sort(x)
-    if not weights:
-        return x
-    p, p1, dp, dp1, logs = _recurrence(x, diag, off, n, log_mass, derivative=True)
-    return x, -(np.log(off[n - 1] * (dp * p1 - dp1 * p)) + 2.0 * logs)
+        step = np.clip(step, -cap, cap) if polish else 0.0
+        dp_new = dp - step * _second_derivative(spec, x, p, dp)
+        christoffel = dp_new * (p1 - step * dp1) - dp1 * (p - step * dp)
+        return x - step, step, -(np.log(off[n - 1] * christoffel) + 2.0 * logs)
+
+    x, step, log_w = newton(eigh_tridiagonal(diag[:n], off[:n - 1], eigvals_only=True))
+    again = np.abs(step) > 1e-14 * np.abs(x)
+    if again.any():
+        x[again] = newton(x[again])[0]
+        if weights:
+            log_w[again] = newton(x[again], polish=False)[2]
+    order = np.argsort(x)
+    return (x[order], log_w[order]) if weights else x[order]
 
 
 def eval_poly_scaled(spec: PolySpec, x):
@@ -301,10 +329,10 @@ def panel_evaluator(spec: PolySpec, roots: np.ndarray):
     roots are spec's roots, ascending.  Interior panels that _taylor_panels
     serves evaluate a TAYLOR_TERMS-term series about their midpoint (O(1)
     work per node, found by searchsorted; a node on a root may take either
-    neighbour); every other node, and every node when the degree is at most
-    TAYLOR_TERMS, goes through eval_poly_scaled.
+    neighbour); every other node, and every node below TAYLOR_MIN_DEGREE,
+    goes through eval_poly_scaled.
     """
-    if spec.degree <= TAYLOR_TERMS:
+    if spec.degree < TAYLOR_MIN_DEGREE:
         return lambda x: eval_poly_scaled(spec, x)
     centre, half, coeffs, scale, taylor = _taylor_panels(spec, roots)
 

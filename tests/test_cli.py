@@ -266,15 +266,26 @@ def test_non_finite_value_is_refused(monkeypatch, capsys):
     assert out == ""
 
 
-def test_convergence_partial_record_writes_null_for_non_finite(monkeypatch, capsys):
+def test_convergence_error_prints_no_value(monkeypatch, capsys):
     def diverge(*args, **kwargs):
         raise cli.ConvergenceError("diverged", value=math.nan, error_estimate=math.inf)
 
     monkeypatch.setattr(cli.infomeasures, "fisher", diverge)
     assert cli.main(["compute", "--state", GROUND3, "--quantity", "fisher"]) == 4
-    out, _ = capsys.readouterr()
-    assert json.loads(out, parse_constant=_no_bare_constants) == {
-        "value": None, "error_estimate": None, "converged": False}
+    out, err = capsys.readouterr()
+    assert out == "" and err == "convergence error: diverged\n"
+
+
+def test_failed_kernel_value_is_not_printed_as_the_quantity(capsys):
+    # the radial entropy kernel cannot reach tol 1e-17; its partial integral
+    # (about -108) is not the Shannon value (8.7606...)
+    state = '{"kind":"hyper","D":3,"omega":1,"nr":60,"mu":[2,1]}'
+    argv = ["compute", "--state", state, "--quantity", "shannon"]
+    assert cli.main(argv + ["--tol", "1e-17"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err == "convergence error: tanh-sinh refinement exhausted\n"
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr()[0])["value"] == pytest.approx(8.7606353575, rel=1e-10)
 
 
 def test_closed_disequilibrium_at_high_l():

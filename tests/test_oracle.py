@@ -8,7 +8,7 @@ import pytest
 from scipy.special import gammaln
 
 from dho import oracle, specfun
-from dho.errors import DomainError, UnsupportedError
+from dho.errors import ConvergenceError, DomainError, UnsupportedError
 from dho.specfun import PolySpec
 
 
@@ -157,6 +157,100 @@ class TestGaussRules:
             assert np.array_equal(rule.nodes, nodes)
             assert np.array_equal(rule.log_weights, log_w)
             assert np.array_equal(rule.weights, np.exp(log_w))
+
+
+def _mp_node_and_log_weight(spec: PolySpec, x0: float):
+    """The node next to x0 and its log Gauss weight, in 40 digits: two Newton
+    steps on the orthonormal recurrence (the start is within ~1e-11), the
+    Christoffel sum 1/w = sum_{k<n} p_k^2 taken at the point of the second."""
+    n = spec.degree
+    with mp.workdps(40):
+        if spec.family == "hermite":
+            mass, a = mp.sqrt(mp.pi), None
+        elif spec.family == "laguerre":
+            a = mp.mpf(spec.parameter)
+            mass = mp.gamma(a + 1)
+        else:
+            a = mp.mpf(spec.parameter)
+            mass = mp.sqrt(mp.pi) * mp.gamma(a + 0.5) / mp.gamma(a + 1)
+        table = []
+        for k in range(1, n + 1):  # (diagonal of row k - 1, b_k)
+            if spec.family == "hermite":
+                table.append((0, mp.sqrt(mp.mpf(k) / 2)))
+            elif spec.family == "laguerre":
+                table.append((2 * k + a - 1, mp.sqrt(k * (k + a))))
+            else:
+                table.append((0, mp.sqrt(k * (k + 2 * a - 1) / ((k + a) * (k + a - 1))) / 2
+                              if k > 1 else mp.sqrt(2 / (1 + a)) / 2))
+        x = mp.mpf(x0)
+        for _ in range(2):
+            p_prev, p, d_prev, d, b_prev, christoffel = 0, 1 / mp.sqrt(mass), 0, 0, 0, 0
+            for diag, b in table:
+                christoffel += p * p
+                t = x - diag
+                d_prev, d = d, (t * d + p - b_prev * d_prev) / b
+                p_prev, p = p, (t * p - b_prev * p_prev) / b
+                b_prev = b
+            x -= p / d
+        return float(x), float(-mp.log(christoffel))
+
+
+# Largest relative node error and |log w| error at the nodes that
+# TestGaussNodesAgainstMpmath checks, of the rules built with two full Newton
+# passes and a weights pass at the final nodes.  The forward recurrence's
+# rounding grows about as n^2, and the small-x nodes carry it.
+THREE_PASS_ERRORS = {
+    ("laguerre", 139, 0.5): (5.2e-14, 1.14e-13), ("laguerre", 139, 3.7): (1.6e-14, 5.7e-14),
+    ("laguerre", 139, 6.5): (2.1e-14, 1.12e-13), ("laguerre", 400, 0.5): (1.26e-12, 4.1e-13),
+    ("laguerre", 400, 3.7): (3.7e-13, 3.23e-12), ("laguerre", 400, 6.5): (2.64e-13, 5.6e-13),
+    ("laguerre", 802, 0.5): (1.15e-12, 3.18e-12), ("laguerre", 802, 3.7): (1.48e-12, 4.21e-12),
+    ("laguerre", 802, 6.5): (4.0e-13, 2.72e-12), ("laguerre", 1602, 0.5): (1.14e-11, 2.09e-11),
+    ("laguerre", 1602, 3.7): (4.26e-12, 3.09e-11), ("laguerre", 1602, 6.5): (4.27e-12, 5.2e-11),
+    ("hermite", 400, None): (2.5e-16, 1.14e-13), ("hermite", 401, None): (0.0, 1.14e-13),
+    ("gegenbauer", 400, 0.5): (2.2e-16, 2.18e-12), ("gegenbauer", 401, 1.5): (0.0, 1.12e-12),
+}
+
+
+class TestGaussNodesAgainstMpmath:
+    @pytest.mark.parametrize("key", THREE_PASS_ERRORS, ids=lambda key: "-".join(map(str, key)))
+    def test_no_worse_than_the_three_pass_rule(self, key):
+        spec = PolySpec(*key)
+        n = spec.degree
+        nodes, log_w = specfun.gauss_nodes(spec, weights=True)
+        node_err, log_w_err = THREE_PASS_ERRORS[key]
+        ulp = np.finfo(float).eps
+        for i in sorted({0, 1, 2, 5, n // 3, n // 2, n - 2, n - 1}):
+            x, lw = _mp_node_and_log_weight(spec, float(nodes[i]))
+            # a 25% margin and one rounding of the value itself
+            assert abs(nodes[i] - x) <= (1.25 * node_err + ulp) * abs(x) + 1e-30, i
+            assert abs(log_w[i] - lw) <= 1.25 * log_w_err + ulp * max(1.0, abs(lw)), i
+
+
+class TestMemberCache:
+    def test_kernels_of_one_member_find_its_roots_once(self, monkeypatch):
+        built = []
+        build = specfun.gauss_nodes
+        monkeypatch.setattr(specfun, "gauss_nodes",
+                            lambda spec, weights=False: built.append(spec) or build(spec, weights))
+        monkeypatch.setattr(oracle, "_MEMBER_CACHE", oracle.BoundedCache(4))
+        monkeypatch.setattr(oracle, "_ENTROPY_CACHE", oracle.BoundedCache(4))
+        spec = PolySpec("laguerre", 120, 0.5)
+        entropy = oracle.polynomial_entropy(spec)
+        norms = [oracle.lq_integral(spec, q, 0.5) for q in (0.8, 1.7)]
+        assert built == [spec]
+        # the same values as from fresh members
+        monkeypatch.setattr(oracle, "_MEMBER_CACHE", oracle.BoundedCache(4))
+        assert oracle._entropy_kernel(spec, 0.0, oracle.default_tolerance()) == entropy
+        monkeypatch.setattr(oracle, "_MEMBER_CACHE", oracle.BoundedCache(4))
+        assert oracle.lq_integral(spec, 1.7, 0.5) == norms[1]
+
+    def test_member_cache_is_bounded(self, monkeypatch):
+        small = oracle.BoundedCache(3)
+        monkeypatch.setattr(oracle, "_MEMBER_CACHE", small)
+        for n in range(1, 10):
+            oracle.lq_integral(PolySpec("hermite", n), 0.7)
+            assert len(small) <= 3
+        assert list(small) == [PolySpec("hermite", n) for n in (7, 8, 9)]
 
 
 class TestBoundedCache:
@@ -362,8 +456,10 @@ class TestTaylorPanels:
                                               else 0.5))
             return out
 
+        monkeypatch.setattr(oracle, "_MEMBER_CACHE", oracle.BoundedCache(4))
         taylor = kernels()
-        monkeypatch.setattr(specfun, "TAYLOR_TERMS", spec.degree)  # recurrence everywhere
+        monkeypatch.setattr(oracle, "_MEMBER_CACHE", oracle.BoundedCache(4))
+        monkeypatch.setattr(specfun, "TAYLOR_MIN_DEGREE", spec.degree + 1)  # recurrence everywhere
         for got, ref in zip(taylor, kernels()):
             assert got == pytest.approx(ref, rel=1e-12)
 
@@ -480,6 +576,26 @@ class TestNestedLevels:
         got = np.concatenate(seen)
         assert np.array_equal(np.sort(got), np.sort(expected))
         assert got.size < 0.6 * final_x.size
+
+
+class TestExhaustedRefinement:
+    @staticmethod
+    def _fail(max_level):
+        # a jump inside the panel: each level gains about one binary digit
+        jump = lambda x: (np.asarray(x) > 0.3).astype(float)
+        with pytest.raises(ConvergenceError) as info:
+            oracle.integrate_panels_vectorized(jump, [0.0, 1.0], tol=1e-15,
+                                               max_level=max_level)
+        return info.value
+
+    def test_error_estimate_is_the_last_difference_between_levels(self):
+        before, last = self._fail(6), self._fail(7)
+        assert last.error_estimate == abs(last.value - before.value)
+        assert 0.0 < last.error_estimate < 1e-2
+        assert last.value == pytest.approx(0.7, abs=10 * last.error_estimate)
+
+    def test_one_level_gives_no_estimate(self):
+        assert self._fail(4).error_estimate == math.inf
 
 
 class TestConcurrency:
