@@ -17,7 +17,8 @@ speed drifts between runs.  Those runs and that checkout's line count go
 under "parent", and each run records its place in its pair ("order" 0 or
 1).  Each checkout also gets a "layers" section: build times measured in one
 process with fresh caches, best of LAYER_REPEATS (Gauss-Laguerre rules,
-a member's roots and tanh-sinh panel evaluator, one entropy kernel; see
+a member's roots and tanh-sinh panel evaluator, one entropy kernel, and
+single three-term-recurrence passes over 1 to 100000 nodes; see
 LAYER_CODE).  It records numbers only: it sets no bound and gates nothing.
 """
 
@@ -36,6 +37,7 @@ LAYER_REPEATS = 5
 # run in a checkout's root; uses only names that older checkouts also have
 LAYER_CODE = """
 import json, sys, time
+import numpy as np
 sys.path.insert(0, "src")
 from dho import oracle, specfun
 from dho.specfun import PolySpec
@@ -66,6 +68,21 @@ for n in (400, 800, 2000):
     out[f"member.laguerre_0.5.degree_{n}_s"] = best(lambda: member(n))
 out["polynomial_entropy.laguerre_0.5.degree_800_s"] = best(
     lambda: oracle.polynomial_entropy(PolySpec("laguerre", 800, 0.5)))
+
+def recurrence(n, x, derivative):
+    spec = PolySpec("laguerre", n, 0.5)
+    diag, off = specfun._jacobi_coeffs(spec, n + 1)
+    log_mass = specfun._log_weight_mass(spec)
+    return lambda: specfun._recurrence(x, diag, off, n, log_mass, derivative)
+
+from scipy.linalg import eigh_tridiagonal
+diag, off = specfun._jacobi_coeffs(PolySpec("laguerre", 1602, 0.5), 1602)
+starts = eigh_tridiagonal(diag, off, eigvals_only=True)  # gauss_nodes' first pass
+for size in (1602, 52, 1):  # 52: about the nodes its second pass takes, near 0
+    out[f"recurrence.laguerre_0.5.degree_1602.derivative_{size}_nodes_s"] = best(
+        recurrence(1602, starts[:size].copy(), True))
+out["recurrence.laguerre_0.5.degree_800.value_100000_nodes_s"] = best(
+    recurrence(800, np.linspace(0.0, 3400.0, 100000), False))
 print(json.dumps(out))
 """ % LAYER_REPEATS
 

@@ -208,20 +208,24 @@ def _bessel_norm_integral(alpha: float, beta: float, q: float, rtol: float) -> f
     def tail(T):
         return 2.0 * mean_cos * math.pi ** (-q) * T ** (p + 1.0) / (-(p + 1.0))
 
-    def compute(npanel):
-        zs = [(k + alpha / 2.0 - 0.25) * math.pi / 2.0 for k in range(1, npanel + 1)]
-        zs = [z for z in zs if z > 0]
-        total, _ = quad(f, 0.0, zs[0], limit=200)
-        for a, b in zip(zs[:-1], zs[1:]):
-            v, _ = quad(f, a, b, limit=50)
-            total += v
-        return total + tail(zs[-1])
-
-    value = compute(512)
-    for npanel in (1024, 2048, 4096):
-        prev, value = value, compute(npanel)
-        if abs(value - prev) <= rtol * abs(value):
+    # the panels up to the k-th boundary, summed in order; each doubling of
+    # the panel count adds only the new panels to the running sum
+    total, end, done, prev = 0.0, None, 0, None
+    for npanel in (512, 1024, 2048, 4096):
+        for k in range(done + 1, npanel + 1):
+            z = (k + alpha / 2.0 - 0.25) * math.pi / 2.0
+            if z > 0:
+                if end is None:
+                    total, _ = quad(f, 0.0, z, limit=200)
+                else:
+                    v, _ = quad(f, end, z, limit=50)
+                    total += v
+                end = z
+        done = npanel
+        value = total + tail(end)
+        if prev is not None and abs(value - prev) <= rtol * abs(value):
             break
+        prev = value
     return value
 
 

@@ -531,9 +531,11 @@ def disequilibrium_angular_3j(l: int, m: int) -> float:
 def disequilibrium(state: HyperState, engine: str = ENGINE_CLOSED,
                    tol: float | None = None) -> MeasureValue:
     """int rho^2 over position space, served as exp(-R_2[rho]) with R_2's engine
-    tag and error estimate; the closed R_2 is exact (Gauss-Laguerre x
+    tag; an error d in R_2 is one of about exp(-R_2) d in the value, so that is
+    the error estimate.  The closed R_2 is exact (Gauss-Laguerre x
     Gauss-Gegenbauer).  disequilibrium_radial x disequilibrium_angular (and the 3j
     route at D = 3) are the paper's product forms, compared in validate."""
     r2 = renyi_hyperspherical(state, 2.0, Space.POSITION, engine, tol=tol)
-    return MeasureValue(math.exp(-r2.value), Space.POSITION, r2.engine,
-                        error_estimate=r2.error_estimate)
+    value = math.exp(-r2.value)
+    error = None if r2.error_estimate is None else value * r2.error_estimate
+    return MeasureValue(value, Space.POSITION, r2.engine, error_estimate=error)

@@ -37,11 +37,12 @@ ABS_FLOOR = 1e-14
 # Highest degree the tanh-sinh panel kernels accept.  Their root finding and
 # Taylor start values grow as degree^2, the panel nodes as degree: with fresh
 # caches the Hermite, Laguerre and Gegenbauer entropy kernels and real-q
-# lq_integral take 0.09-0.19 s at 800, 0.30-0.56 s at 2000 (peak RSS 116 MB)
-# and 0.8-1.4 s at 4000 (161 MB; 2-core VM).
+# lq_integral take 0.05-0.10 s at 800, 0.21-0.39 s at 2000 (peak RSS 116 MB)
+# and 0.6-1.0 s at 4000 (161 MB; 2-core VM, best of 3).
 PANEL_MAX_DEGREE = 2000
-# Highest order gauss_rule builds; weighted_Lq_norm at q = 2 takes 0.21 s at
-# order 2002, 0.66 s at 4002, 2.5 s at 8002 and 4.7 s at 12000 (2-core VM).
+# Highest order gauss_rule builds; weighted_Lq_norm at q = 2 takes 0.13 s at
+# order 2002, 0.47 s at 4002, 1.8 s at 8002 and 4.1 s at 12000 (2-core VM,
+# best of 3; the tridiagonal eigenvalues are about half of it from 4002 up).
 GAUSS_MAX_ORDER = 12000
 
 

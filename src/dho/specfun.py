@@ -176,30 +176,68 @@ def _recurrence(x, diag, off, n, log_mass, derivative=False):
     """Orthonormal p_n, p_{n-1}, p_n', p_{n-1}' at x by the three-term recurrence.
 
     Returns the four mantissas and their one shared per-node log scale
-    (value = mantissa * exp(scale)).  Whenever |p_n| (or, with `derivative`,
-    |p_n'|) passes 1e120 the mantissas are divided down and the scale grows,
-    so any degree and parameter stays finite.  Without `derivative` the
-    derivative mantissas are 0.
+    (value = mantissa * exp(scale)), each shaped like x.  Whenever |p_n| (or,
+    with `derivative`, max(|p_n|, |p_n'|)) passes 1e120 the mantissas are
+    divided down and the scale grows, so any degree and parameter stays
+    finite.  Without `derivative` the derivative mantissas are the scalar 0.
+
+    A step is a fixed handful of numpy calls written in place into buffers
+    made once, since the per-call overhead, not the arithmetic, is the cost
+    at the few dozen nodes of most calls.  With `derivative` one array holds
+    p then p', so one call updates both (x is laid out twice to match), and
+    the coefficients enter as 0-d array views, which a ufunc takes faster
+    than a float.  Each node sees the operations of the textbook loop on the
+    same operands in the same order, so the bits do not depend on the layout.
     """
-    logs = np.full_like(x, -0.5 * log_mass)
-    p_cur = np.ones_like(x)
-    p_prev = d_prev = d_cur = 0.0  # scalar zeros: cheaper than arrays for one node
-    # no named temporaries: x may hold millions of nodes (tanh-sinh panels)
+    shape, m = x.shape, x.size
+    x = x.reshape(-1)
+    prev_shift = cur_shift = None
+    if derivative:
+        # a state block is -0.0, p, p' (m nodes each); the state is its last
+        # two thirds, and its first two thirds line -0.0 up with p and p with
+        # p', so one add forms [t p, t p' + p] (adding -0.0 changes no bit)
+        x = np.concatenate((x, x))
+        blocks = np.zeros((2, 3 * m))
+        blocks[:, :m] = -0.0
+        prev, cur = blocks[:, m:]
+        prev_shift, cur_shift = blocks[:, :2 * m]
+    else:
+        prev, cur = np.zeros((2, m))
+    cur[:m] = 1.0
+    logs = np.full(m, -0.5 * log_mass)
+    t, sizes = np.empty(x.size), np.empty(x.size)
+    size = np.empty(m) if derivative else sizes
+    size_p, size_d, big = sizes[:m], sizes[m:], np.empty(m, bool)
+    subtract, multiply, add, divide = np.subtract, np.multiply, np.add, np.divide
+    limit, b_prev = np.array(1e120), np.array(0.0)
     for k in range(n):
-        b_next = off[k]
-        b_prev = off[k - 1] if k > 0 else 0.0
+        b_next = off[k, ...]
+        # ((x - a_k) cur (+ [0, p]) - b_{k-1} prev) / b_k, into prev's buffer
+        subtract(x, diag[k, ...], t)
+        multiply(t, cur, t)
         if derivative:
-            d_prev, d_cur = d_cur, ((x - diag[k]) * d_cur + p_cur - b_prev * d_prev) / b_next
-        p_prev, p_cur = p_cur, ((x - diag[k]) * p_cur - b_prev * p_prev) / b_next
-        big = (np.maximum(np.abs(p_cur), np.abs(d_cur)) if derivative
-               else np.abs(p_cur)) > 1e120
-        if np.any(big):
-            sc = np.where(big, np.maximum(np.abs(p_cur), np.abs(d_cur)), 1.0)
-            p_prev, p_cur = p_prev / sc, p_cur / sc
+            add(t, cur_shift, t)
+        multiply(b_prev, prev, prev)
+        subtract(t, prev, t)
+        divide(t, b_next, prev)
+        prev, cur, prev_shift, cur_shift = cur, prev, cur_shift, prev_shift
+        np.absolute(cur, sizes)
+        if derivative:
+            np.maximum(size_p, size_d, out=size)  # keyword: positional out is slow here
+        # count_nonzero: a fifth of the call cost of .any() at one node
+        if np.count_nonzero(np.greater(size, limit, big)):
+            sc = np.where(big, size, 1.0)
+            logs += np.log(sc)
             if derivative:
-                d_prev, d_cur = d_prev / sc, d_cur / sc
-            logs = logs + np.log(sc)
-    return p_cur, p_prev, d_cur, d_prev, logs
+                sc = np.concatenate((sc, sc))
+            prev /= sc
+            cur /= sc
+        b_prev = b_next
+    logs = logs.reshape(shape)
+    if not derivative:
+        return cur.reshape(shape), prev.reshape(shape), 0.0, 0.0, logs
+    return (cur[:m].reshape(shape), prev[:m].reshape(shape), cur[m:].reshape(shape),
+            prev[m:].reshape(shape), logs)
 
 
 def _second_derivative(spec: PolySpec, x, y, dy):

@@ -180,6 +180,21 @@ class TestRydbergEntropies:
         assert asy.bessel_norm_constant(0.5, -0.5, 2.0) == pytest.approx(
             1.0 / math.pi, rel=1e-8)
 
+    def test_bessel_constant_integrates_each_panel_once(self, monkeypatch):
+        bounds, quad = [], asy.quad
+
+        def counted(f, a, b, **kwargs):
+            bounds.append((a, b))
+            return quad(f, a, b, **kwargs)
+
+        monkeypatch.setattr(asy, "quad", counted)
+        value = asy._bessel_norm_integral(0.5, -0.5, 3.0, 1e-8)
+        # the panel count doubles from 512 until the value settles
+        assert len(bounds) in (1024, 2048, 4096)
+        assert len(set(bounds)) == len(bounds)
+        assert all(b0[1] == b1[0] for b0, b1 in zip(bounds, bounds[1:]))
+        assert value == pytest.approx(0.10881702767803182, rel=1e-15)
+
     def test_requires_d_above_2(self):
         with pytest.raises(UnsupportedError):
             asy.rydberg_norm_asymptotic(100, 0, 2, 2.0)

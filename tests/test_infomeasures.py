@@ -340,6 +340,14 @@ class TestDisequilibrium:
             r2 = im.renyi_hyperspherical(st_, 2.0).value
             assert math.exp(-r2) == pytest.approx(d, rel=1e-9)
 
+    @pytest.mark.parametrize("omega", [1.0, 50.0])
+    def test_error_estimate_is_carried_through_the_exponential(self, omega):
+        st_ = hyper(omega, 3, 2, 1, 0)
+        d = im.disequilibrium(st_, engine=ENGINE_ORACLE)
+        r2 = im.renyi_hyperspherical(st_, 2.0, engine=ENGINE_ORACLE)
+        assert r2.error_estimate > 0.0
+        assert d.error_estimate == d.value * r2.error_estimate
+
     def test_omega_scaling(self):
         base = im.disequilibrium(hyper(1.0, 3, 1, 1, 1)).value
         scaled = im.disequilibrium(hyper(2.0, 3, 1, 1, 1)).value

@@ -114,6 +114,76 @@ def test_float_evaluator_is_bit_identical_to_eval_poly_scaled(family, param, deg
         assert len(set(logs.tolist())) > 1  # the rescale fired
 
 
+def _reference_recurrence(x, diag, off, n, log_mass, derivative=False):
+    """The loop _recurrence replaced, one temporary per operation: the same
+    operations on the same operands in the same order."""
+    logs = np.full_like(x, -0.5 * log_mass)
+    p_cur = np.ones_like(x)
+    p_prev = d_prev = d_cur = 0.0
+    for k in range(n):
+        b_next = off[k]
+        b_prev = off[k - 1] if k > 0 else 0.0
+        if derivative:
+            d_prev, d_cur = d_cur, ((x - diag[k]) * d_cur + p_cur - b_prev * d_prev) / b_next
+        p_prev, p_cur = p_cur, ((x - diag[k]) * p_cur - b_prev * p_prev) / b_next
+        big = (np.maximum(np.abs(p_cur), np.abs(d_cur)) if derivative
+               else np.abs(p_cur)) > 1e120
+        if np.any(big):
+            sc = np.where(big, np.maximum(np.abs(p_cur), np.abs(d_cur)), 1.0)
+            p_prev, p_cur = p_prev / sc, p_cur / sc
+            if derivative:
+                d_prev, d_cur = d_prev / sc, d_cur / sc
+            logs = logs + np.log(sc)
+    return p_cur, p_prev, d_cur, d_prev, logs
+
+
+def _bits(value, shape):
+    """value broadcast to shape, as its 64-bit patterns (tells -0.0 from 0.0)."""
+    return np.ascontiguousarray(np.broadcast_to(np.asarray(value, dtype=float),
+                                                shape)).view(np.uint64)
+
+
+# laguerre alpha 0 and 1 start the log scale at -0.0; degree 2000 out to
+# x = 8000 and alpha = 3000 rescale at most steps
+@pytest.mark.parametrize("family, param, degree", [
+    ("hermite", None, 0), ("hermite", None, 1), ("hermite", None, 401),
+    ("laguerre", 0.0, 1), ("laguerre", 0.0, 300), ("laguerre", 1.0, 300),
+    ("laguerre", 0.5, 2000), ("laguerre", 3000.0, 400),
+    ("gegenbauer", 0.5, 200), ("gegenbauer", 3.5, 801)])
+@pytest.mark.parametrize("derivative", [False, True])
+def test_recurrence_is_the_reference_loop_bit_for_bit(family, param, degree, derivative):
+    spec = PolySpec(family, degree, param)
+    if family == "hermite":
+        hi = math.sqrt(2.0 * degree + 1.0) + 1.0
+        lo = -hi
+    elif family == "laguerre":
+        lo, hi = 0.0, 4.0 * degree + 2.0 * param + 2.0
+    else:
+        lo, hi = -1.0, 1.0
+    far = np.logspace(-3, 100, 12)
+    x = np.concatenate([np.linspace(lo, hi, 41), lo - far, hi + far,
+                        [-0.0, math.nan, math.inf, -math.inf]])
+    diag, off = specfun._jacobi_coeffs(spec, max(degree + 1, 2))
+    log_mass = specfun._log_weight_mass(spec)
+    with np.errstate(invalid="ignore"):  # inf / inf at the inf nodes
+        for nodes in (x, x[:-1].reshape(2, -1), x[:1], x[-4:-3], x[-3:-2], x[-2:-1], x[:0]):
+            got = specfun._recurrence(nodes, diag, off, degree, log_mass, derivative)
+            ref = _reference_recurrence(nodes, diag, off, degree, log_mass, derivative)
+            for g, r in zip(got, ref):
+                assert np.array_equal(_bits(g, nodes.shape), _bits(r, nodes.shape))
+        if degree >= 300:  # the rescale fired
+            assert len(set(specfun._recurrence(x, diag, off, degree, log_mass)[4][:-4])) > 1
+        if derivative:
+            return
+        mant, logs = specfun.eval_poly_scaled(spec, x)
+        evaluate = specfun.scaled_evaluator(spec)
+        scalar = np.array([evaluate(v) for v in x.tolist()])
+    assert np.array_equal(_bits(scalar[:, 0], x.shape), _bits(mant, x.shape))
+    # equal as numbers: a rescale anywhere in an array adds log 1 = +0.0 to
+    # every node's scale, so a -0.0 start there reads +0.0
+    assert np.array_equal(scalar[:, 1], logs, equal_nan=True)
+
+
 class TestRoots:
     def test_hermite_n1(self):
         roots = specfun.poly_roots(PolySpec("hermite", 1))
