@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from scipy.integrate import quad
 from scipy.special import gammaln, jv
 
-from . import infomeasures, oracle, specfun
+from . import infomeasures, oracle, specfun, states
 from .errors import DomainError, UnsupportedError, refuse_overflow
 from .states import HyperState, Space
 
@@ -268,7 +268,8 @@ def rydberg_norm_asymptotic(n_r: int, l: int, D: int, q: float) -> tuple[float, 
 def rydberg_renyi(state: HyperState, q: float, space: Space = Space.POSITION,
                   tol: float | None = None) -> AsymptoticValue:
     """-ln 2 + ln N_asymp / (1-q) + angular Renyi entropy, -+ (D/2) ln omega:
-    radial_renyi with the weighted Laguerre norm replaced by its asymptote."""
+    the closed Renyi entropy with its radial Laguerre lq_integral (the
+    weighted norm N of oracle.weighted_Lq_norm) replaced by its asymptote."""
     D = state.spec.dim
     _require_excited(state.n_r)
     norm, regime = rydberg_norm_asymptotic(state.n_r, state.l, D, q)
@@ -330,16 +331,13 @@ def highdim_shannon_components(state: HyperState) -> dict:
 
 def _log_etilde(state: HyperState) -> float:
     """ln of the Gegenbauer parameter product; factors with mu_j = mu_{j+1} are 1."""
-    D = state.spec.dim
     total = 0.0
-    mu = [abs(state.mu[i]) if i == len(state.mu) - 1 else state.mu[i]
-          for i in range(len(state.mu))]
-    for j in range(1, D - 1):
-        mj, mj1 = mu[j - 1], mu[j]
-        if mj == mj1:
+    for j in range(1, state.spec.dim - 1):
+        aj, deg, mj1 = states.angular_factor_params(state, j)
+        if deg == 0:
             continue
-        aj = (D - j - 1) / 2.0
-        total += (2.0 * (mj - mj1) * math.log(aj + mj1)
+        mj = mj1 + deg
+        total += (2.0 * deg * math.log(aj + mj1)
                   + gammaln(2 * aj + 2 * mj1) - gammaln(2 * aj + mj1 + mj)
                   + gammaln(aj + mj1) - gammaln(aj + mj))
     return total
@@ -347,10 +345,8 @@ def _log_etilde(state: HyperState) -> float:
 
 def _log_mtilde(state: HyperState, q: float) -> float:
     """ln of the degree product; the pi powers of equal-mu factors cancel."""
-    D = state.spec.dim
-    mu = [abs(state.mu[i]) if i == len(state.mu) - 1 else state.mu[i]
-          for i in range(len(state.mu))]
-    nonzero = [(mu[j - 1] - mu[j]) for j in range(1, D - 1) if mu[j - 1] != mu[j]]
+    degrees = [states.angular_factor_params(state, j)[1] for j in range(1, state.spec.dim - 1)]
+    nonzero = [d for d in degrees if d != 0]
     total = q * (state.l - abs(state.m)) * math.log(4.0)
     total -= 0.5 * len(nonzero) * math.log(math.pi)
     for d in nonzero:

@@ -1,20 +1,22 @@
 """Fisher information, Shannon / Renyi entropies, and disequilibrium.
 
-Cartesian and hyperspherical Renyi and Shannon values share two oracle
-kernels: `lq_integral` (exact Gauss rules for integer q, so integer-order Renyi
-values are tagged `closed`) and `polynomial_entropy`.  The Shannon
-decompositions are exact identities whose entropy kernels are numeric (no
-closed forms exist), so Shannon values carry the `oracle` tag.  The paper's
-Cartesian forms (Hermite-root sums, finite Lauricella sum) lose digits in
-float64 from moderate degree; `dho validate` compares them with the served
-values.  Every served route has an independent density-integral oracle.
+Closed Shannon and Renyi values of Cartesian and hyperspherical states come
+from one product decomposition (`_factors`) into orthonormal Hermite, Laguerre
+and Gegenbauer members and two oracle kernels per member: `lq_integral` (exact
+Gauss rules for integer q, so integer-order Renyi values are tagged `closed`)
+and `polynomial_entropy`, numeric (no closed forms exist), so Shannon values
+carry the `oracle` tag.  The paper's Cartesian forms (Hermite-root sums, finite
+Lauricella sum) lose digits in float64 from moderate degree; `dho validate`
+compares them with the served values.  Every served route has an independent
+density-integral oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -43,9 +45,6 @@ class RenyiOrder:
         if not self.q > 0.5:
             raise DomainError("conjugate order needs q > 1/2")
         return self.q / (2.0 * self.q - 1.0)
-
-    def beta(self, D: float) -> float:
-        return (self.q - 1.0) * (1.0 - D / 2.0)
 
 
 @dataclass(frozen=True)
@@ -86,7 +85,8 @@ def _fisher_from_moments(state: HyperState, space: Space, oracle_engine: bool) -
 
 
 # ---------------------------------------------------------------------------
-# Hermite entropy: the paper's root-sum form, compared in validate
+# Hermite entropy: the paper's root-sum form, compared in validate, and the
+# QUADPACK axis entropy of the Cartesian oracle engine
 
 
 def hermite_entropy(n: int) -> float:
@@ -139,10 +139,6 @@ def _axis_root_sums(n: int) -> float:
     return -2.0 * s22 + s11
 
 
-# ---------------------------------------------------------------------------
-# Shannon entropy, Cartesian route
-
-
 @lru_cache(maxsize=256)
 def _axis_shannon_std(n: int, tol: float) -> float:
     """Oracle entropy of the unit-width 1-D density for degree n."""
@@ -162,40 +158,83 @@ def _axis_shannon_std(n: int, tol: float) -> float:
     return est.value
 
 
-def shannon_cartesian(state: CartesianState, space: Space = Space.POSITION,
-                      engine: str = ENGINE_CLOSED,
-                      tol: float | None = None) -> MeasureValue:
-    """Shannon entropy of a Cartesian state in either space.
+# ---------------------------------------------------------------------------
+# the product decomposition behind the closed Shannon and Renyi values
 
-    Per axis the unit-width entropy splits exactly as <t^2> - int rho ln y^2
-    = n + 1/2 + polynomial_entropy(hermite n); like hyperspherical Shannon,
-    the 'closed' engine assembles that split from the numeric entropy kernel
-    and carries the oracle tag.  'oracle' integrates each axis density by
-    QUADPACK.
-    """
-    if tol is None:
-        tol = oracle.default_tolerance()
+
+class _Factor(NamedTuple):
+    """An orthonormal member, its lq_integral weight exponent a0 + a1 q - a2
+    (summed in the order that keeps the bits of D/2 + l q - 1 and
+    q mu_{j+1} + alpha_j - 1/2) and shift(), the exact term beside its Shannon
+    entropy kernel; only Shannon requests call it (digamma loads scipy.special)."""
+
+    spec: PolySpec
+    a0: float
+    a1: int
+    a2: float
+    shift: Callable[[], float]
+
+
+def _factors(state) -> tuple[float, list[_Factor]]:
+    """(constant, factors) of the unit-width density.  Cartesian: a Hermite
+    member per axis (shift n + 1/2), constant 0.  Hyperspherical: the radial
+    Laguerre member (shift 2 n_r + l + D/2 - l psi(n_r + l + D/2)), then a
+    Gegenbauer member per angle j (shift -mu_{j+1} <ln(1 - x^2)>), constant
+    ln pi: the azimuth's ln 2 pi less the ln 2 of the radial variable x = r^2."""
+    if isinstance(state, CartesianState):
+        return 0.0, [_Factor(PolySpec("hermite", n), 0.0, 0, 0.0, lambda n=n: n + 0.5)
+                     for n in state.n]
+    D, l, nr = state.spec.dim, state.l, state.n_r
+    factors = [_Factor(PolySpec("laguerre", nr, state.alpha), D / 2.0, l, 1.0,
+                       lambda: 2 * nr + l + D / 2.0 - l * specfun.digamma(nr + l + D / 2.0))]
+    for j in range(1, D - 1):
+        aj, deg, mj1 = states.angular_factor_params(state, j)
+        factors.append(_Factor(PolySpec("gegenbauer", deg, aj + mj1), aj, mj1, 0.5,
+                               partial(_angular_shift, aj, deg + mj1, mj1)))
+    return math.log(math.pi), factors
+
+
+def _angular_shift(aj: float, mj: int, mj1: int) -> float:
+    """-mu_{j+1} <ln(1 - x^2)> of angular factor j (mu_j = mj, mu_{j+1} = mj1)."""
+    return -mj1 * 2.0 * (specfun.digamma(2 * aj + mj + mj1) - specfun.digamma(aj + mj)
+                         - math.log(2.0) - 1.0 / (2.0 * (aj + mj)))
+
+
+def _in_float_range(value: float, name: str) -> float:
+    """value, refused when it has left the float range (0 or inf) at this q."""
+    if value == 0.0 or value == math.inf:
+        raise UnsupportedError(f"{name} = {value!r} leaves the float range at this q")
+    return value
+
+
+def _log_lq(f: _Factor, q: float, tol: float | None) -> float:
+    """ln lq_integral of the factor; one that leaves the float range is refused."""
+    return math.log(_in_float_range(
+        oracle.lq_integral(f.spec, q, f.a0 + f.a1 * q - f.a2, tol=tol),
+        f"the {f.spec.family.capitalize()} lq_integral of degree {f.spec.degree}"))
+
+
+def _product_sum(constant: float, factors: list[_Factor], q: float | None,
+                 tol: float | None) -> float:
+    """constant plus, over the factors, shift + entropy kernel (Shannon, q None)
+    or ln lq_integral / (1 - q) (Renyi).  A degree-0 member is a constant, whose
+    entropy kernel is exactly its log weight mass."""
+    if q is None:
+        return math.fsum([constant] + [
+            f.shift() + (specfun._log_weight_mass(f.spec) if f.spec.degree == 0
+                         else oracle.polynomial_entropy(f.spec, tol=tol)) for f in factors])
+    return math.fsum([constant, math.fsum(_log_lq(f, q, tol) for f in factors) / (1.0 - q)])
+
+
+def _closed(state, space: Space, q: float | None, tol: float | None) -> float:
+    """The closed Shannon (q None) or Renyi entropy: constant - (D/2) ln w + the sum."""
+    constant, factors = _factors(state)
     w = states.width(state, space)
-    if engine == ENGINE_CLOSED:
-        value = math.fsum(n + 0.5 + oracle.polynomial_entropy(PolySpec("hermite", n), tol=tol)
-                          - 0.5 * math.log(w) for n in state.n)
-        return MeasureValue(value, space, ENGINE_ORACLE,
-                            error_estimate=tol * max(1.0, abs(value)))
-    if engine == ENGINE_ORACLE:
-        value = math.fsum(_axis_shannon_std(n, tol) - 0.5 * math.log(w)
-                          for n in state.n)
-        return MeasureValue(value, space, ENGINE_ORACLE, error_estimate=tol * state.spec.dim)
-    raise DomainError(f"unknown engine {engine!r}")
+    return _product_sum(constant - (state.spec.dim / 2.0) * math.log(w), factors, q, tol)
 
 
 # ---------------------------------------------------------------------------
-# angular machinery shared by Shannon / Renyi / disequilibrium
-
-
-def _angular_factors(state: HyperState):
-    """(alpha_j, degree, mu_{j+1}) for j = 1..D-2 (|m| convention on the last)."""
-    return [states.angular_factor_params(state, j)
-            for j in range(1, state.spec.dim - 1)]
+# angular entropies and moments, from the angular factors
 
 
 def angular_shannon_swave(D: int) -> float:
@@ -205,37 +244,9 @@ def angular_shannon_swave(D: int) -> float:
     return math.log(2.0) + (D / 2.0) * math.log(math.pi) - gammaln(D / 2.0)
 
 
-def _gegenbauer_entropy(degree: int, lam: float, tol: float | None) -> float:
-    spec = PolySpec("gegenbauer", degree, lam)
-    if degree == 0:
-        # constant orthonormal polynomial: entropy is the log weight mass
-        return specfun._log_weight_mass(spec)
-    return oracle.polynomial_entropy(spec, tol=tol)
-
-
-def angular_log_moment_constant(state: HyperState) -> float:
-    """B_1: ln 2 pi minus the exact <ln(1-x^2)> log-moments of the factors."""
-    total = math.log(2.0 * math.pi)
-    D = state.spec.dim
-    for j, (aj, deg, mj1) in enumerate(_angular_factors(state), start=1):
-        if mj1 == 0:
-            continue
-        mj = deg + mj1
-        bracket = (specfun.digamma(2 * aj + mj + mj1) - specfun.digamma(aj + mj)
-                   - math.log(2.0) - 1.0 / (2.0 * (aj + mj)))
-        total -= 2.0 * mj1 * bracket
-    return total
-
-
 def angular_shannon(state: HyperState, tol: float | None = None) -> float:
-    """Entropy of the angular density: B_1 plus the Gegenbauer entropy kernels."""
-    D = state.spec.dim
-    if D == 2:
-        return math.log(2.0 * math.pi)
-    total = angular_log_moment_constant(state)
-    for aj, deg, mj1 in _angular_factors(state):
-        total += _gegenbauer_entropy(deg, aj + mj1, tol)
-    return total
+    """Entropy of the angular density: ln 2 pi + the angular factors' shifts and kernels."""
+    return _product_sum(math.log(2.0 * math.pi), _factors(state)[1][1:], None, tol)
 
 
 def angular_shannon_direct(state: HyperState, tol: float | None = None) -> float:
@@ -261,45 +272,51 @@ def angular_shannon_direct(state: HyperState, tol: float | None = None) -> float
     return total
 
 
-def _in_float_range(value: float, name: str) -> float:
-    """value, refused when it has left the float range (0 or inf) at this q."""
-    if value == 0.0 or value == math.inf:
-        raise UnsupportedError(f"{name} = {value!r} leaves the float range at this q")
-    return value
-
-
 def angular_entropic_moment(state: HyperState, q: float,
                             tol: float | None = None) -> float:
-    """Lambda_q = int |Y|^(2q) dOmega: one Gegenbauer lq_integral per factor
-    (integer q exact by Gauss-Gegenbauer).  A factor or a Lambda_q that leaves the
-    float range raises UnsupportedError."""
+    """Lambda_q = int |Y|^(2q) dOmega: one Gegenbauer lq_integral per angular
+    factor (integer q exact by Gauss-Gegenbauer).  A factor or a Lambda_q that
+    leaves the float range raises UnsupportedError."""
     if q <= 0:
         raise DomainError("q must be positive")
-    log_val = (1.0 - q) * math.log(2.0 * math.pi)
-    for aj, deg, mj1 in _angular_factors(state):
-        spec = PolySpec("gegenbauer", deg, aj + mj1)
-        log_val += math.log(_in_float_range(
-            oracle.lq_integral(spec, q, q * mj1 + aj - 0.5, tol=tol), "an angular lq_integral"))
+    log_val = sum((_log_lq(f, q, tol) for f in _factors(state)[1][1:]),
+                  (1.0 - q) * math.log(2.0 * math.pi))
     return _in_float_range(math.exp(log_val), "Lambda_q")
 
 
 def angular_renyi(state: HyperState, q: float, tol: float | None = None) -> float:
-    return math.log(angular_entropic_moment(state, q, tol=tol)) / (1.0 - q)
+    """ln Lambda_q / (1 - q), summed in log space so that a Lambda_q beyond
+    the float range is no obstacle."""
+    return _product_sum(math.log(2.0 * math.pi), _factors(state)[1][1:], q, tol)
 
 
 # ---------------------------------------------------------------------------
-# Shannon entropy, hyperspherical route
+# Shannon entropies
 
 
-def radial_shannon_assembled(state: HyperState, space: Space,
-                             tol: float | None = None) -> float:
-    """Radial Shannon entropy by the exact decomposition; the Laguerre entropy
-    kernel is numeric."""
-    D, l, nr = state.spec.dim, state.l, state.n_r
+def shannon_cartesian(state: CartesianState, space: Space = Space.POSITION,
+                      engine: str = ENGINE_CLOSED,
+                      tol: float | None = None) -> MeasureValue:
+    """Shannon entropy of a Cartesian state in either space.
+
+    Per axis the unit-width entropy splits exactly as <t^2> - int rho ln y^2
+    = n + 1/2 + polynomial_entropy(hermite n); like hyperspherical Shannon,
+    the 'closed' engine assembles that split from the numeric entropy kernel
+    and carries the oracle tag.  'oracle' integrates each axis density by
+    QUADPACK.
+    """
+    if tol is None:
+        tol = oracle.default_tolerance()
     w = states.width(state, space)
-    ent = oracle.polynomial_entropy(PolySpec("laguerre", nr, state.alpha), tol=tol)
-    return (2 * nr + l + D / 2.0 - math.log(2.0)
-            - l * specfun.digamma(nr + l + D / 2.0) + ent - (D / 2.0) * math.log(w))
+    if engine == ENGINE_CLOSED:
+        value = _closed(state, space, None, tol)
+        return MeasureValue(value, space, ENGINE_ORACLE,
+                            error_estimate=tol * max(1.0, abs(value)))
+    if engine == ENGINE_ORACLE:
+        value = math.fsum(_axis_shannon_std(n, tol) - 0.5 * math.log(w)
+                          for n in state.n)
+        return MeasureValue(value, space, ENGINE_ORACLE, error_estimate=tol * state.spec.dim)
+    raise DomainError(f"unknown engine {engine!r}")
 
 
 def radial_shannon_direct(state: HyperState, space: Space,
@@ -316,15 +333,14 @@ def shannon_hyperspherical(state: HyperState, space: Space = Space.POSITION,
     """Total Shannon entropy; both routes carry the oracle tag because the
     polynomial-entropy kernels have no known closed forms.
 
-    engine 'closed' assembles the exact decomposition (radial ladder constant
-    plus entropy kernels plus angular constant); 'oracle' integrates the
+    engine 'closed' assembles the exact decomposition (the shifts and entropy
+    kernels of the radial and angular factors); 'oracle' integrates the
     densities directly.
     """
     if tol is None:
         tol = oracle.default_tolerance() if state.n_r < 200 else oracle.RYDBERG_TOL
     if engine == ENGINE_CLOSED:
-        value = (radial_shannon_assembled(state, space, tol=tol)
-                 + angular_shannon(state, tol=tol))
+        value = _closed(state, space, None, tol)
     elif engine == ENGINE_ORACLE:
         value = (radial_shannon_direct(state, space, tol=tol)
                  + angular_shannon_direct(state, tol=tol))
@@ -348,8 +364,8 @@ def shannon(state, space: Space = Space.POSITION, engine: str = ENGINE_CLOSED,
 def renyi_cartesian(state: CartesianState, q: float, space: Space = Space.POSITION,
                     engine: str = ENGINE_CLOSED,
                     tol: float | None = None) -> MeasureValue:
-    """Renyi entropy of a Cartesian state: sum over the axes of
-    ln lq_integral(hermite n, q) + (q - 1)/2 ln w, divided by 1 - q.
+    """Renyi entropy of a Cartesian state: -(D/2) ln w plus the sum over the
+    axes of ln lq_integral(hermite n, q), divided by 1 - q.
 
     Both engines compute that one value.  For integer q the Gauss-Hermite
     rule is exact, so the closed engine tags it 'closed'; real q goes through
@@ -358,11 +374,7 @@ def renyi_cartesian(state: CartesianState, q: float, space: Space = Space.POSITI
     RenyiOrder(q)
     if engine not in (ENGINE_CLOSED, ENGINE_ORACLE):
         raise DomainError(f"unknown engine {engine!r}")
-    w = states.width(state, space)
-    value = math.fsum(
-        math.log(_in_float_range(oracle.lq_integral(PolySpec("hermite", n), q, tol=tol),
-                                 "a Hermite lq_integral"))
-        + 0.5 * (q - 1.0) * math.log(w) for n in state.n) / (1.0 - q)
+    value = _closed(state, space, q, tol)
     exact = float(q).is_integer()
     if engine == ENGINE_CLOSED and exact:
         return MeasureValue(value, space, ENGINE_CLOSED)
@@ -396,16 +408,6 @@ def renyi_cartesian_lauricella(state: CartesianState, q: int,
     return value
 
 
-def radial_renyi(state: HyperState, q: float, space: Space,
-                 tol: float | None = None) -> float:
-    """-ln(2 w^(D/2)) + ln N(D, q) / (1 - q) with the weighted Laguerre norm."""
-    D = state.spec.dim
-    w = states.width(state, space)
-    norm = _in_float_range(oracle.weighted_Lq_norm(state.n_r, state.l, D, q, tol=tol),
-                           "the radial lq_integral")
-    return -math.log(2.0) - (D / 2.0) * math.log(w) + math.log(norm) / (1.0 - q)
-
-
 def radial_renyi_direct(state: HyperState, q: float, space: Space,
                         tol: float | None = None) -> float:
     """ln int rho_rad^q r^(D-1) dr / (1-q), integrated in the radius variable."""
@@ -423,15 +425,14 @@ def renyi_hyperspherical(state: HyperState, q: float, space: Space = Space.POSIT
     sufficient order), real q goes through tanh-sinh panels."""
     RenyiOrder(q)
     if engine == ENGINE_CLOSED:
-        value = (radial_renyi(state, q, space, tol=tol)
-                 + angular_renyi(state, q, tol=tol))
+        value = _closed(state, space, q, tol)
         exact = float(q).is_integer()
         return MeasureValue(value, space,
                             ENGINE_CLOSED if exact else ENGINE_ORACLE,
                             error_estimate=None if exact else (tol or oracle.default_tolerance()))
     if engine == ENGINE_ORACLE:
-        value = radial_renyi_direct(state, q, space, tol=tol)
-        value += math.log(angular_entropic_moment(state, q, tol=tol)) / (1.0 - q)
+        value = (radial_renyi_direct(state, q, space, tol=tol)
+                 + angular_renyi(state, q, tol=tol))
         return MeasureValue(value, space, ENGINE_ORACLE,
                             error_estimate=(tol or oracle.default_tolerance()))
     raise DomainError(f"unknown engine {engine!r}")
@@ -511,9 +512,9 @@ def disequilibrium_angular(state: HyperState) -> float:
         raise UnsupportedError(
             f"the Dougall angular sum is shown exact only for l <= {ANGULAR_FORM_MAX_L}; "
             "the served disequilibrium covers every state")
-    for aj, deg, mj1 in _angular_factors(state):
+    for f in _factors(state)[1][1:]:
         out *= math.fsum(c * c for _, c in specfun.gegenbauer_square_linearize(
-            deg, aj + mj1, mj1))
+            f.spec.degree, f.spec.parameter, f.a1))
     return out
 
 

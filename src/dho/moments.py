@@ -61,8 +61,6 @@ def _moment_finite_sum(state: HyperState, k: float,
         if sg == 0.0:
             continue
         logs.append(2.0 * lb + gammaln(A + i) - gammaln(i + 1.0))
-    if not logs:
-        return 0.0
     mx = max(logs)
     s = math.fsum(math.exp(v - mx) for v in logs)
     log_pref = gammaln(nr + 1.0) - gammaln(nr + l + D / 2.0)

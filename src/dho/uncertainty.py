@@ -12,8 +12,8 @@ from dataclasses import dataclass, replace
 
 from . import infomeasures, moments, specfun
 from .errors import DomainError
-from .infomeasures import ENGINE_CLOSED, ENGINE_ORACLE
-from .states import CartesianState, HyperState, Space, at_unit_omega
+from .infomeasures import ENGINE_CLOSED
+from .states import HyperState, Space, at_unit_omega
 
 SATURATION_RTOL = 1e-9
 
@@ -118,14 +118,8 @@ def _rudnicki_central(state: HyperState, tol: float = 1e-11, **_) -> RelationRep
 def _renyi_conjugate(state, q: float = 2.0, tol: float = 1e-11, **_) -> RelationReport:
     order = infomeasures.RenyiOrder(q)
     q_star = order.conjugate
-    if isinstance(state, CartesianState):
-        pos = infomeasures.renyi(state, q, Space.POSITION, ENGINE_CLOSED, tol=tol)
-        mom = infomeasures.renyi(state, q_star, Space.MOMENTUM, ENGINE_ORACLE, tol=tol)
-    else:
-        pos = infomeasures.renyi_hyperspherical(state, q, Space.POSITION,
-                                                ENGINE_CLOSED, tol=tol)
-        mom = infomeasures.renyi_hyperspherical(state, q_star, Space.MOMENTUM,
-                                                ENGINE_CLOSED, tol=tol)
+    pos = infomeasures.renyi(state, q, Space.POSITION, ENGINE_CLOSED, tol=tol)
+    mom = infomeasures.renyi(state, q_star, Space.MOMENTUM, ENGINE_CLOSED, tol=tol)
     D = state.spec.dim
     bound = D * math.log(math.pi * q ** (1.0 / (2 * q - 2.0))
                          * q_star ** (1.0 / (2 * q_star - 2.0)))

@@ -154,21 +154,32 @@ def test_unbounded_order_or_non_finite_q_is_refused_before_any_rule(argv, monkey
 
 
 @pytest.mark.parametrize("state, q, engine", [
-    (GROUND3, "300", "closed"), (GROUND3, "700", "closed"), (GROUND3, "2000", "closed"),
-    (GROUND3, "1e308", "closed"), (GROUND3, "300", "oracle"),
+    (GROUND3, "2000", "closed"), (GROUND3, "1e308", "closed"),
     ('{"kind":"cartesian","omega":1,"n":[0]}', "1e308", "closed"),
     ('{"kind":"cartesian","omega":1,"n":[0]}', "1e308", "oracle"),
 ])
 def test_renyi_whose_lq_integral_leaves_the_float_range_is_refused(state, q, engine,
                                                                    capsys):
-    # Lambda_q = (4 pi)^(1-q) underflows from q ~ 280 at D = 3; larger q
-    # underflows single lq_integral factors
+    # the D = 3 s-wave angular lq_integral 2^(1-q) underflows from q ~ 1075;
+    # larger q underflows the other factors too
     assert cli.main(["compute", "--state", state, "--quantity", "renyi", "--q", q,
                      "--engine", engine]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("domain error") and "float range" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("q, engine", [("300", "closed"), ("700", "closed"),
+                                       ("300", "oracle")])
+def test_renyi_whose_angular_moment_leaves_the_float_range_is_served(q, engine, capsys):
+    # Lambda_q = (4 pi)^(1-q) underflows from q ~ 280 at D = 3, but the
+    # entropy sums the logarithms of its factors and never forms it
+    assert cli.main(["compute", "--state", GROUND3, "--quantity", "renyi", "--q", q,
+                     "--engine", engine]) == 0
+    qf = float(q)
+    exact = 1.5 * math.log(math.pi * qf ** (1.0 / (qf - 1.0)))
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(exact, rel=1e-15)
 
 
 def test_renyi_below_the_float_range_edge_is_still_served(capsys):
@@ -545,10 +556,16 @@ def test_closed_routes_start_without_quadpack(quantity):
     assert not [m for m in modules if m.startswith("scipy.integrate")]
 
 
-@pytest.mark.parametrize("quantity", [["shannon"], ["renyi", "--q", "2"]])
-def test_closed_cartesian_entropies_load_only_linalg(quantity):
-    modules = _scipy_modules_after("compute", "--state", '{"kind":"cartesian","omega":1,"n":[3]}',
-                                   "--quantity", *quantity)
+@pytest.mark.parametrize("state, quantity", [
+    ('{"kind":"cartesian","omega":1,"n":[3]}', ["shannon"]),
+    ('{"kind":"cartesian","omega":1,"n":[3]}', ["renyi", "--q", "2"]),
+    ('{"kind":"hyper","D":4,"omega":1,"nr":1,"mu":[1,1,0]}', ["disequilibrium"]),
+    ('{"kind":"hyper","D":4,"omega":1,"nr":1,"mu":[1,1,0]}', ["renyi", "--q", "2"]),
+])
+def test_closed_cartesian_entropies_load_only_linalg(state, quantity):
+    # the Shannon shifts of the hyperspherical factors need digamma, from
+    # scipy.special: a Renyi or disequilibrium request must not evaluate them
+    modules = _scipy_modules_after("compute", "--state", state, "--quantity", *quantity)
     assert "scipy.linalg" in modules
     assert not [m for m in modules if m.startswith(("scipy.special", "scipy.integrate"))]
 

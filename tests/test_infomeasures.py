@@ -37,9 +37,6 @@ class TestRenyiOrder:
         with pytest.raises(DomainError):
             RenyiOrder(0.4).conjugate
 
-    def test_beta(self):
-        assert RenyiOrder(2.0).beta(3) == pytest.approx(-0.5)
-
 
 class TestFisher:
     def test_ground_stam_values(self):

@@ -306,6 +306,17 @@ class TestLauricella:
         # two-fold nested sum done by hand: each index in {0, 1}
         assert specfun.lauricella_FA_finite(2, 0, 2) == pytest.approx(2.5625, rel=1e-13)
 
+    @pytest.mark.parametrize("q, n", [(2, 34), (3, 12), (4, 8), (5, 6)])
+    def test_index_space_above_the_bound_is_refused(self, q, n):
+        # the first inputs past the bound; the sum there is non-positive or
+        # already off the Gauss-Hermite value (by 4.6e-2 at q = 3, n = 12)
+        with pytest.raises(UnsupportedError, match=str(specfun.LAURICELLA_MAX_TERMS)):
+            specfun.lauricella_FA_finite(q, n % 2, n)
+
+    @pytest.mark.parametrize("q, n", [(2, 32), (3, 10), (4, 6), (5, 4)])
+    def test_index_space_at_the_bound_is_summed(self, q, n):
+        assert math.isfinite(specfun.lauricella_FA_finite(q, n % 2, n))
+
 
 class TestLinearizations:
     @pytest.mark.parametrize("n,lam,mu", [(0, 0.5, 0), (1, 0.5, 1), (2, 1.5, 1),
