@@ -1,14 +1,16 @@
 """Fisher information, Shannon / Renyi entropies, and disequilibrium.
 
-Closed Shannon and Renyi values of Cartesian and hyperspherical states come
-from one product decomposition (`_factors`) into orthonormal Hermite, Laguerre
-and Gegenbauer members and two oracle kernels per member: `lq_integral` (exact
-Gauss rules for integer q, so integer-order Renyi values are tagged `closed`)
-and `polynomial_entropy`, numeric (no closed forms exist), so Shannon values
-carry the `oracle` tag.  The paper's Cartesian forms (Hermite-root sums, finite
-Lauricella sum) lose digits in float64 from moderate degree; `dho validate`
-compares them with the served values.  Every served route has an independent
-density-integral oracle.
+Shannon and Renyi values of Cartesian and hyperspherical states come from one
+product decomposition (`_factors`) into orthonormal Hermite, Laguerre and
+Gegenbauer members, on both engines.  The closed engine (`_product_sum`)
+takes two kernels per member: `lq_integral` (exact Gauss rules for integer q,
+so integer-order Renyi values are tagged `closed`) and `polynomial_entropy`,
+numeric (no closed forms exist), so Shannon values carry the `oracle` tag.
+The oracle engine (`_oracle_sum`) integrates each member's own density by
+QUADPACK in the member's own variable and uses neither kernel.  The paper's
+Cartesian forms (Hermite-root sums, finite Lauricella sum) lose digits in
+float64 from moderate degree; `dho validate` compares them with the served
+values.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import oracle, specfun, states
 from .errors import DomainError, UnsupportedError, refuse_overflow
-from .moments import oracle_radial_moment, radial_density_integral, radial_moment
+from .moments import oracle_radial_moment, radial_moment
 from .specfun import EULER_GAMMA, PolySpec
 from .states import CartesianState, HyperState, Space
 
@@ -85,8 +87,8 @@ def _fisher_from_moments(state: HyperState, space: Space, oracle_engine: bool) -
 
 
 # ---------------------------------------------------------------------------
-# Hermite entropy: the paper's root-sum form, compared in validate, and the
-# QUADPACK axis entropy of the Cartesian oracle engine
+# Hermite entropy: the paper's root-sum form and its QUADPACK reference
+# (with its own classical recurrence), compared in validate
 
 
 def hermite_entropy(n: int) -> float:
@@ -139,27 +141,8 @@ def _axis_root_sums(n: int) -> float:
     return -2.0 * s22 + s11
 
 
-@lru_cache(maxsize=256)
-def _axis_shannon_std(n: int, tol: float) -> float:
-    """Oracle entropy of the unit-width 1-D density for degree n."""
-    spec = PolySpec("hermite", n)
-    roots = specfun.poly_roots(spec) if n > 0 else np.array([])
-    evaluate = specfun.scaled_evaluator(spec)
-
-    def f(t):
-        m, s = evaluate(t)
-        if m == 0.0:
-            return 0.0
-        lg = -t * t + 2.0 * (math.log(abs(m)) + s)
-        return -math.exp(lg) * lg
-
-    est = oracle.integrate_adaptive(f, -math.inf, math.inf,
-                                    singular_points=roots, tol=tol)
-    return est.value
-
-
 # ---------------------------------------------------------------------------
-# the product decomposition behind the closed Shannon and Renyi values
+# the product decomposition behind the Shannon and Renyi values of both engines
 
 
 class _Factor(NamedTuple):
@@ -200,18 +183,13 @@ def _angular_shift(aj: float, mj: int, mj1: int) -> float:
                          - math.log(2.0) - 1.0 / (2.0 * (aj + mj)))
 
 
-def _in_float_range(value: float, name: str) -> float:
-    """value, refused when it has left the float range (0 or inf) at this q."""
-    if value == 0.0 or value == math.inf:
-        raise UnsupportedError(f"{name} = {value!r} leaves the float range at this q")
-    return value
-
-
 def _log_lq(f: _Factor, q: float, tol: float | None) -> float:
     """ln lq_integral of the factor; one that leaves the float range is refused."""
-    return math.log(_in_float_range(
-        oracle.lq_integral(f.spec, q, f.a0 + f.a1 * q - f.a2, tol=tol),
-        f"the {f.spec.family.capitalize()} lq_integral of degree {f.spec.degree}"))
+    log_value = oracle.log_lq_integral(f.spec, q, f.a0 + f.a1 * q - f.a2, tol=tol)
+    if not math.isfinite(log_value):
+        raise UnsupportedError(f"the {f.spec.family.capitalize()} lq_integral of degree "
+                               f"{f.spec.degree} leaves the float range at this q")
+    return log_value
 
 
 def _product_sum(constant: float, factors: list[_Factor], q: float | None,
@@ -226,11 +204,108 @@ def _product_sum(constant: float, factors: list[_Factor], q: float | None,
     return math.fsum([constant, math.fsum(_log_lq(f, q, tol) for f in factors) / (1.0 - q)])
 
 
-def _closed(state, space: Space, q: float | None, tol: float | None) -> float:
-    """The closed Shannon (q None) or Renyi entropy: constant - (D/2) ln w + the sum."""
+def _entropy(state, space: Space, q: float | None, tol: float | None,
+             factor_sum=_product_sum):
+    """The Shannon (q None) or Renyi entropy: constant - (D/2) ln w plus the
+    factor sum, the closed engine's _product_sum or the oracle's _oracle_sum."""
     constant, factors = _factors(state)
     w = states.width(state, space)
-    return _product_sum(constant - (state.spec.dim / 2.0) * math.log(w), factors, q, tol)
+    return factor_sum(constant - (state.spec.dim / 2.0) * math.log(w), factors, q, tol)
+
+
+# ---------------------------------------------------------------------------
+# the oracle engine: each factor's own density, integrated by QUADPACK
+
+# (term, error estimate) per factor integral, which omega and the space do not
+# enter; a round of query-entropy's operations uses 135 keys
+_ORACLE_CACHE = oracle.BoundedCache(256)
+
+# per family: the support of the member's variable, b(x) and decay(x)
+_VARIABLES = {"hermite": (-math.inf, math.inf, lambda x: 1.0, lambda x: x * x),
+              "laguerre": (0.0, math.inf, lambda x: x, lambda x: x),
+              "gegenbauer": (-1.0, 1.0, lambda x: (1.0 - x) * (1.0 + x), lambda x: 0.0)}
+
+
+def _oracle_sum(constant: float, factors: list[_Factor], q: float | None,
+                tol: float) -> tuple[float, float]:
+    """constant plus the factors' oracle terms, and the sum of their errors."""
+    terms = [_ORACLE_CACHE.get_or_compute(
+        (f.spec.family, f.spec.degree, f.spec.parameter, f.a0, f.a1, f.a2, q, tol),
+        lambda: _factor_integral(f, q, tol)) for f in factors]
+    return math.fsum([constant] + [t for t, _ in terms]), math.fsum(e for _, e in terms)
+
+
+def _factor_density(f: _Factor):
+    """(lo, hi, roots, log_parts) of one factor's density in the member's own
+    variable: a Hermite axis t, the radial x = w r^2 or an angle x = cos theta.
+
+    The density is e^L against J dx = b^(a0 - a2) dx, with
+    L = ln y^2 + a1 ln b - decay; b = 1, x or 1 - x^2 and decay = t^2, x or 0
+    by family.  log_parts(x) is (ln J, L) at x, or None where the density
+    vanishes (or x lies outside the support).
+    """
+    y = specfun.scaled_evaluator(f.spec)
+    roots = specfun.poly_roots(f.spec).tolist() if f.spec.degree > 0 else []
+    lo, hi, b, decay = _VARIABLES[f.spec.family]
+    jac, a1 = f.a0 - f.a2, f.a1
+
+    def log_parts(x):
+        m, s = y(x)
+        bx = b(x)
+        if m == 0.0 or bx <= 0.0:
+            return None
+        lb = math.log(bx)
+        return jac * lb, 2.0 * (math.log(abs(m)) + s) + a1 * lb - decay(x)
+
+    return lo, hi, roots, log_parts
+
+
+def _factor_integral(f: _Factor, q: float | None, tol: float) -> tuple[float, float]:
+    """(term, error estimate) of one factor, by QUADPACK split at its roots.
+
+    Shannon (q None): -int J e^L L dx and QUADPACK's error.  Renyi:
+    ln(int J e^(qL) dx) / (1 - q), which is lq_integral's integrand at
+    a0 + a1 q - a2, and the relative error over |1 - q|; the integrand is
+    divided by its peak over a coarse grid, in log space, so that QUADPACK's
+    absolute floor is relative to the integrand.
+    """
+    lo, hi, roots, log_parts = _factor_density(f)
+    if q is None:
+        def integrand(x):
+            parts = log_parts(x)
+            return 0.0 if parts is None else -math.exp(parts[0] + parts[1]) * parts[1]
+
+        est = oracle.integrate_adaptive(integrand, lo, hi, singular_points=roots, tol=tol)
+        return est.value, est.abs_error_estimate
+
+    def log_integrand(x):
+        parts = log_parts(x)
+        return -math.inf if parts is None else parts[0] + q * parts[1]
+
+    name = f"the {f.spec.family.capitalize()} factor integral of degree {f.spec.degree}"
+    peak = max(map(log_integrand, _peak_grid(lo, hi, roots)))
+    est = None
+    if abs(peak) < 2.0 ** 52:  # beyond, the log integrand has no digit below the point
+        with refuse_overflow(name):
+            est = oracle.integrate_adaptive(lambda x: math.exp(log_integrand(x) - peak),
+                                            lo, hi, singular_points=roots, tol=tol)
+    if est is None or not 0.0 < est.value < math.inf:
+        raise UnsupportedError(f"{name} leaves the float range at q = {q!r}")
+    return ((peak + math.log(est.value)) / (1.0 - q),
+            est.abs_error_estimate / est.value / abs(1.0 - q))
+
+
+def _peak_grid(lo: float, hi: float, roots: list[float]) -> list[float]:
+    """Coarse points at which to find an integrand's log peak: three in each
+    root panel, the outer roots (or 0), and from them geometric runs that
+    approach a finite end of the support or recede towards an infinite one."""
+    first, last = (roots[0], roots[-1]) if roots else (0.0, 0.0)
+    points = [a + (c - a) * t for a, c in zip(roots, roots[1:]) for t in (0.25, 0.5, 0.75)]
+    for start, end in ((first, lo), (last, hi)):
+        points += ([start + math.copysign(2.0 ** k, end) for k in range(-40, 13)]
+                   if math.isinf(end) else
+                   [start + (end - start) * (1.0 - 2.0 ** -k) for k in range(1, 41)])
+    return points + [first, last]
 
 
 # ---------------------------------------------------------------------------
@@ -250,26 +325,9 @@ def angular_shannon(state: HyperState, tol: float | None = None) -> float:
 
 
 def angular_shannon_direct(state: HyperState, tol: float | None = None) -> float:
-    """Same quantity straight from the factor densities (independent route)."""
-    D = state.spec.dim
-    total = math.log(2.0 * math.pi)
-    for j in range(1, D - 1):
-        aj, deg, mj1 = states.angular_factor_params(state, j)
-        lam = aj + mj1
-        roots = (specfun.poly_roots(PolySpec("gegenbauer", deg, lam))
-                 if deg > 0 else np.array([]))
-        factor = states.angular_density_factor(state, j)
-
-        def f(x, aj=aj, factor=factor):
-            val = factor(x)
-            if val <= 0.0:
-                return 0.0
-            return -(1.0 - x * x) ** (aj - 0.5) * val * math.log(val)
-
-        pts = sorted(set([-1.0, 1.0]) | set(float(r) for r in roots))
-        total += oracle.integrate_adaptive(f, -1.0, 1.0,
-                                           singular_points=pts[1:-1], tol=tol).value
-    return total
+    """Same quantity from the angular factors' own densities (the oracle engine)."""
+    return _oracle_sum(math.log(2.0 * math.pi), _factors(state)[1][1:], None,
+                       oracle.default_tolerance() if tol is None else tol)[0]
 
 
 def angular_entropic_moment(state: HyperState, q: float,
@@ -281,7 +339,10 @@ def angular_entropic_moment(state: HyperState, q: float,
         raise DomainError("q must be positive")
     log_val = sum((_log_lq(f, q, tol) for f in _factors(state)[1][1:]),
                   (1.0 - q) * math.log(2.0 * math.pi))
-    return _in_float_range(math.exp(log_val), "Lambda_q")
+    value = math.exp(log_val)
+    if value == 0.0 or value == math.inf:
+        raise UnsupportedError(f"Lambda_q = {value!r} leaves the float range at this q")
+    return value
 
 
 def angular_renyi(state: HyperState, q: float, tol: float | None = None) -> float:
@@ -305,26 +366,8 @@ def shannon_cartesian(state: CartesianState, space: Space = Space.POSITION,
     and carries the oracle tag.  'oracle' integrates each axis density by
     QUADPACK.
     """
-    if tol is None:
-        tol = oracle.default_tolerance()
-    w = states.width(state, space)
-    if engine == ENGINE_CLOSED:
-        value = _closed(state, space, None, tol)
-        return MeasureValue(value, space, ENGINE_ORACLE,
-                            error_estimate=tol * max(1.0, abs(value)))
-    if engine == ENGINE_ORACLE:
-        value = math.fsum(_axis_shannon_std(n, tol) - 0.5 * math.log(w)
-                          for n in state.n)
-        return MeasureValue(value, space, ENGINE_ORACLE, error_estimate=tol * state.spec.dim)
-    raise DomainError(f"unknown engine {engine!r}")
-
-
-def radial_shannon_direct(state: HyperState, space: Space,
-                          tol: float | None = None) -> float:
-    """- int rho_rad ln rho_rad r^(D-1) dr, done in the radius variable."""
-    D = state.spec.dim
-    return radial_density_integral(
-        state, space, lambda lg, lr: -math.exp(lg + (D - 1.0) * lr) * lg, tol).value
+    tol = oracle.default_tolerance() if tol is None else tol
+    return _served(state, space, None, engine, tol, lambda v: tol * max(1.0, abs(v)))
 
 
 def shannon_hyperspherical(state: HyperState, space: Space = Space.POSITION,
@@ -335,19 +378,27 @@ def shannon_hyperspherical(state: HyperState, space: Space = Space.POSITION,
 
     engine 'closed' assembles the exact decomposition (the shifts and entropy
     kernels of the radial and angular factors); 'oracle' integrates the
-    densities directly.
+    factors' densities directly.
     """
     if tol is None:
         tol = oracle.default_tolerance() if state.n_r < 200 else oracle.RYDBERG_TOL
-    if engine == ENGINE_CLOSED:
-        value = _closed(state, space, None, tol)
-    elif engine == ENGINE_ORACLE:
-        value = (radial_shannon_direct(state, space, tol=tol)
-                 + angular_shannon_direct(state, tol=tol))
-    else:
+    return _served(state, space, None, engine, tol, lambda v: tol * max(1.0, abs(v)))
+
+
+def _served(state, space: Space, q: float | None, engine: str, tol: float,
+            closed_error: Callable[[float], float]) -> MeasureValue:
+    """The entropy on the engine.  Only an integer-q Renyi value of the closed
+    engine is tagged 'closed'; its other values carry closed_error(value), the
+    oracle engine its measured error."""
+    if engine == ENGINE_ORACLE:
+        value, error = _entropy(state, space, q, tol, _oracle_sum)
+        return MeasureValue(value, space, ENGINE_ORACLE, error_estimate=error)
+    if engine != ENGINE_CLOSED:
         raise DomainError(f"unknown engine {engine!r}")
-    return MeasureValue(value, space, ENGINE_ORACLE,
-                        error_estimate=tol * max(1.0, abs(value)))
+    value = _entropy(state, space, q, tol)
+    if q is not None and float(q).is_integer():
+        return MeasureValue(value, space, ENGINE_CLOSED)
+    return MeasureValue(value, space, ENGINE_ORACLE, error_estimate=closed_error(value))
 
 
 def shannon(state, space: Space = Space.POSITION, engine: str = ENGINE_CLOSED,
@@ -365,22 +416,13 @@ def renyi_cartesian(state: CartesianState, q: float, space: Space = Space.POSITI
                     engine: str = ENGINE_CLOSED,
                     tol: float | None = None) -> MeasureValue:
     """Renyi entropy of a Cartesian state: -(D/2) ln w plus the sum over the
-    axes of ln lq_integral(hermite n, q), divided by 1 - q.
-
-    Both engines compute that one value.  For integer q the Gauss-Hermite
-    rule is exact, so the closed engine tags it 'closed'; real q goes through
-    tanh-sinh panels and carries the oracle tag on either engine.
-    """
+    axes of ln int rho^q / (1 - q).  The closed engine takes each axis integral
+    as lq_integral(hermite n, q), exact for integer q (tagged 'closed'), by
+    tanh-sinh panels for real q (the oracle tag); the oracle engine integrates
+    each axis density by QUADPACK."""
     RenyiOrder(q)
-    if engine not in (ENGINE_CLOSED, ENGINE_ORACLE):
-        raise DomainError(f"unknown engine {engine!r}")
-    value = _closed(state, space, q, tol)
-    exact = float(q).is_integer()
-    if engine == ENGINE_CLOSED and exact:
-        return MeasureValue(value, space, ENGINE_CLOSED)
-    return MeasureValue(value, space, ENGINE_ORACLE,
-                        error_estimate=(0.0 if exact else
-                                        (tol or oracle.default_tolerance()) * state.spec.dim))
+    tol = oracle.default_tolerance() if tol is None else tol
+    return _served(state, space, q, engine, tol, lambda v: tol * state.spec.dim)
 
 
 def renyi_cartesian_lauricella(state: CartesianState, q: int,
@@ -408,34 +450,15 @@ def renyi_cartesian_lauricella(state: CartesianState, q: int,
     return value
 
 
-def radial_renyi_direct(state: HyperState, q: float, space: Space,
-                        tol: float | None = None) -> float:
-    """ln int rho_rad^q r^(D-1) dr / (1-q), integrated in the radius variable."""
-    D = state.spec.dim
-    with refuse_overflow(f"the radial Renyi integral at q = {q!r}"):
-        est = radial_density_integral(
-            state, space, lambda lg, lr: math.exp(q * lg + (D - 1.0) * lr), tol)
-    return math.log(_in_float_range(est.value, "the radial Renyi integral")) / (1.0 - q)
-
-
 def renyi_hyperspherical(state: HyperState, q: float, space: Space = Space.POSITION,
                          engine: str = ENGINE_CLOSED,
                          tol: float | None = None) -> MeasureValue:
-    """Radial + angular Renyi entropy; integer q is exact (Gauss rules of
-    sufficient order), real q goes through tanh-sinh panels."""
+    """Radial + angular Renyi entropy; on the closed engine integer q is
+    exact (Gauss rules of sufficient order) and real q goes through
+    tanh-sinh panels; the oracle engine integrates the factors' densities."""
     RenyiOrder(q)
-    if engine == ENGINE_CLOSED:
-        value = _closed(state, space, q, tol)
-        exact = float(q).is_integer()
-        return MeasureValue(value, space,
-                            ENGINE_CLOSED if exact else ENGINE_ORACLE,
-                            error_estimate=None if exact else (tol or oracle.default_tolerance()))
-    if engine == ENGINE_ORACLE:
-        value = (radial_renyi_direct(state, q, space, tol=tol)
-                 + angular_renyi(state, q, tol=tol))
-        return MeasureValue(value, space, ENGINE_ORACLE,
-                            error_estimate=(tol or oracle.default_tolerance()))
-    raise DomainError(f"unknown engine {engine!r}")
+    tol = oracle.default_tolerance() if tol is None else tol
+    return _served(state, space, q, engine, tol, lambda v: tol)
 
 
 def renyi(state, q: float, space: Space = Space.POSITION,

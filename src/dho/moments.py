@@ -148,25 +148,4 @@ def oracle_radial_moment(state: HyperState, k: float,
             return 2.0 * (np.log(np.abs(m)) + s)
 
     with refuse_overflow(f"<r^k> at k = {k!r}"):
-        return rule.integrate_log(log_g, _log_omega_factor(state, k, space))
-
-
-def radial_density_integral(state: HyperState, space: Space, g,
-                            tol: float | None = None) -> oracle.IntegralEstimate:
-    """int_0^inf g(ln rho(r), ln r) dr by QUADPACK, split at the radial nodes.
-
-    rho is the state's radial density in the space; where it vanishes (r <= 0
-    or ln rho = -inf) the integrand is 0 and g is not called.
-    """
-    w = states.width(state, space)
-    spec = PolySpec("laguerre", state.n_r, state.alpha)
-    roots = np.sqrt(specfun.poly_roots(spec) / w) if state.n_r > 0 else np.array([])
-    log_density = states.log_radial_density(state, space)
-
-    def f(r):
-        if r <= 0.0:
-            return 0.0
-        lg = log_density(r)
-        return 0.0 if lg == -math.inf else g(lg, math.log(r))
-
-    return oracle.integrate_adaptive(f, 0.0, math.inf, singular_points=roots, tol=tol)
+        return math.exp(rule.log_integral(log_g) + _log_omega_factor(state, k, space))

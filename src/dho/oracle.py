@@ -66,13 +66,14 @@ class QuadratureRule:
     weights: np.ndarray
     log_weights: np.ndarray
 
-    def integrate_log(self, log_f, log_scale: float = 0.0) -> float:
-        """exp(log_scale) sum w_i exp(log_f(x_i)), as a stable log-sum-exp."""
+    def log_integral(self, log_f) -> float:
+        """ln sum w_i exp(log_f(x_i)) by a stable log-sum-exp; -inf for an
+        empty sum, so a sum beyond the float range still has its logarithm."""
         lo = self.log_weights + log_f(self.nodes)
         m = np.max(lo)
         if not np.isfinite(m):
-            return 0.0
-        return float(math.exp(m + log_scale) * np.sum(np.exp(lo - m)))
+            return float(m)
+        return float(m + np.log(np.sum(np.exp(lo - m))))
 
 
 @dataclass(frozen=True)
@@ -412,37 +413,46 @@ def _root_panel_integral(spec: PolySpec, a: float, q: float, integrand,
 
 def lq_integral(spec: PolySpec, q: float, a: float = 0.0,
                 tol: float | None = None) -> float:
-    """int y(x)^(2q) w(x) dx for the orthonormal member y = spec.
+    """int y(x)^(2q) w(x) dx for the orthonormal member y = spec: w is
+    x^a e^(-q x) for laguerre, (1 - x^2)^a for gegenbauer and e^(-q x^2) for
+    hermite (a unused).  Integer q is exact (see log_lq_integral); real q goes
+    through tanh-sinh panels between the roots, which refuse degrees above
+    PANEL_MAX_DEGREE (2000)."""
+    if q > 0 and not float(q).is_integer():
+        return _root_panel_integral(spec, a, q,
+                                    lambda lw, ln_y2: np.exp(lw + q * ln_y2), tol)
+    return math.exp(log_lq_integral(spec, q, a, tol))
 
-    w is x^a e^(-q x) for laguerre, (1 - x^2)^a for gegenbauer and e^(-q x^2)
-    for hermite (a unused).  Integer q is exact through the Gauss rule of the
-    weight (generalized Laguerre of parameter a at u/q, Gegenbauer of
-    parameter a + 1/2, Hermite at u/sqrt(q)), whose order above
-    GAUSS_MAX_ORDER (12000) is refused; real q goes through tanh-sinh panels
-    between the roots, which refuse degrees above PANEL_MAX_DEGREE (2000).
-    """
+
+def log_lq_integral(spec: PolySpec, q: float, a: float = 0.0,
+                    tol: float | None = None) -> float:
+    """ln lq_integral, -inf where it vanishes.  Integer q takes it straight
+    from the log-sum-exp of the Gauss rule of the weight (generalized Laguerre
+    of parameter a at u/q, Gegenbauer of parameter a + 1/2, Hermite at
+    u/sqrt(q)), so it exists where the integral leaves the float range;
+    orders above GAUSS_MAX_ORDER (12000) are refused."""
     if not q > 0:
         raise DomainError("q must be positive")
     if not float(q).is_integer():
-        return _root_panel_integral(spec, a, q,
-                                    lambda lw, ln_y2: np.exp(lw + q * ln_y2), tol)
+        value = lq_integral(spec, q, a, tol)
+        return math.log(value) if value > 0.0 else -math.inf
     qi = int(q)
     order = qi * spec.degree + 2
     if spec.family == "laguerre":
         rule = gauss_rule("laguerre", order + int(math.ceil(abs(a))) // 2, a)
-        scale, factor = qi, math.exp(-(a + 1.0) * math.log(qi))
+        scale, log_factor = qi, -(a + 1.0) * math.log(qi)
     elif spec.family == "gegenbauer":
-        rule, scale, factor = gauss_rule("gegenbauer", order, a + 0.5), 1, 1.0
+        rule, scale, log_factor = gauss_rule("gegenbauer", order, a + 0.5), 1, 0.0
     else:
         rule, scale = gauss_rule("hermite", order), math.sqrt(qi)
-        factor = 1.0 / scale
+        log_factor = -math.log(scale)
 
     def log_f(u):
         m, sc = specfun.eval_poly_scaled(spec, u / scale)
         with np.errstate(divide="ignore"):
             return 2.0 * qi * (np.log(np.abs(m)) + sc)
 
-    return rule.integrate_log(log_f) * factor
+    return rule.log_integral(log_f) + log_factor
 
 
 def weighted_Lq_norm(n_r: int, l: int, D: float, q: float,

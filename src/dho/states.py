@@ -6,8 +6,8 @@ r^(D-1) Jacobian: every integral in this package writes the Jacobian
 explicitly.  The Cartesian Gaussian width parameter equals omega (see README
 for the discrepancy note on the published exponent).  Densities are assembled
 in log space so highly excited states do not overflow.  The hyperspherical
-radial and angular densities are closures over one state, built once and
-evaluated at one float point at a time, as the QUADPACK integrands ask.
+radial density is a closure over one state, built once and evaluated at one
+float point at a time.
 """
 
 from __future__ import annotations
@@ -154,10 +154,10 @@ def log_radial_density(state: HyperState, space: Space):
     """r -> log of the radial density factor at one float r (Jacobian
     r^(D-1) not included).
 
-    The Laguerre recurrence coefficients are built once, here, for the
-    QUADPACK integrands that ask for one point at a time.  Logarithms come
-    from numpy, as in the Gauss-rule and panel kernels, since numpy's log and
-    math.log can differ in the last bit.
+    The Laguerre recurrence coefficients are built once, here, for callers
+    that ask for one point at a time.  Logarithms come from numpy, as in the
+    Gauss-rule and panel kernels, since numpy's log and math.log can differ
+    in the last bit.
     """
     w = width(state, space)
     l = state.l
@@ -194,28 +194,6 @@ def _mu_abs(state: HyperState, idx: int) -> int:
     """mu_idx with the sign of the last component dropped (1-based idx)."""
     v = state.mu[idx - 1]
     return abs(v) if idx == len(state.mu) else v
-
-
-def angular_density_factor(state: HyperState, j: int):
-    """x -> j-th one-dimensional factor of |Y|^2 at one float x,
-    [Ct^(a_j+mu_{j+1})_{mu_j-mu_{j+1}}(x)]^2 (1-x^2)^mu_{j+1}.
-
-    The factor integrates to one against (1-x^2)^(alpha_j - 1/2) dx; the
-    product over j times 1/(2 pi) is the full angular density.  The
-    exponential and the power come from numpy, as in the kernels, since
-    numpy's and libm's can differ in the last bit.
-    """
-    aj, deg, mj1 = angular_factor_params(state, j)
-    evaluate = specfun.scaled_evaluator(PolySpec("gegenbauer", deg, aj + mj1))
-
-    def factor(x: float) -> float:
-        if abs(x) > 1.0 + 1e-12:
-            raise DomainError("gegenbauer argument must lie in [-1, 1]")
-        m, s = evaluate(x)
-        p = m * float(np.exp(s))
-        return p * p * float(np.power(1.0 - x * x, mj1))
-
-    return factor
 
 
 def angular_factor_params(state: HyperState, j: int) -> tuple[float, int, int]:

@@ -2,12 +2,15 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from dho import infomeasures as im
-from dho import cli, moments, oracle, specfun, validation
+from dho import cli, oracle, specfun, validation
 from dho.errors import DomainError, UnsupportedError
 from dho.infomeasures import ENGINE_CLOSED, ENGINE_ORACLE, RenyiOrder
 from dho.specfun import EULER_GAMMA
@@ -232,10 +235,13 @@ class TestRenyi:
             0.5 * math.log(2 * math.pi), rel=1e-13)
 
     def test_closed_requires_integer_q(self):
-        # real q has no closed form: the closed engine serves the oracle value
+        # real q has no closed form: the closed engine's panel value carries the
+        # oracle tag, and the oracle engine computes a value of its own
         closed = im.renyi_cartesian(cart(1.0, 1), 1.5, engine=ENGINE_CLOSED)
-        assert closed == im.renyi_cartesian(cart(1.0, 1), 1.5, engine=ENGINE_ORACLE)
-        assert closed.engine == ENGINE_ORACLE and closed.error_estimate > 0
+        orc = im.renyi_cartesian(cart(1.0, 1), 1.5, engine=ENGINE_ORACLE)
+        assert closed.engine == orc.engine == ENGINE_ORACLE
+        assert closed.error_estimate > 0 and orc.error_estimate > 0
+        assert abs(closed.value - orc.value) <= closed.error_estimate + orc.error_estimate
 
     def test_cartesian_closed_vs_oracle(self):
         # the paper's Lauricella form against the served value, n <= 5
@@ -478,14 +484,131 @@ def test_quadpack_integrands_evaluate_no_ndarray_per_point(monkeypatch, capsys):
     monkeypatch.setattr(oracle, "quad", counted_quad)
     for name in ("_recurrence", "eval_poly_scaled", "scaled_evaluator"):
         counted(name)
-    im._axis_shannon_std.cache_clear()  # a cached axis entropy runs no integrand
+    im._ORACLE_CACHE.clear()  # a cached factor integral runs no integrand
     for state in ('{"kind":"hyper","D":4,"omega":1.3,"nr":3,"mu":[2,1,-1]}',
                   '{"kind":"cartesian","omega":0.8,"n":[3,0,5]}'):
-        assert cli.main(["compute", "--state", state, "--quantity", "shannon",
-                         "--engine", "oracle", "--space", "momentum"]) == 0
+        for extra in ([], ["--quantity", "renyi", "--q", "2"],
+                      ["--quantity", "renyi", "--q", "2.5"]):
+            assert cli.main(["compute", "--state", state, "--quantity", "shannon",
+                             "--engine", "oracle", "--space", "momentum", *extra]) == 0
     capsys.readouterr()
-    moments.radial_density_integral(hyper(0.7, 3, 4, 2, 1), Space.POSITION,
-                                    lambda lg, lr: math.exp(lg + 3.5 * lr))
     im.hermite_entropy_oracle(4)
     assert evals[0] > 1000
     assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the oracle engine: one QUADPACK integral per factor of _factors
+
+
+def _refuse(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"the oracle engine called {name}")
+
+    return refuse
+
+
+@pytest.mark.parametrize("state", [cart(0.8, 3, 0, 5), cart(1.7, 7, 3),
+                                   hyper(1.3, 4, 3, 2, 1, -1), hyper(0.6, 3, 2, 1, 0),
+                                   hyper(2.0, 2, 1, -3)])
+def test_oracle_engine_uses_none_of_the_closed_kernels(state, monkeypatch):
+    # the closed engine's kernels (Gauss rules, tanh-sinh panels, the entropy
+    # kernel and the L_q integral) may not serve an oracle value
+    closed = {q: im.renyi(state, q) if q else im.shannon(state) for q in (None, 2, 3, 2.5)}
+    for name in ("lq_integral", "log_lq_integral", "polynomial_entropy", "gauss_rule",
+                 "integrate_panels_vectorized"):
+        monkeypatch.setattr(oracle, name, _refuse(name))
+    im._ORACLE_CACHE.clear()
+    for q, c in closed.items():
+        o = (im.renyi(state, q, engine=ENGINE_ORACLE) if q
+             else im.shannon(state, engine=ENGINE_ORACLE))
+        assert o.engine == ENGINE_ORACLE and 0.0 < o.error_estimate < 1e-9
+        assert o.value == pytest.approx(c.value, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("D", [6, 10, 15, 20])
+@pytest.mark.parametrize("omega", [1.0, 0.1])
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_oracle_renyi_of_small_integrals_matches_closed(D, omega, q):
+    # the radial integrals reach 1e-28 here; below QUADPACK's absolute floor
+    # the oracle was off by up to 2.3e-7 before its integrands were scaled
+    mu = [8, 8] + [0] * (D - 3) if D == 15 else [8] + [0] * (D - 2)
+    st_ = hyper(omega, D, 5, *mu)
+    closed = im.renyi(st_, q)
+    orc = im.renyi(st_, q, engine=ENGINE_ORACLE)
+    assert orc.value == pytest.approx(closed.value, rel=1e-12)
+    assert orc.error_estimate < 1e-10
+
+
+def _mp_orthonormal(spec, x):
+    """spec's orthonormal member at x, in mpmath."""
+    n, p = spec.degree, spec.parameter
+    if spec.family == "hermite":
+        return mp.hermite(n, x) / mp.sqrt(2 ** n * mp.factorial(n) * mp.sqrt(mp.pi))
+    if spec.family == "laguerre":
+        return mp.laguerre(n, p, x) * mp.sqrt(mp.factorial(n) / mp.gamma(n + p + 1))
+    norm = (mp.pi * mp.mpf(2) ** (1 - 2 * p) * mp.gamma(n + 2 * p)
+            / (mp.factorial(n) * (n + p) * mp.gamma(p) ** 2))
+    return mp.gegenbauer(n, p, x) / mp.sqrt(norm)
+
+
+@pytest.mark.parametrize("state, index, points", [
+    (cart(1.0, 7), 0, (-3.1, -0.4, 0.05, 1.7, 4.2)),
+    (hyper(1.0, 5, 6, 3, 1, 1, 0), 0, (0.02, 0.9, 3.3, 11.0, 27.0)),
+    (hyper(1.0, 5, 6, 3, 1, 1, 0), 1, (-0.97, -0.3, 0.2, 0.66, 0.999)),
+    (hyper(1.0, 6, 0, 7, 4, 2, 2, -1), 2, (-0.8, -0.1, 0.45, 0.93)),
+])
+def test_factor_log_density_matches_mpmath(state, index, points):
+    # L = ln y^2 + a1 ln b - decay and ln J = (a0 - a2) ln b, per family
+    f = im._factors(state)[1][index]
+    b, decay = {"hermite": (lambda x: 1, lambda x: x * x),
+                "laguerre": (lambda x: x, lambda x: x),
+                "gegenbauer": (lambda x: 1 - x * x, lambda x: 0)}[f.spec.family]
+    log_parts = im._factor_density(f)[3]
+    for x in points:
+        with mp.workdps(40):
+            xm = mp.mpf(x)
+            ln_j = (f.a0 - f.a2) * mp.log(b(xm))
+            ref = (mp.log(_mp_orthonormal(f.spec, xm) ** 2) + f.a1 * mp.log(b(xm))
+                   - decay(xm))
+        got_j, got = log_parts(x)
+        assert got_j == pytest.approx(float(ln_j), rel=1e-13, abs=1e-13)
+        assert got == pytest.approx(float(ref), rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def served_states(draw):
+    """States from the parser's domain, sized for Tier-1: D <= 12 (Cartesian
+    D <= 6), n_r and axis degrees <= 30, l <= 12, omega in [1e-2, 1e2]."""
+    omega = draw(st.floats(1e-2, 1e2))
+    if draw(st.booleans()):
+        n = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6))
+        return CartesianState(OscillatorSpec(omega, len(n)), tuple(n))
+    D = draw(st.integers(2, 12))
+    mu = sorted(draw(st.lists(st.integers(0, 12), min_size=D - 1, max_size=D - 1)),
+                reverse=True)
+    if draw(st.booleans()):
+        mu[-1] = -mu[-1]
+    return HyperState(OscillatorSpec(omega, D), draw(st.integers(0, 30)), tuple(mu))
+
+
+def _stated(measure):
+    """The printed error estimate; a null one counts as 1e-12 relative."""
+    if measure.error_estimate is None:
+        return 1e-12 * abs(measure.value)
+    return measure.error_estimate
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=served_states(),
+       q=st.one_of(st.none(), st.sampled_from([2, 3, 4, 5]),
+                   st.floats(0.2, 5.0).filter(lambda q: abs(q - 1.0) > 1e-3)),
+       space=st.sampled_from(list(Space)))
+def test_closed_and_oracle_agree_within_their_stated_errors(state, q, space):
+    if q is None:
+        closed, orc = (im.shannon(state, space, engine) for engine in (ENGINE_CLOSED,
+                                                                          ENGINE_ORACLE))
+    else:
+        closed, orc = (im.renyi(state, q, space, engine) for engine in (ENGINE_CLOSED,
+                                                                           ENGINE_ORACLE))
+    assert abs(closed.value - orc.value) <= _stated(closed) + _stated(orc)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dho import oracle, specfun, states
+from dho import infomeasures, oracle, specfun, states
 from dho.errors import DomainError, ParseError
 from dho.specfun import PolySpec
 from dho.states import CartesianState, HyperState, OscillatorSpec, Space
@@ -102,16 +102,17 @@ class TestDensities:
             assert gamma == pytest.approx(rho / om ** 3, rel=1e-12)
 
     def test_angular_factors_normalized(self):
-        for (D, mu) in ((3, (1, 0)), (4, (2, 1, 1)), (5, (3, 2, 1, -1)), (6, (0,) * 5)):
-            st_ = hyper(1.0, D, 0, *mu)
-            for j in range(1, D - 1):
-                aj = states.angular_weight_exponent(st_, j)
-                factor = states.angular_density_factor(st_, j)
+        # every factor density of the oracle engine, e^L against J dx, has mass 1
+        for (D, nr, mu) in ((3, 2, (1, 0)), (4, 5, (2, 1, 1)), (5, 0, (3, 2, 1, -1)),
+                            (6, 1, (0,) * 5), (2, 3, (-4,))):
+            for f in infomeasures._factors(hyper(1.0, D, nr, *mu))[1]:
+                lo, hi, roots, log_parts = infomeasures._factor_density(f)
 
-                def f(x):
-                    return factor(x) * (1.0 - x * x) ** (aj - 0.5)
+                def density(x):
+                    parts = log_parts(x)
+                    return 0.0 if parts is None else math.exp(parts[0] + parts[1])
 
-                est = oracle.integrate_adaptive(f, -1.0, 1.0, tol=1e-12)
+                est = oracle.integrate_adaptive(density, lo, hi, roots, tol=1e-12)
                 assert est.value == pytest.approx(1.0, abs=1e-11)
 
     @pytest.mark.parametrize("D, omega, nr, mu", [
@@ -138,11 +139,11 @@ class TestDensities:
             states.log_radial_density(st_, Space.POSITION)(-1e-300)
         with pytest.raises(DomainError):
             states.radial_density(st_, Space.MOMENTUM, -1.0)
-        factor = states.angular_density_factor(st_, 1)
-        factor(1.0 + 1e-12)  # rounding slack at the edge is accepted
-        for x in (1.0 + 2e-12, -1.5, math.inf):
-            with pytest.raises(DomainError):
-                factor(x)
+        # the factor densities vanish off their supports
+        radial, angular = infomeasures._factors(st_)[1][:2]
+        for f, points in ((radial, (-1e-300, -2.0)), (angular, (1.0 + 2e-16, -1.5))):
+            log_parts = infomeasures._factor_density(f)[3]
+            assert all(log_parts(x) is None for x in points)
 
     def test_radial_density_vanishes_at_the_origin_only_for_l_above_zero(self):
         for l in (1, 3):
@@ -152,9 +153,9 @@ class TestDensities:
 
     def test_d3_l1_m0_factor_shape(self):
         st_ = hyper(1.0, 3, 0, 1, 0)
-        factor = states.angular_density_factor(st_, 1)
+        log_parts = infomeasures._factor_density(infomeasures._factors(st_)[1][1])[3]
         # orthonormal degree-1 factor is proportional to x^2
-        ratios = [factor(x) / (x * x) for x in (0.2, 0.5, -0.8)]
+        ratios = [math.exp(log_parts(x)[1]) / (x * x) for x in (0.2, 0.5, -0.8)]
         assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-12)
 
     def test_cartesian_ground_peak(self):
