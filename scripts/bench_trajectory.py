@@ -4,15 +4,16 @@
     python3 scripts/bench_trajectory.py --pr N
     python3 scripts/bench_trajectory.py --pr M --root ../earlier-checkout
     python3 scripts/bench_trajectory.py --pr N --parent ../parent-checkout
+    python3 scripts/bench_trajectory.py --pr N --parent ../parent --seeds 1 2 3
 
 Each workload listed in the checkout's BENCHMARK.json runs through
-``perfbench/run.py`` (end-to-end metrics, no trace) once per seed in SEEDS,
-one after another, from the checkout given by --root (default: this
-repository).  BENCH_<pr>.json, written to this repository, holds per workload
-and seed the run's result line and its environment stamp, plus the
-``src/dho`` line count of that checkout.  With --parent, each workload and
+``perfbench/run.py`` (end-to-end metrics, no trace) once per seed in --seeds
+(default SEEDS; a seed may repeat), one after another, from the checkout
+given by --root (default: this repository).  BENCH_<pr>.json, written to
+this repository, holds per workload and seed the run's result line and its
+environment stamp, plus the ``src/dho`` line count of that checkout.  With --parent, each workload and
 seed also runs from that checkout, as a pair with the --root run; which of
-the two goes first flips from one workload to the next, since the host's
+the two goes first flips from one pair to the next, since the host's
 speed drifts between runs.  Those runs and that checkout's line count go
 under "parent", and each run records its place in its pair ("order" 0 or
 1).  Each checkout also gets a "layers" section: build times measured in one
@@ -125,6 +126,8 @@ def main(argv=None) -> int:
     p.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
     p.add_argument("--parent", type=Path, default=None,
                    help="checkout to run in alternating pairs with --root")
+    p.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS),
+                   help="workload seeds, one run (or pair) each, in this order")
     args = p.parse_args(argv)
 
     root = args.root.resolve()
@@ -133,18 +136,18 @@ def main(argv=None) -> int:
     sides = [("root", root, runs)]
     if args.parent is not None:
         sides.append(("parent", args.parent.resolve(), parent_runs))
-    for i, workload in enumerate(w["name"] for w in spec["workloads"]):
-        for seed in SEEDS:
-            for order, (name, checkout, out) in enumerate(sides if i % 2 else sides[::-1]):
-                run = run_one(checkout, workload, seed, spec["run_seconds"])
-                if args.parent is not None:
-                    run["order"] = order
-                out.append(run)
-                status = "ok" if "result" in run else f"failed (rc {run['returncode']})"
-                print(f"{workload} seed {seed} {name}: {status} in {run['elapsed_s']:.1f} s",
-                      file=sys.stderr)
+    pairs = [(w["name"], seed) for w in spec["workloads"] for seed in args.seeds]
+    for i, (workload, seed) in enumerate(pairs):
+        for order, (name, checkout, out) in enumerate(sides if i % 2 else sides[::-1]):
+            run = run_one(checkout, workload, seed, spec["run_seconds"])
+            if args.parent is not None:
+                run["order"] = order
+            out.append(run)
+            status = "ok" if "result" in run else f"failed (rc {run['returncode']})"
+            print(f"{workload} seed {seed} {name}: {status} in {run['elapsed_s']:.1f} s",
+                  file=sys.stderr)
     record = {"pr": args.pr, "src_dho_lines": src_lines(root), "layers": layers(root),
-              "run_seconds": spec["run_seconds"], "seeds": list(SEEDS), "runs": runs}
+              "run_seconds": spec["run_seconds"], "seeds": args.seeds, "runs": runs}
     if args.parent is not None:
         parent = args.parent.resolve()
         record["parent"] = {"src_dho_lines": src_lines(parent), "layers": layers(parent),

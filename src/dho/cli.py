@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import itertools
 import json
@@ -271,6 +272,8 @@ def _format_cell(v) -> str:
 
 
 def cmd_sweep(args) -> int:
+    if args.jobs is None:  # read per run, since the parser outlives one
+        args.jobs = _default_jobs()
     if args.jobs < 1:
         raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.config, "r", encoding="utf-8") as fh:
@@ -360,7 +363,10 @@ def _default_jobs() -> int:
     return min(4, cpus)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call: building it
+    costs about ten closed requests, and parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="dho",
         description="Dispersion and entropy measures of D-dimensional "
@@ -392,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="grid sweep from a JSON config")
     s.add_argument("--config", required=True)
-    s.add_argument("--jobs", type=int, default=_default_jobs(),
+    s.add_argument("--jobs", type=int, default=None,
                    help="sweep threads (default: up to 4, no more than the usable CPUs)")
     s.add_argument("--tol", type=float, default=None)
     s.set_defaults(fn=cmd_sweep)

@@ -1,5 +1,6 @@
 """CLI surface: outputs, exit codes, determinism, sweep formats, plots."""
 
+import argparse
 import json
 import math
 import os
@@ -66,6 +67,70 @@ def test_exit_code_domain_error():
                          "--k", "-9")
     assert rc == 3
     assert "domain error" in err
+
+
+# main() builds its parser on the first call and reuses it for every later one
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        assert cli.main(["compute", "--state", GROUND3, "--quantity", "energy"]) == 0
+        first = len(built)
+        for quantity in (["fisher"], ["moment", "--k", "2"], ["energy"]):
+            assert cli.main(["compute", "--state", GROUND3, "--quantity", *quantity]) == 0
+        assert cli.main(["list-quantities"]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == first and built.count("dho") == 1
+
+
+def test_refused_argv_and_help_leave_the_parser_as_a_fresh_one(capsys):
+    def outcome(parse, argv):
+        with pytest.raises(SystemExit) as stop:
+            parse(argv)
+        return stop.value.code, *capsys.readouterr()
+
+    request = ["compute", "--state", GROUND3, "--quantity", "renyi", "--q", "3"]
+    fresh_out = run_cli(*request)[1]
+    for argv in (["compute", "--state", GROUND3, "--quantity", "bogus"],
+                 ["compute", "--state", GROUND3],
+                 ["compute", "--state", GROUND3, "--quantity", "moment", "--k", "two"],
+                 ["sweep", "--config", "c.json", "--jobs", "many"],
+                 ["no-such-command"],
+                 ["compute", "--help"]):
+        fresh = outcome(cli.build_parser.__wrapped__().parse_args, argv)
+        assert outcome(cli.main, argv) == fresh
+        assert fresh[0] == (0 if "--help" in argv else 2)
+        assert cli.main(request) == 0
+        assert capsys.readouterr().out == fresh_out
+
+
+def test_options_of_one_call_do_not_reach_the_next(monkeypatch, capsys):
+    seen = []
+    compute_one = cli._compute_one
+
+    def recorded(state, quantity, space, engine, args):
+        seen.append(vars(args))
+        return compute_one(state, quantity, space, engine, args)
+
+    monkeypatch.setattr(cli, "_compute_one", recorded)
+    assert cli.main(["compute", "--state", GROUND3, "--quantity", "moment", "--k", "3",
+                     "--q", "2", "--tol", "1e-9", "--space", "momentum",
+                     "--engine", "oracle"]) == 0
+    argv = ["compute", "--state", GROUND3, "--quantity", "energy"]
+    assert cli.main(argv) == 0
+    assert seen[0]["k"] == 3.0 and seen[0]["tol"] == 1e-9
+    assert seen[1] == vars(cli.build_parser.__wrapped__().parse_args(argv))
+    assert (seen[1]["k"], seen[1]["q"], seen[1]["tol"]) == (None, None, None)
 
 
 @pytest.mark.parametrize("state", [
@@ -478,9 +543,15 @@ def test_sweep_jobs_below_one_is_parse_error(jobs, tmp_path, capsys):
     assert _sweep(tmp_path, capsys, config, "--jobs", jobs) == (2, [])
 
 
-def test_sweep_jobs_default_is_capped_at_usable_cpus(monkeypatch):
+def test_sweep_jobs_default_is_capped_at_usable_cpus(tmp_path, capsys, monkeypatch):
+    # read when each sweep runs, through the one parser of the process
+    seen = []
+    monkeypatch.setattr(cli, "_sweep_rows",
+                        lambda config, args: seen.append(args.jobs) or ([], False))
+
     def jobs():
-        return cli.build_parser().parse_args(["sweep", "--config", "c.json"]).jobs
+        assert _sweep(tmp_path, capsys, dict(SMALL_SWEEP, quantities=["energy"])) == (0, [])
+        return seen[-1]
 
     assert jobs() == min(4, len(os.sched_getaffinity(0)))
     monkeypatch.delattr(os, "sched_getaffinity")

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from dho import infomeasures as im
-from dho import cli, oracle, specfun, validation
+from dho import cli, moments, oracle, specfun, validation
 from dho.errors import DomainError, UnsupportedError
 from dho.infomeasures import ENGINE_CLOSED, ENGINE_ORACLE, RenyiOrder
 from dho.specfun import EULER_GAMMA
@@ -577,11 +577,11 @@ def test_factor_log_density_matches_mpmath(state, index, points):
 
 
 @st.composite
-def served_states(draw):
+def served_states(draw, cartesian=True):
     """States from the parser's domain, sized for Tier-1: D <= 12 (Cartesian
     D <= 6), n_r and axis degrees <= 30, l <= 12, omega in [1e-2, 1e2]."""
     omega = draw(st.floats(1e-2, 1e2))
-    if draw(st.booleans()):
+    if cartesian and draw(st.booleans()):
         n = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6))
         return CartesianState(OscillatorSpec(omega, len(n)), tuple(n))
     D = draw(st.integers(2, 12))
@@ -612,3 +612,22 @@ def test_closed_and_oracle_agree_within_their_stated_errors(state, q, space):
         closed, orc = (im.renyi(state, q, space, engine) for engine in (ENGINE_CLOSED,
                                                                            ENGINE_ORACLE))
     assert abs(closed.value - orc.value) <= _stated(closed) + _stated(orc)
+
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=served_states(cartesian=False), space=st.sampled_from(list(Space)),
+       data=st.data())
+def test_closed_and_oracle_moments_fisher_and_disequilibrium_agree(state, space, data):
+    # the oracle moment's Gauss-Laguerre rule is exact for its polynomial, so
+    # the moments, and the Fisher value built on them, agree to rounding
+    k = data.draw(st.floats(-state.spec.dim - 2 * state.l, 10.0, exclude_min=True),
+                  label="k")
+    assert moments.oracle_radial_moment(state, k, space) == pytest.approx(
+        moments.radial_moment(state, k, space), rel=1e-12, abs=0.0)
+    closed, orc = (im.fisher(state, space, engine) for engine in (ENGINE_CLOSED,
+                                                                  ENGINE_ORACLE))
+    assert orc.value == pytest.approx(closed.value, rel=1e-12, abs=0.0)
+    closed, orc = (im.disequilibrium(state, engine) for engine in (ENGINE_CLOSED,
+                                                                   ENGINE_ORACLE))
+    assert abs(closed.value - orc.value) <= orc.error_estimate + 1e-12 * closed.value
