@@ -11,16 +11,17 @@ Each workload listed in the checkout's BENCHMARK.json runs through
 (default SEEDS; a seed may repeat), one after another, from the checkout
 given by --root (default: this repository).  BENCH_<pr>.json, written to
 this repository, holds per workload and seed the run's result line and its
-environment stamp, plus the ``src/dho`` line count of that checkout.  With --parent, each workload and
-seed also runs from that checkout, as a pair with the --root run; which of
-the two goes first flips from one pair to the next, since the host's
-speed drifts between runs.  Those runs and that checkout's line count go
-under "parent", and each run records its place in its pair ("order" 0 or
-1).  Each checkout also gets a "layers" section: build times measured in one
-process with fresh caches, best of LAYER_REPEATS (Gauss-Laguerre rules,
-a member's roots and tanh-sinh panel evaluator, one entropy kernel, and
-single three-term-recurrence passes over 1 to 100000 nodes; see
-LAYER_CODE).  It records numbers only: it sets no bound and gates nothing.
+environment stamp, plus the ``src/dho`` line count of that checkout.  With
+--parent, each workload and seed also runs from that checkout, as a pair
+with the --root run; which of the two goes first flips from one pair to the
+next, since the host's speed drifts between runs.  Those runs and that
+checkout's line count go under "parent", and each run records its place in
+its pair ("order" 0 or 1).  Each checkout also gets a "layers" section:
+build times measured in one process with fresh caches, best of
+LAYER_REPEATS (Gauss-Laguerre rules, a member's roots and tanh-sinh panel
+evaluator, one entropy kernel, and single three-term-recurrence passes over
+1 to 100000 nodes; see LAYER_CODE).  It records numbers only: it sets no
+bound and gates nothing.
 """
 
 from __future__ import annotations

@@ -366,7 +366,7 @@ def _default_jobs() -> int:
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first call: building it
-    costs about ten closed requests, and parse_args leaves it unchanged."""
+    costs about nine closed requests, and parse_args leaves it unchanged."""
     p = argparse.ArgumentParser(
         prog="dho",
         description="Dispersion and entropy measures of D-dimensional "

@@ -579,7 +579,8 @@ def test_factor_log_density_matches_mpmath(state, index, points):
 @st.composite
 def served_states(draw, cartesian=True):
     """States from the parser's domain, sized for Tier-1: D <= 12 (Cartesian
-    D <= 6), n_r and axis degrees <= 30, l <= 12, omega in [1e-2, 1e2]."""
+    D <= 6), n_r and axis degrees <= 30, l <= 12, omega in [1e-2, 1e2];
+    hyperspherical only unless cartesian."""
     omega = draw(st.floats(1e-2, 1e2))
     if cartesian and draw(st.booleans()):
         n = draw(st.lists(st.integers(0, 30), min_size=1, max_size=6))
@@ -612,7 +613,6 @@ def test_closed_and_oracle_agree_within_their_stated_errors(state, q, space):
         closed, orc = (im.renyi(state, q, space, engine) for engine in (ENGINE_CLOSED,
                                                                            ENGINE_ORACLE))
     assert abs(closed.value - orc.value) <= _stated(closed) + _stated(orc)
-
 
 
 @settings(max_examples=60, deadline=None)
