@@ -4,24 +4,23 @@
     python3 scripts/bench_trajectory.py --pr N
     python3 scripts/bench_trajectory.py --pr M --root ../earlier-checkout
     python3 scripts/bench_trajectory.py --pr N --parent ../parent-checkout
-    python3 scripts/bench_trajectory.py --pr N --parent ../parent --seeds 1 2 3
 
 Each workload listed in the checkout's BENCHMARK.json runs through
-``perfbench/run.py`` (end-to-end metrics, no trace) once per seed in --seeds
-(default SEEDS; a seed may repeat), one after another, from the checkout
-given by --root (default: this repository).  BENCH_<pr>.json, written to
-this repository, holds per workload and seed the run's result line and its
-environment stamp, plus the ``src/dho`` line count of that checkout.  With
---parent, each workload and seed also runs from that checkout, as a pair
-with the --root run; which of the two goes first flips from one pair to the
-next, since the host's speed drifts between runs.  Those runs and that
-checkout's line count go under "parent", and each run records its place in
-its pair ("order" 0 or 1).  Each checkout also gets a "layers" section:
-build times measured in one process with fresh caches, best of
-LAYER_REPEATS (Gauss-Laguerre rules, a member's roots and tanh-sinh panel
-evaluator, one entropy kernel, and single three-term-recurrence passes over
-1 to 100000 nodes; see LAYER_CODE).  It records numbers only: it sets no
-bound and gates nothing.
+``perfbench/run.py`` (end-to-end metrics, no trace) once per seed in SEEDS
+(1 to 10, so that a claim rests on ten alternating pairs), one after
+another, from the checkout given by --root (default: this repository).
+BENCH_<pr>.json, written to this repository, holds per workload and seed the
+run's result line and its environment stamp, plus the ``src/dho`` line count
+of that checkout.  With --parent, each workload and seed also runs from that
+checkout, as a pair with the --root run; which of the two goes first flips
+from one pair to the next, since the host's speed drifts between runs.
+Those runs and that checkout's line count go under "parent", and each run
+records its place in its pair ("order" 0 or 1).  Each checkout also gets a
+"layers" section: build times measured in one process with fresh caches,
+best of LAYER_REPEATS (Gauss-Laguerre rules, a member's roots and tanh-sinh
+panel evaluator, one entropy kernel, and single three-term-recurrence passes
+over 1 to 100000 nodes; see LAYER_CODE).  It records numbers only: it sets
+no bound and gates nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-SEEDS = (1,)
+SEEDS = tuple(range(1, 11))
 LAYER_REPEATS = 5
 # run in a checkout's root; uses only names that older checkouts also have
 LAYER_CODE = """
@@ -127,8 +126,6 @@ def main(argv=None) -> int:
     p.add_argument("--root", type=Path, default=REPO, help="checkout to measure")
     p.add_argument("--parent", type=Path, default=None,
                    help="checkout to run in alternating pairs with --root")
-    p.add_argument("--seeds", type=int, nargs="+", default=list(SEEDS),
-                   help="workload seeds, one run (or pair) each, in this order")
     args = p.parse_args(argv)
 
     root = args.root.resolve()
@@ -137,7 +134,7 @@ def main(argv=None) -> int:
     sides = [("root", root, runs)]
     if args.parent is not None:
         sides.append(("parent", args.parent.resolve(), parent_runs))
-    pairs = [(w["name"], seed) for w in spec["workloads"] for seed in args.seeds]
+    pairs = [(w["name"], seed) for w in spec["workloads"] for seed in SEEDS]
     for i, (workload, seed) in enumerate(pairs):
         for order, (name, checkout, out) in enumerate(sides if i % 2 else sides[::-1]):
             run = run_one(checkout, workload, seed, spec["run_seconds"])
@@ -148,7 +145,7 @@ def main(argv=None) -> int:
             print(f"{workload} seed {seed} {name}: {status} in {run['elapsed_s']:.1f} s",
                   file=sys.stderr)
     record = {"pr": args.pr, "src_dho_lines": src_lines(root), "layers": layers(root),
-              "run_seconds": spec["run_seconds"], "seeds": args.seeds, "runs": runs}
+              "run_seconds": spec["run_seconds"], "seeds": list(SEEDS), "runs": runs}
     if args.parent is not None:
         parent = args.parent.resolve()
         record["parent"] = {"src_dho_lines": src_lines(parent), "layers": layers(parent),
