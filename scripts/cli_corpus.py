@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Fixed corpus of `compute` / `uncertainty` commands, for before/after checks.
+"""Fixed CLI corpus (compute, uncertainty, sweep) for before/after checks.
 
     PYTHONPATH=src python scripts/cli_corpus.py new.json [--against old.json]
 
-Runs every command through dho.cli.main in one process and writes argv, exit
-code (or the type of an uncaught exception) and stdout as JSON.  With
+Runs every command through dho.cli.main in one process, in a temporary
+directory that holds the sweep configs, and writes argv, exit code (or the
+type of an uncaught exception) and stdout as JSON.  With
 --against, lists the outputs that differ from the old file, prints how many
 are byte-identical, the worst relative deviation of any float and the worst
 |new - old| value over the old record's error_estimate, where that is a
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import io
 import json
+import tempfile
 
 from dho import cli
 
@@ -36,6 +38,19 @@ SERVED = {"energy": ("closed",), "heisenberg": ("closed", "asymptotic"),
           "shannon": ("closed", "oracle", "asymptotic"),
           "renyi": ("closed", "oracle", "asymptotic")}
 EXTRA = {"moment": ["--k", "1"], "heisenberg": ["--k", "2"], "renyi": ["--q", "2"]}
+# config file name -> sweep config: JSON rows with per-row errors (unserved
+# pairs), and CSV rows over a Cartesian grid
+SWEEPS = {
+    "rows.json": {"states": {"kind": "hyper", "D": 3, "omega": 1.0, "nr": [0, 2, 5],
+                             "mu": [[0, 0], [1, 0]]},
+                  "quantities": ["energy", {"id": "moment", "k": 2},
+                                 {"id": "heisenberg", "k": 2}, "shannon"],
+                  "engines": ["closed", "oracle", "asymptotic"], "output": "json"},
+    "grid.json": {"states": {"kind": "cartesian", "omega": [0.5, 1.0],
+                             "n": [[1, 0], [2, 1], [0, 3]]},
+                  "quantities": ["shannon", {"id": "renyi", "q": 0.7}],
+                  "engines": ["closed", "oracle"], "space": "momentum", "output": "csv"},
+}
 
 
 def corpus():
@@ -56,7 +71,8 @@ def corpus():
                                       "--regime", "highdim"]),
                          (LARGE, ["shannon", "--space", "momentum"])):
         runs += [["compute", "--state", st, "--quantity"] + tail for st in states]
-    return runs + [["uncertainty", "--state", st] for st in SMALL[:3] + CART[1:]]
+    runs += [["uncertainty", "--state", st] for st in SMALL[:3] + CART[1:]]
+    return runs + [["sweep", "--config", name] for name in SWEEPS]
 
 
 def run(argv):
@@ -93,6 +109,9 @@ def compare(new, old):
         if a["stdout"] == b["stdout"]:
             same += 1
             continue
+        if a["argv"][0] == "sweep" and SWEEPS[a["argv"][2]]["output"] == "csv":
+            print("differs (CSV):", " ".join(a["argv"]))
+            continue
         ra = [json.loads(s) for s in a["stdout"].splitlines()]
         rb = [json.loads(s) for s in b["stdout"].splitlines()]
         for x, y in zip(ra, rb):
@@ -121,7 +140,11 @@ def main():
     ap.add_argument("out")
     ap.add_argument("--against", default=None)
     args = ap.parse_args()
-    results = [run(argv) for argv in corpus()]
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for name, config in SWEEPS.items():
+            with open(name, "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+        results = [run(argv) for argv in corpus()]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(results, fh, indent=1)
         fh.write("\n")

@@ -313,22 +313,6 @@ def highdim_shannon(state: HyperState, space: Space = Space.POSITION,
     raise DomainError(f"mode must be one of {HIGHDIM_SHANNON_MODES}")
 
 
-def highdim_shannon_components(state: HyperState) -> dict:
-    """The published component asymptotics, for the scaling report."""
-    D, l, nr = state.spec.dim, state.l, state.n_r
-    a2 = (D / 2.0 - l * math.log(D / 2.0) - l * (nr + l - 0.5) * 2.0 / D
-          + math.log(math.exp(2 * nr + l) / 2.0))
-    radial_entropy = 0.5 * D * math.log(D) - 0.5 * (math.log(2.0) + 1.0) * D
-    swave_angular = infomeasures.angular_shannon_swave(D)
-    return {
-        "ladder_constant": a2,
-        "radial_entropy_kernel": radial_entropy,
-        "radial_entropy_note": "O(log D) remainder",
-        "angular_uniform": swave_angular,
-        "angular_note": "angular kernels add O(log D) at fixed mu",
-    }
-
-
 def _log_etilde(state: HyperState) -> float:
     """ln of the Gegenbauer parameter product; factors with mu_j = mu_{j+1} are 1."""
     total = 0.0

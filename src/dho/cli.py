@@ -1,11 +1,11 @@
 """Command-line front end: compute, sweep, uncertainty, validate, list-quantities.
 
 Output is deterministic: JSON lines use Python's shortest-roundtrip float
-representation (lowercase exponents), CSV rows follow RFC 4180, and sweep row
-order is the lexicographic order of the configuration ranges regardless of the
-parallel execution order.  Exit codes: 2 parse error, 3 domain error (also an
-unserved quantity x engine pair, a non-finite parameter or a float overflow),
-4 convergence error (nothing is printed on stdout).
+representation (lowercase exponents), CSV rows follow RFC 4180, and sweep rows
+run in turn, in the lexicographic order of the configuration ranges.  Exit
+codes: 2 parse error, 3 domain error (also an unserved quantity x engine pair,
+a non-finite parameter or a float overflow), 4 convergence error (nothing is
+printed on stdout).
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 
 from . import infomeasures, moments, states, uncertainty
@@ -231,28 +229,22 @@ def _sweep_rows(config: dict, args) -> tuple[list[dict], bool]:
     if space not in [sp.value for sp in Space]:
         raise ParseError(f"unknown space {space!r} in sweep config")
     space = Space(space)
-    jobs = [(st, *req) for st in _expand_states(config["states"]) for req in requests]
-
-    def run(job):
-        st, qspec, eng, (engine, regime, mode) = job
-        ns = argparse.Namespace(k=qspec.get("k"), q=qspec.get("q"), s=qspec.get("s", 0.0),
-                                regime=regime, mode=mode, tol=args.tol)
-        try:
-            rec = _compute_one(st, qspec["id"], space, engine, ns)
-            rec["error"] = ""
-        except Exception as exc:  # per-row failures land in the error column
-            rec = _record(st, qspec["id"], space, eng, None)
-            rec["error"] = f"{type(exc).__name__}: {exc}"
-        rec["engine_request"] = eng
-        rec["k"] = _json_number(qspec.get("k"))
-        rec["q"] = _json_number(qspec.get("q"))
-        return rec
-
-    if args.jobs == 1:
-        rows = [run(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(run, jobs))
+    rows = []
+    for st in _expand_states(config["states"]):
+        for qspec, eng, (engine, regime, mode) in requests:
+            ns = argparse.Namespace(k=qspec.get("k"), q=qspec.get("q"),
+                                    s=qspec.get("s", 0.0), regime=regime, mode=mode,
+                                    tol=args.tol)
+            try:
+                rec = _compute_one(st, qspec["id"], space, engine, ns)
+                rec["error"] = ""
+            except Exception as exc:  # per-row failures land in the error column
+                rec = _record(st, qspec["id"], space, eng, None)
+                rec["error"] = f"{type(exc).__name__}: {exc}"
+            rec["engine_request"] = eng
+            rec["k"] = _json_number(qspec.get("k"))
+            rec["q"] = _json_number(qspec.get("q"))
+            rows.append(rec)
     failed = any(r["error"] for r in rows)
     return rows, failed
 
@@ -272,10 +264,6 @@ def _format_cell(v) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if args.jobs is None:  # read per run, since the parser outlives one
-        args.jobs = _default_jobs()
-    if args.jobs < 1:
-        raise ParseError(f"--jobs must be at least 1, got {args.jobs}")
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
@@ -355,14 +343,6 @@ def cmd_list_quantities(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_jobs() -> int:
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(4, cpus)
-
-
 @functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first call: building it
@@ -398,8 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("sweep", help="grid sweep from a JSON config")
     s.add_argument("--config", required=True)
-    s.add_argument("--jobs", type=int, default=None,
-                   help="sweep threads (default: up to 4, no more than the usable CPUs)")
     s.add_argument("--tol", type=float, default=None)
     s.set_defaults(fn=cmd_sweep)
 

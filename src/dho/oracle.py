@@ -84,42 +84,30 @@ class IntegralEstimate:
 
 
 class BoundedCache(OrderedDict):
-    """A map that keeps its maxsize most recently used entries, for threads.
+    """A map that keeps its maxsize most recently used entries.
 
-    Each key is computed once: a thread that misses a key in flight waits for
-    that computation (so compute must not ask this cache for its own key), and
-    one that raises stores nothing and wakes the waiters.
+    One lock guards lookup, store and eviction, so threads may share it; two
+    that miss one key at once both compute it.  A compute that raises stores
+    nothing.
     """
 
     def __init__(self, maxsize: int):
         super().__init__()
         self.maxsize = maxsize
         self._lock = threading.Lock()
-        self._pending = {}  # key -> Event set when its computation ends
 
     def get_or_compute(self, key, compute):
         """The value stored under key, else compute() stored there."""
-        while True:
-            with self._lock:
-                if key in self:
-                    self.move_to_end(key)
-                    return self[key]
-                done = self._pending.get(key)
-                if done is None:
-                    done = self._pending[key] = threading.Event()
-                    break
-            done.wait()
-        try:
-            value = compute()
-            with self._lock:
-                self[key] = value
+        with self._lock:
+            if key in self:
                 self.move_to_end(key)
-                while len(self) > self.maxsize:
-                    self.popitem(last=False)
-        finally:
-            with self._lock:
-                del self._pending[key]
-            done.set()
+                return self[key]
+        value = compute()
+        with self._lock:
+            self[key] = value
+            self.move_to_end(key)
+            while len(self) > self.maxsize:
+                self.popitem(last=False)
         return value
 
 

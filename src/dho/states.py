@@ -237,6 +237,20 @@ def state_to_dict(state: State) -> dict:
     return {"kind": "cartesian", "omega": state.spec.omega, "n": list(state.n)}
 
 
+def _wire_number(value, name: str):
+    """A JSON number as given; a bool or a string is refused, never coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"state field {name!r} must be a number, got {value!r}")
+    return value
+
+
+def _wire_numbers(value, name: str) -> tuple:
+    """A JSON list of numbers as a tuple; any other value is refused."""
+    if not isinstance(value, list):
+        raise ParseError(f"state field {name!r} must be a list of numbers, got {value!r}")
+    return tuple(_wire_number(v, name) for v in value)
+
+
 def state_from_dict(data: dict) -> State:
     try:
         kind = data["kind"]
@@ -244,13 +258,15 @@ def state_from_dict(data: dict) -> State:
         raise ParseError("state object needs a 'kind' field") from exc
     try:
         if kind == "hyper":
-            spec = OscillatorSpec(float(data["omega"]), _integer(data["D"], "D"))
-            return HyperState(spec, _integer(data["nr"], "nr"), tuple(data["mu"]))
+            spec = OscillatorSpec(float(_wire_number(data["omega"], "omega")),
+                                  _integer(_wire_number(data["D"], "D"), "D"))
+            return HyperState(spec, _integer(_wire_number(data["nr"], "nr"), "nr"),
+                              _wire_numbers(data["mu"], "mu"))
         if kind == "cartesian":
-            n = tuple(data["n"])
-            spec = OscillatorSpec(float(data["omega"]), len(n))
+            n = _wire_numbers(data["n"], "n")
+            spec = OscillatorSpec(float(_wire_number(data["omega"], "omega")), len(n))
             return CartesianState(spec, n)
-    except DomainError:
+    except (DomainError, ParseError):
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {kind!r} state: {exc}") from exc

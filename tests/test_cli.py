@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -147,6 +148,24 @@ def test_non_integer_or_non_finite_state_is_domain_error(state, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "domain error" in err
+
+
+@pytest.mark.parametrize("state", [
+    '{"kind":"hyper","D":3,"omega":1,"nr":true,"mu":[0,0]}',
+    '{"kind":"hyper","D":3,"omega":"1","nr":0,"mu":[0,0]}',
+    '{"kind":"hyper","D":"3","omega":1,"nr":"2","mu":["1",0]}',
+    '{"kind":"hyper","D":3,"omega":1,"nr":2,"mu":["1",0]}',
+    '{"kind":"hyper","D":3,"omega":1,"nr":0,"mu":[true,false]}',
+    '{"kind":"hyper","D":3,"omega":1,"nr":0,"mu":"10"}',
+    '{"kind":"hyper","D":3,"omega":1,"nr":0,"mu":{"0":0}}',
+    '{"kind":"cartesian","omega":1,"n":"21"}',
+    '{"kind":"cartesian","omega":false,"n":[1]}',
+])
+def test_bool_string_or_non_list_state_field_is_parse_error(state, capsys):
+    assert cli.main(["compute", "--state", state, "--quantity", "energy"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "parse error" in err
 
 
 def test_missing_parameter_is_parse_error():
@@ -467,10 +486,8 @@ def test_sweep_csv_deterministic(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(SWEEP_CONFIG))
     # binary capture: RFC 4180 wants literal CRLF line endings
-    p1 = subprocess.run([sys.executable, "-m", "dho.cli", "sweep",
-                         "--config", str(cfg)], capture_output=True)
-    p2 = subprocess.run([sys.executable, "-m", "dho.cli", "sweep",
-                         "--config", str(cfg), "--jobs", "1"], capture_output=True)
+    p1, p2 = (subprocess.run([sys.executable, "-m", "dho.cli", "sweep", "--config", str(cfg)],
+                             capture_output=True) for _ in range(2))
     assert p1.returncode == p2.returncode == 0
     assert p1.stdout == p2.stdout
     lines = p1.stdout.decode().split("\r\n")
@@ -492,10 +509,10 @@ def test_sweep_json_rows_and_errors(tmp_path):
     assert all(r["error"].startswith("DomainError") for r in rows)
 
 
-def _sweep(tmp_path, capsys, config, *args):
+def _sweep(tmp_path, capsys, config):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps(config))
-    rc = cli.main(["sweep", "--config", str(cfg), *args])
+    rc = cli.main(["sweep", "--config", str(cfg)])
     out, _ = capsys.readouterr()
     return rc, [json.loads(line, parse_constant=_no_bare_constants)
                 for line in out.splitlines()]
@@ -508,7 +525,7 @@ SMALL_SWEEP = {"states": {"kind": "hyper", "D": 3, "omega": 1.0, "nr": [1],
 def test_sweep_unserved_pairs_are_row_errors(tmp_path, capsys):
     config = dict(SMALL_SWEEP, quantities=["energy", {"id": "heisenberg", "k": 2}],
                   engines=["closed", "oracle"])
-    rc, rows = _sweep(tmp_path, capsys, config, "--jobs", "1")
+    rc, rows = _sweep(tmp_path, capsys, config)
     assert rc == 1
     assert [r["error"].split(":")[0] for r in rows] == [
         "", "UnsupportedError", "", "UnsupportedError"]
@@ -537,26 +554,16 @@ def test_sweep_non_finite_parameter_is_row_error(tmp_path, capsys):
     assert row["q"] is None and row["value"] is None
 
 
-@pytest.mark.parametrize("jobs", ["0", "-1"])
-def test_sweep_jobs_below_one_is_parse_error(jobs, tmp_path, capsys):
-    config = dict(SMALL_SWEEP, quantities=["energy"])
-    assert _sweep(tmp_path, capsys, config, "--jobs", jobs) == (2, [])
+def test_sweep_runs_its_rows_in_order_on_the_calling_thread(tmp_path, capsys, monkeypatch):
+    def start(thread):
+        raise AssertionError("the sweep started a thread")
 
-
-def test_sweep_jobs_default_is_capped_at_usable_cpus(tmp_path, capsys, monkeypatch):
-    # read when each sweep runs, through the one parser of the process
-    seen = []
-    monkeypatch.setattr(cli, "_sweep_rows",
-                        lambda config, args: seen.append(args.jobs) or ([], False))
-
-    def jobs():
-        assert _sweep(tmp_path, capsys, dict(SMALL_SWEEP, quantities=["energy"])) == (0, [])
-        return seen[-1]
-
-    assert jobs() == min(4, len(os.sched_getaffinity(0)))
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert jobs() == 3
+    monkeypatch.setattr(threading.Thread, "start", start)
+    rc, rows = _sweep(tmp_path, capsys, dict(SWEEP_CONFIG, output="json"))
+    assert rc == 0
+    assert [(r["state"]["nr"], r["quantity"], r["engine_request"]) for r in rows] == [
+        (nr, qid, eng) for nr in (0, 1, 2) for qid in ("moment", "fisher")
+        for eng in ("closed", "oracle")]
 
 
 def _forbid(monkeypatch, *names):

@@ -1,7 +1,6 @@
 """Quadrature engine: rule exactness, adaptive integrals, norms, entropies."""
 
 import math
-import threading
 
 import mpmath as mp
 import numpy as np
@@ -276,60 +275,16 @@ class TestBoundedCache:
             assert len(cache) <= 3
         assert len(cache) == 3
 
-    def test_threads_that_miss_one_key_compute_it_once(self):
+    def test_a_compute_that_raises_caches_nothing(self):
         cache = oracle.BoundedCache(2)
-        started, release = threading.Event(), threading.Event()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            started.set()
-            release.wait(10)
-            return "value"
-
-        results = []
-        first = threading.Thread(target=lambda: results.append(cache.get_or_compute("k", compute)))
-        first.start()
-        assert started.wait(10)
-        second = threading.Thread(target=lambda: results.append(cache.get_or_compute("k", compute)))
-        second.start()
-        second.join(0.2)
-        assert second.is_alive()  # waiting for the first thread's computation
-        release.set()
-        first.join(10)
-        second.join(10)
-        assert not first.is_alive() and not second.is_alive()
-        assert results == ["value", "value"] and len(calls) == 1
-
-    def test_a_compute_that_raises_caches_nothing_and_frees_its_waiters(self):
-        cache = oracle.BoundedCache(2)
-        started, release = threading.Event(), threading.Event()
 
         def failing():
-            started.set()
-            release.wait(10)
             raise RuntimeError("compute failed")
 
-        errors, results = [], []
-
-        def first_call():
-            try:
-                cache.get_or_compute("k", failing)
-            except RuntimeError as exc:
-                errors.append(exc)
-
-        first = threading.Thread(target=first_call)
-        first.start()
-        assert started.wait(10)
-        second = threading.Thread(target=lambda: results.append(cache.get_or_compute("k", lambda: 7)))
-        second.start()
-        second.join(0.2)
-        assert second.is_alive()  # waiting for the failing computation
-        release.set()
-        first.join(10)
-        second.join(10)
-        assert not first.is_alive() and not second.is_alive()
-        assert len(errors) == 1 and results == [7]
+        with pytest.raises(RuntimeError, match="compute failed"):
+            cache.get_or_compute("k", failing)
+        assert len(cache) == 0
+        assert cache.get_or_compute("k", lambda: 7) == 7
         assert dict(cache) == {"k": 7}
 
 
