@@ -18,8 +18,9 @@ Those runs and that checkout's line count go under "parent", and each run
 records its place in its pair ("order" 0 or 1).  Each checkout also gets a
 "layers" section: build times measured in one process with fresh caches,
 best of LAYER_REPEATS (Gauss-Laguerre rules, a member's roots and tanh-sinh
-panel evaluator, one entropy kernel, and single three-term-recurrence passes
-over 1 to 100000 nodes; see LAYER_CODE).  It records numbers only: it sets
+panel evaluator, one entropy kernel, one integer-q L_q integral, one closed
+moment sum, and single three-term-recurrence passes over 1 to 100000 nodes;
+see LAYER_CODE).  It records numbers only: it sets
 no bound and gates nothing.
 """
 
@@ -40,12 +41,13 @@ LAYER_CODE = """
 import json, sys, time
 import numpy as np
 sys.path.insert(0, "src")
-from dho import oracle, specfun
+from dho import moments, oracle, specfun, states
 from dho.specfun import PolySpec
 
 def fresh():
-    for name in ("_RULE_CACHE", "_ENTROPY_CACHE", "_MEMBER_CACHE"):
+    for name in ("_RULE_CACHE", "_ENTROPY_CACHE", "_MEMBER_CACHE", "_LQ_CACHE"):
         getattr(oracle, name, {}).clear()
+    getattr(moments, "_MOMENT_CACHE", {}).clear()
 
 def best(work):
     times = []
@@ -69,6 +71,11 @@ for n in (400, 800, 2000):
     out[f"member.laguerre_0.5.degree_{n}_s"] = best(lambda: member(n))
 out["polynomial_entropy.laguerre_0.5.degree_800_s"] = best(
     lambda: oracle.polynomial_entropy(PolySpec("laguerre", 800, 0.5)))
+out["log_lq_integral.laguerre_0.5.degree_800.q_2_s"] = best(
+    lambda: oracle.log_lq_integral(PolySpec("laguerre", 800, 0.5), 2, 0.5))
+moment_state = states.parse_state('{"kind":"hyper","D":3,"omega":1,"nr":800,"mu":[0,0]}')
+out["radial_moment.D_3.n_r_800.k_1_s"] = best(
+    lambda: moments.radial_moment(moment_state, 1.0))
 
 def recurrence(n, x, derivative):
     spec = PolySpec("laguerre", n, 0.5)

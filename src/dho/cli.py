@@ -4,8 +4,8 @@ Output is deterministic: JSON lines use Python's shortest-roundtrip float
 representation (lowercase exponents), CSV rows follow RFC 4180, and sweep rows
 run in turn, in the lexicographic order of the configuration ranges.  Exit
 codes: 2 parse error, 3 domain error (also an unserved quantity x engine pair,
-a non-finite parameter or a float overflow), 4 convergence error (nothing is
-printed on stdout).
+a non-finite parameter, a float overflow or a value below the normal float
+range), 4 convergence error (nothing is printed on stdout).
 """
 
 from __future__ import annotations
@@ -108,11 +108,18 @@ def _emit(record: dict) -> None:
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+# quantities whose every value is > 0, so a served 0.0 can only be an underflow
+POSITIVE_QUANTITIES = frozenset({"energy", "moment", "heisenberg", "fisher", "disequilibrium"})
+
+
 def _record(state, quantity, space, engine, value, error_estimate=None,
             order_note=None, **extra) -> dict:
     for x in (value, error_estimate):
         if x is not None and not math.isfinite(x):
             raise DomainError(f"{quantity} is not finite in floating point: {x!r}")
+    if value is not None and (0.0 < abs(value) < sys.float_info.min
+                              or value == 0.0 and quantity in POSITIVE_QUANTITIES):
+        raise UnsupportedError(f"{quantity} {value!r} is below the normal float range")
     rec = {"state": states.state_to_dict(state), "quantity": quantity,
            "space": None if space is None else space.value, "engine": engine,
            "value": None if value is None else float(value),

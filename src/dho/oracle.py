@@ -9,7 +9,11 @@ polynomial_entropy share one family table: Gauss rules for integer q,
 vectorized tanh-sinh panels between the roots otherwise, with the member
 evaluated by specfun.panel_evaluator (a Taylor series about each interior
 panel's midpoint, the recurrence on the outer panels); a member's roots and
-evaluator are built once and kept in _MEMBER_CACHE.  The adaptive
+evaluator are built once and kept in _MEMBER_CACHE, and each L_q integral
+and polynomial entropy once in _LQ_CACHE and _ENTROPY_CACHE.  These
+integrals are the omega-free kernels of the spreading measures (omega only
+rescales the variable), so their keys hold the member, q, the weight
+exponent and, for the tanh-sinh routes, the tolerance.  The adaptive
 QUADPACK integrator serves only the independent oracle routes: it splits at
 supplied singular points and maps infinite tails by an exponential
 substitution.
@@ -292,7 +296,8 @@ def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
     still summed over the full array of values.  Where tanh rounds a node to
     u = +-1 (about half of them, |t| > 3.19) its x is the panel edge
     mid +- half: f_vec sees each panel's two edges once, at the first level,
-    and those values fill every such node.
+    and those values fill every such node.  A total that is not finite raises
+    UnsupportedError.
     """
     if tol is None:
         tol = default_tolerance()
@@ -321,7 +326,10 @@ def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
         if vals is not None:
             new[:, ~odd] = vals[:, reuse]
         vals = new
-        total = float(np.sum((half[:, None] * w[None, :]) * vals))
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = float(np.sum((half[:, None] * w[None, :]) * vals))
+        if not math.isfinite(total):  # tol |total| would pass any difference
+            raise UnsupportedError("the tanh-sinh panel integral leaves the float range")
         diff = math.inf if prev is None else abs(total - prev)
         if diff <= max(tol * abs(total), ABS_FLOOR):
             return IntegralEstimate(total, diff, len(mid) * len(u))
@@ -399,6 +407,12 @@ def _root_panel_integral(spec: PolySpec, a: float, q: float, integrand,
     return integrate_panels_vectorized(f_vec, edges, tol=tol).value
 
 
+# Each route's result, keyed on what sets it: the integral for real q (with
+# the tolerance it was taken to), its logarithm for integer q (exact, so no
+# tolerance).  validate --preset full asks for 349 distinct integrals.
+_LQ_CACHE = BoundedCache(1024)
+
+
 def lq_integral(spec: PolySpec, q: float, a: float = 0.0,
                 tol: float | None = None) -> float:
     """int y(x)^(2q) w(x) dx for the orthonormal member y = spec: w is
@@ -407,9 +421,17 @@ def lq_integral(spec: PolySpec, q: float, a: float = 0.0,
     through tanh-sinh panels between the roots, which refuse degrees above
     PANEL_MAX_DEGREE (2000)."""
     if q > 0 and not float(q).is_integer():
-        return _root_panel_integral(spec, a, q,
-                                    lambda lw, ln_y2: np.exp(lw + q * ln_y2), tol)
+        return _real_lq_integral(spec, q, a, tol)
     return math.exp(log_lq_integral(spec, q, a, tol))
+
+
+def _real_lq_integral(spec: PolySpec, q: float, a: float, tol: float | None) -> float:
+    """lq_integral at a non-integer q, by tanh-sinh panels once per key."""
+    if tol is None:
+        tol = default_tolerance()
+    key = (spec.family, spec.degree, spec.parameter, float(q), float(a), tol)
+    return _LQ_CACHE.get_or_compute(key, lambda: _root_panel_integral(
+        spec, a, q, lambda lw, ln_y2: np.exp(lw + q * ln_y2), tol))
 
 
 def log_lq_integral(spec: PolySpec, q: float, a: float = 0.0,
@@ -422,9 +444,13 @@ def log_lq_integral(spec: PolySpec, q: float, a: float = 0.0,
     if not q > 0:
         raise DomainError("q must be positive")
     if not float(q).is_integer():
-        value = lq_integral(spec, q, a, tol)
+        value = _real_lq_integral(spec, q, a, tol)
         return math.log(value) if value > 0.0 else -math.inf
-    qi = int(q)
+    key = (spec.family, spec.degree, spec.parameter, float(q), float(a))
+    return _LQ_CACHE.get_or_compute(key, lambda: _log_gauss_lq_integral(spec, int(q), a))
+
+
+def _log_gauss_lq_integral(spec: PolySpec, qi: int, a: float) -> float:
     order = qi * spec.degree + 2
     if spec.family == "laguerre":
         rule = gauss_rule("laguerre", order + int(math.ceil(abs(a))) // 2, a)

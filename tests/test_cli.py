@@ -364,6 +364,54 @@ def test_float_overflow_is_domain_error(state, extra, capsys):
     assert "domain error" in err
 
 
+# served values that fall below the normal float range: a subnormal, or a 0.0
+# where the quantity is positive
+UNDERFLOWS = [
+    (1e300, {"id": "moment", "k": 4}, "closed"),
+    (1e300, {"id": "moment", "k": 4}, "oracle"),
+    (1e300, {"id": "moment", "k": 2.1}, "closed"),
+    (1e-300, {"id": "disequilibrium"}, "closed"),
+    (1e-300, {"id": "disequilibrium"}, "oracle"),
+    (1e-310, {"id": "fisher"}, "closed"),
+]
+
+
+def _underflow_argv(omega, qspec, engine):
+    state = json.dumps({"kind": "hyper", "D": 3, "omega": omega, "nr": 2, "mu": [1, 0]})
+    params = [f"--{key}={value}" for key, value in qspec.items() if key != "id"]
+    return ["compute", "--state", state, "--quantity", qspec["id"], "--engine", engine,
+            *params]
+
+
+@pytest.mark.parametrize("omega, qspec, engine", UNDERFLOWS)
+def test_value_below_the_normal_float_range_is_refused(omega, qspec, engine, capsys):
+    assert cli.main(_underflow_argv(omega, qspec, engine)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("domain error") and "below the normal float range" in err
+
+
+@pytest.mark.parametrize("omega, qspec, engine", UNDERFLOWS)
+def test_value_below_the_normal_float_range_is_a_sweep_row_error(omega, qspec, engine,
+                                                                 tmp_path, capsys):
+    config = {"states": {"kind": "hyper", "D": 3, "omega": [1.0, omega], "nr": 2,
+                         "mu": [1, 0]}, "quantities": [qspec], "engines": [engine]}
+    rc, (served, refused) = _sweep(tmp_path, capsys, config)
+    assert rc == 1
+    assert served["error"] == "" and served["value"] > 0.0
+    assert refused["error"].startswith("UnsupportedError")
+    assert "below the normal float range" in refused["error"]
+    assert refused["value"] is None
+
+
+def test_zero_is_served_where_the_quantity_may_vanish():
+    # a Renyi or Shannon entropy of 0.0 is a value, not an underflow
+    state = cli.states.parse_state(GROUND3)
+    assert cli._record(state, "shannon", None, "closed", 0.0)["value"] == 0.0
+    with pytest.raises(cli.UnsupportedError):
+        cli._record(state, "energy", None, "closed", 0.0)
+
+
 def _no_bare_constants(name):
     raise AssertionError(f"bare {name} in JSON output")
 

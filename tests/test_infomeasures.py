@@ -631,3 +631,31 @@ def test_closed_and_oracle_moments_fisher_and_disequilibrium_agree(state, space,
     closed, orc = (im.disequilibrium(state, engine) for engine in (ENGINE_CLOSED,
                                                                    ENGINE_ORACLE))
     assert abs(closed.value - orc.value) <= orc.error_estimate + 1e-12 * closed.value
+
+
+# ---------------------------------------------------------------------------
+# the omega-free L_q kernels are computed once per state, not per omega or space
+
+
+def test_lq_kernels_run_once_across_omega_and_space(monkeypatch):
+    monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(64))
+    calls = []
+    for name in ("_log_gauss_lq_integral", "_root_panel_integral"):
+        original = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name,
+                            lambda *args, f=original: calls.append(args) or f(*args))
+    values = {}
+    for omega in (0.5, 1.0, 2.0):
+        state = hyper(omega, 4, 3, 2, 1, -1)
+        for space in Space:
+            for q in (2, 2.5):
+                values[omega, space, q] = im.renyi(state, q, space).value
+        values[omega, "disequilibrium"] = im.disequilibrium(state).value
+    assert len(calls) == len(oracle._LQ_CACHE) > 0
+    # the cached route gives the bits of the uncached one
+    monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(0))
+    for omega in (0.5, 2.0):
+        state = hyper(omega, 4, 3, 2, 1, -1)
+        for q in (2, 2.5):
+            assert im.renyi(state, q, Space.MOMENTUM).value == values[omega, Space.MOMENTUM, q]
+        assert im.disequilibrium(state).value == values[omega, "disequilibrium"]

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dho import moments, validation
-from dho.errors import DomainError
+from dho import moments, oracle, validation
+from dho.errors import DomainError, UnsupportedError
 from dho.states import HyperState, OscillatorSpec, Space
 
 
@@ -145,6 +145,55 @@ class TestOmegaFactorInTheExponent:
         for k in (-1.5, 1.0, 3.0):
             for engine in (moments.radial_moment, moments.oracle_radial_moment):
                 assert engine(state, k) == engine(state, k, Space.MOMENTUM)
+
+
+class TestMomentCache:
+    ENGINES = (moments.radial_moment, moments.oracle_radial_moment)
+
+    def test_a_warm_value_has_the_bits_of_a_cold_one(self, monkeypatch):
+        for state, k in ((hyper(0.7, 3, 40, 2), 1.0), (hyper(2.0, 5, 3, 1), -1.5),
+                         (hyper(1.0, 3, 200, 0), 2.5)):
+            for engine in self.ENGINES:
+                for space in Space:
+                    monkeypatch.setattr(moments, "_MOMENT_CACHE", oracle.BoundedCache(4))
+                    cold = engine(state, k, space)
+                    assert engine(state, k, space) == cold
+
+    def test_each_kernel_runs_once_across_omega_and_space(self, monkeypatch):
+        monkeypatch.setattr(moments, "_MOMENT_CACHE", oracle.BoundedCache(16))
+        calls = []
+        for name in ("_finite_sum_parts", "_log_gauss_moment"):
+            original = getattr(moments, name)
+            monkeypatch.setattr(moments, name,
+                                lambda *args, f=original: calls.append(args) or f(*args))
+        for omega in (0.5, 1.0, 2.0):
+            for space in Space:
+                for engine in self.ENGINES:
+                    for k in (-1.0, 2.0):
+                        engine(hyper(omega, 3, 4, 1), k, space)
+        assert len(calls) == len(moments._MOMENT_CACHE) == 4
+
+    def test_omega_alone_still_leaves_the_float_range(self, monkeypatch):
+        # <r^4> = omega^-2 <r^4>_(omega=1): the cached omega-free part is finite
+        monkeypatch.setattr(moments, "_MOMENT_CACHE", oracle.BoundedCache(4))
+        for engine in self.ENGINES:
+            served = engine(hyper(1.0, 3, 2, 1), 4.0)
+            with pytest.raises(UnsupportedError, match="float range"):
+                engine(hyper(1e-300, 3, 2, 1), 4.0)
+            assert engine(hyper(1.0, 3, 2, 1), 4.0) == served
+
+    def test_a_compute_that_raises_stores_nothing(self, monkeypatch):
+        monkeypatch.setattr(moments, "_MOMENT_CACHE", oracle.BoundedCache(4))
+
+        def fail(*args):
+            raise ArithmeticError("failed")
+
+        monkeypatch.setattr(moments, "_finite_sum_parts", fail)
+        with pytest.raises(ArithmeticError):
+            moments.radial_moment(hyper(1.0, 3, 2, 1), 1.0)
+        with pytest.raises(UnsupportedError):  # a Gauss rule past GAUSS_MAX_ORDER
+            moments.oracle_radial_moment(hyper(1.0, 3, oracle.GAUSS_MAX_ORDER, 0), 1.0)
+        assert len(moments._MOMENT_CACHE) == 0
 
 
 class TestRecurrence:

@@ -234,6 +234,7 @@ class TestMemberCache:
                             lambda spec, weights=False: built.append(spec) or build(spec, weights))
         monkeypatch.setattr(oracle, "_MEMBER_CACHE", oracle.BoundedCache(4))
         monkeypatch.setattr(oracle, "_ENTROPY_CACHE", oracle.BoundedCache(4))
+        monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(4))
         spec = PolySpec("laguerre", 120, 0.5)
         entropy = oracle.polynomial_entropy(spec)
         norms = [oracle.lq_integral(spec, q, 0.5) for q in (0.8, 1.7)]
@@ -242,11 +243,13 @@ class TestMemberCache:
         monkeypatch.setattr(oracle, "_MEMBER_CACHE", oracle.BoundedCache(4))
         assert oracle._entropy_kernel(spec, 0.0, oracle.default_tolerance()) == entropy
         monkeypatch.setattr(oracle, "_MEMBER_CACHE", oracle.BoundedCache(4))
+        monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(4))
         assert oracle.lq_integral(spec, 1.7, 0.5) == norms[1]
 
     def test_member_cache_is_bounded(self, monkeypatch):
         small = oracle.BoundedCache(3)
         monkeypatch.setattr(oracle, "_MEMBER_CACHE", small)
+        monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(16))
         for n in range(1, 10):
             oracle.lq_integral(PolySpec("hermite", n), 0.7)
             assert len(small) <= 3
@@ -469,8 +472,10 @@ class TestTaylorPanels:
             return out
 
         monkeypatch.setattr(oracle, "_MEMBER_CACHE", oracle.BoundedCache(4))
+        monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(4))
         taylor = kernels()
         monkeypatch.setattr(oracle, "_MEMBER_CACHE", oracle.BoundedCache(4))
+        monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(4))
         monkeypatch.setattr(specfun, "TAYLOR_MIN_DEGREE", spec.degree + 1)  # recurrence everywhere
         for got, ref in zip(taylor, kernels()):
             assert got == pytest.approx(ref, rel=1e-12)
@@ -572,6 +577,7 @@ class TestNestedLevels:
 
         monkeypatch.setattr(oracle, "integrate_panels_vectorized", both)
         monkeypatch.setattr(oracle, "_ENTROPY_CACHE", oracle.BoundedCache(256))
+        monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(4))
         run()
         (est, seen, ref, final_x, npanel), = calls
         assert est == ref  # value, error estimate and node count, exactly
@@ -608,6 +614,75 @@ class TestExhaustedRefinement:
 
     def test_one_level_gives_no_estimate(self):
         assert self._fail(4).error_estimate == math.inf
+
+
+class TestNonFiniteTotal:
+    def test_an_infinite_total_is_refused_without_a_warning(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(UnsupportedError, match="leaves the float range"):
+                oracle.integrate_panels_vectorized(lambda x: np.full(np.shape(x), 1e308),
+                                                   [0.0, 1e10])
+            # at q = 1e-300 the Laguerre support runs out to ~6e301
+            with pytest.raises(UnsupportedError, match="leaves the float range"):
+                oracle.weighted_Lq_norm(2, 1, 3, 1e-300)
+
+
+def _counted(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records each call's arguments."""
+    calls, original = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestLqCache:
+    SPECS = [(PolySpec("laguerre", 30, 1.5), 0.5), (PolySpec("gegenbauer", 6, 2.5), 2.0),
+             (PolySpec("hermite", 9), 0.0)]
+
+    @pytest.mark.parametrize("q", [2, 3.0, 0.7, 2.5])
+    def test_a_warm_value_has_the_bits_of_a_cold_one(self, q, monkeypatch):
+        for spec, a in self.SPECS:
+            monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(4))
+            cold = oracle.lq_integral(spec, q, a), oracle.log_lq_integral(spec, q, a)
+            assert len(oracle._LQ_CACHE) == 1
+            assert (oracle.lq_integral(spec, q, a), oracle.log_lq_integral(spec, q, a)) == cold
+
+    def test_integer_q_shares_one_key_and_ignores_the_tolerance(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(4))
+        calls = _counted(monkeypatch, oracle, "_log_gauss_lq_integral")
+        spec = PolySpec("laguerre", 12, 0.5)
+        values = [oracle.log_lq_integral(spec, 2, 0.5), oracle.log_lq_integral(spec, 2.0, 0.5)]
+        monkeypatch.setenv("HO_ORACLE_TOL", "1e-6")
+        values.append(oracle.log_lq_integral(spec, 2.0, 0.5, tol=1e-3))
+        assert len(calls) == 1 and len(oracle._LQ_CACHE) == 1
+        assert values == [values[0]] * 3
+
+    def test_real_q_keys_on_the_tolerance_read_per_call(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(4))
+        calls = _counted(monkeypatch, oracle, "_root_panel_integral")
+        spec = PolySpec("laguerre", 12, 0.5)
+        for tol in ("1e-10", "1e-10", "1e-6"):
+            monkeypatch.setenv("HO_ORACLE_TOL", tol)
+            oracle.lq_integral(spec, 0.8, 0.5)
+        assert [c[-1] for c in calls] == [1e-10, 1e-6]
+        oracle.log_lq_integral(spec, 0.8, 0.5, tol=1e-6)
+        assert len(calls) == 2 and len(oracle._LQ_CACHE) == 2
+
+    def test_a_compute_that_raises_stores_nothing(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(4))
+        for spec, q in ((PolySpec("laguerre", 2, 1.5), 1e-300),
+                        (PolySpec("hermite", oracle.PANEL_MAX_DEGREE + 1), 0.8),
+                        (PolySpec("hermite", 5000), 3.0)):
+            with pytest.raises(UnsupportedError):
+                oracle.lq_integral(spec, q, 0.5 if spec.family == "laguerre" else 0.0)
+        assert len(oracle._LQ_CACHE) == 0
 
 
 class TestConcurrency:
