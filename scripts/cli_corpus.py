@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fixed CLI corpus (compute, uncertainty, sweep) for before/after checks.
+"""Fixed CLI corpus (compute, uncertainty, sweep, validate) for before/after checks.
 
     PYTHONPATH=src python scripts/cli_corpus.py new.json [--against old.json]
 
@@ -55,7 +55,8 @@ SWEEPS = {
 
 def corpus():
     """Every served quantity x engine pair on three small hyperspherical states
-    (rotating through SMALL), one large one and, where served, one Cartesian."""
+    (rotating through SMALL), one large one and, where served, one Cartesian;
+    then the uncertainty reports, the sweeps and the full validate report."""
     runs = []
     for i, (quantity, engine) in enumerate((q, e) for q, es in SERVED.items() for e in es):
         states = [SMALL[(i + j) % len(SMALL)] for j in range(3)]
@@ -72,7 +73,8 @@ def corpus():
                          (LARGE, ["shannon", "--space", "momentum"])):
         runs += [["compute", "--state", st, "--quantity"] + tail for st in states]
     runs += [["uncertainty", "--state", st] for st in SMALL[:3] + CART[1:]]
-    return runs + [["sweep", "--config", name] for name in SWEEPS]
+    runs += [["sweep", "--config", name] for name in SWEEPS]
+    return runs + [["validate", "--preset", "full"]]
 
 
 def run(argv):

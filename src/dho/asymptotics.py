@@ -18,9 +18,6 @@ from . import infomeasures, oracle, specfun, states
 from .errors import DomainError, UnsupportedError, refuse_overflow
 from .states import HyperState, Space
 
-REGIME_RYDBERG = "rydberg"
-REGIME_HIGH_DIM = "high_dim"
-
 HIGH_DIM_COMFORT = 50  # below this the order notes flag the extrapolation
 
 
@@ -42,7 +39,6 @@ class RydbergLimit:
 @dataclass(frozen=True)
 class AsymptoticValue:
     value: float
-    regime: str
     order_note: str
 
 
@@ -82,8 +78,7 @@ def rydberg_moment(k: float, n_r: int, limit: RydbergLimit = RydbergLimit(),
             value = (limit.a * n_r) ** (k / 2.0) * f * omega ** (-k / 2.0)
         if space is Space.MOMENTUM:
             value *= omega ** k
-    return AsymptoticValue(value, REGIME_RYDBERG,
-                           "leading term only; relative error O(1/n_r)")
+    return AsymptoticValue(value, "leading term only; relative error O(1/n_r)")
 
 
 def rydberg_heisenberg(k: float, n_r: int) -> AsymptoticValue:
@@ -94,8 +89,7 @@ def rydberg_heisenberg(k: float, n_r: int) -> AsymptoticValue:
     lg = gammaln((1.0 + k) / 2.0) - gammaln(1.0 + k / 2.0)
     with refuse_overflow(f"<r^k><p^k> at k = {k!r}"):
         value = (4.0 * n_r) ** k / math.pi * math.exp(2.0 * lg)
-    return AsymptoticValue(value, REGIME_RYDBERG,
-                           "leading term only; relative error O(1/n_r)")
+    return AsymptoticValue(value, "leading term only; relative error O(1/n_r)")
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +118,11 @@ def highdim_moment(k: float, D: int, omega: float, n_r: int = 0, l: int = 0,
         raise DomainError(f"unknown form {form!r}")
     if space is Space.MOMENTUM:
         value *= omega ** k
-    return AsymptoticValue(value, REGIME_HIGH_DIM, note)
+    return AsymptoticValue(value, note)
 
 
 def highdim_heisenberg(k: float, D: int) -> AsymptoticValue:
-    return AsymptoticValue((D / 2.0) ** k, REGIME_HIGH_DIM,
-                           "leading term; relative error O(1/D)")
+    return AsymptoticValue((D / 2.0) ** k, "leading term; relative error O(1/D)")
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +167,7 @@ def rydberg_shannon(state: HyperState, space: Space = Space.POSITION,
     sign = -1.0 if space is Space.POSITION else 1.0
     value = ((D / 2.0) * math.log(state.n_r) + math.log(math.pi) - 1.0 + ey
              + sign * (D / 2.0) * math.log(state.spec.omega))
-    return AsymptoticValue(value, REGIME_RYDBERG, "o(1) remainder")
+    return AsymptoticValue(value, "o(1) remainder")
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +270,7 @@ def rydberg_renyi(state: HyperState, q: float, space: Space = Space.POSITION,
     sign = -1.0 if space is Space.POSITION else 1.0
     value = (-math.log(2.0) + math.log(norm) / (1.0 - q) + ang
              + sign * (D / 2.0) * math.log(state.spec.omega))
-    return AsymptoticValue(value, REGIME_RYDBERG,
-                           f"{regime}; o(1) remainder in the radial part")
+    return AsymptoticValue(value, f"{regime}; o(1) remainder in the radial part")
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +294,11 @@ def highdim_shannon(state: HyperState, space: Space = Space.POSITION,
     note_suffix = "" if D >= HIGH_DIM_COMFORT else f"; D = {D} is small for the regime"
     if mode == "leading":
         value = (D / 2.0) * (1.0 + math.log(math.pi) + sign * math.log(omega))
-        return AsymptoticValue(value, REGIME_HIGH_DIM,
+        return AsymptoticValue(value,
                                "O(log D) remainder at fixed quantum numbers" + note_suffix)
     if mode == "as_published":
         value = 0.5 * D * math.log(D) + sign * (D / 2.0) * math.log(omega)
-        return AsymptoticValue(value, REGIME_HIGH_DIM,
+        return AsymptoticValue(value,
                                "published radial-scale form, O(D) remainder; the "
                                "uniform-angular term cancels this growth (see "
                                "scaling report)" + note_suffix)
@@ -349,11 +341,11 @@ def highdim_renyi(state: HyperState, q: float, space: Space = Space.POSITION) ->
     sign = -1.0 if space is Space.POSITION else 1.0
     if space is Space.MOMENTUM:
         value = lead + sub + (D / 2.0) * math.log(omega)
-        return AsymptoticValue(value, REGIME_HIGH_DIM, "O(log D) remainder")
+        return AsymptoticValue(value, "O(log D) remainder")
     log_chat = ((q - 1.0) * math.log(2.0) - q * gammaln(nr + 1.0)
                 - q * (2 * nr + l) * math.log(q)
                 + 2.0 * nr * q * math.log(abs(q - 1.0)))
     const = (q * _log_etilde(state) + _log_mtilde(state, q) + log_chat
              - q * nr * math.log(2.0)) / (1.0 - q)
     value = lead + sub + const + sign * (D / 2.0) * math.log(omega)
-    return AsymptoticValue(value, REGIME_HIGH_DIM, "O(log D) remainder")
+    return AsymptoticValue(value, "O(log D) remainder")

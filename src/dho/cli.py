@@ -21,7 +21,7 @@ import sys
 from dataclasses import asdict
 
 from . import infomeasures, moments, states, uncertainty
-from .errors import ConvergenceError, DomainError, ParseError, UnsupportedError
+from .errors import ConvergenceError, DomainError, ParseError, UnsupportedError, _printable
 from .states import HyperState, Space
 
 EXIT_PARSE, EXIT_DOMAIN, EXIT_CONVERGENCE = 2, 3, 4
@@ -114,15 +114,13 @@ POSITIVE_QUANTITIES = frozenset({"energy", "moment", "heisenberg", "fisher", "di
 
 def _record(state, quantity, space, engine, value, error_estimate=None,
             order_note=None, **extra) -> dict:
-    for x in (value, error_estimate):
-        if x is not None and not math.isfinite(x):
-            raise DomainError(f"{quantity} is not finite in floating point: {x!r}")
-    if value is not None and (0.0 < abs(value) < sys.float_info.min
-                              or value == 0.0 and quantity in POSITIVE_QUANTITIES):
-        raise UnsupportedError(f"{quantity} {value!r} is below the normal float range")
+    if value is not None:
+        value = _printable(quantity, value, quantity in POSITIVE_QUANTITIES)
+    if error_estimate is not None and not math.isfinite(error_estimate):
+        raise DomainError(f"{quantity} is not finite in floating point: {error_estimate!r}")
     rec = {"state": states.state_to_dict(state), "quantity": quantity,
            "space": None if space is None else space.value, "engine": engine,
-           "value": None if value is None else float(value),
+           "value": value,
            "error_estimate": None if error_estimate is None else float(error_estimate),
            "order_note": order_note}
     rec.update(extra)

@@ -4,6 +4,8 @@ The CLI maps these onto exit codes: parse errors (2), domain errors (3),
 convergence errors (4).
 """
 
+import math
+import sys
 from contextlib import contextmanager
 
 
@@ -42,3 +44,15 @@ def refuse_overflow(name: str):
         yield
     except OverflowError:
         raise UnsupportedError(f"{name} leaves the float range") from None
+
+
+def _printable(name: str, value, positive: bool = False) -> float:
+    """value as a float fit to print: a NaN or an infinity is refused
+    (DomainError), and so are a nonzero value below the normal float range
+    and 0.0 where the quantity is positive (UnsupportedError)."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} is not finite in floating point: {value!r}")
+    if 0.0 < abs(value) < sys.float_info.min or value == 0.0 and positive:
+        raise UnsupportedError(f"{name} {value!r} is below the normal float range")
+    return value

@@ -67,7 +67,6 @@ def default_tolerance() -> float:
 @dataclass(frozen=True)
 class QuadratureRule:
     nodes: np.ndarray
-    weights: np.ndarray
     log_weights: np.ndarray
 
     def log_integral(self, log_f) -> float:
@@ -139,14 +138,8 @@ def gauss_rule(family: str, order: int, *parameters: float) -> QuadratureRule:
     params = tuple(float(p) for p in parameters)
     return _RULE_CACHE.get_or_compute(
         (family, params, int(order)),
-        lambda: _build_rule(PolySpec(family, int(order), *params)))
-
-
-def _build_rule(spec: PolySpec) -> QuadratureRule:
-    nodes, log_w = specfun.gauss_nodes(spec, weights=True)
-    with np.errstate(over="ignore"):
-        weights = np.exp(log_w)
-    return QuadratureRule(nodes, weights, log_w)
+        lambda: QuadratureRule(*specfun.gauss_nodes(PolySpec(family, int(order), *params),
+                                                    weights=True)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
-"""Oscillator state model and probability densities.
+"""Oscillator state model: states, energies, density scales, wire format.
 
 Hyperspherical states carry (n_r, mu_1 >= ... >= |mu_{D-1}|); Cartesian states
-carry per-axis degrees (n_1..n_D).  Radial densities are returned WITHOUT the
-r^(D-1) Jacobian: every integral in this package writes the Jacobian
-explicitly.  The Cartesian Gaussian width parameter equals omega (see README
-for the discrepancy note on the published exponent).  Densities are assembled
-in log space so highly excited states do not overflow.  The hyperspherical
-radial density is a closure over one state, built once and evaluated at one
-float point at a time.
+carry per-axis degrees (n_1..n_D).  `width` is the scale that carries omega
+into a density: omega in position space, 1/omega in momentum space, so the
+Cartesian Gaussian width parameter equals omega (see README for the
+discrepancy note on the published exponent).  The densities themselves are
+products of orthonormal members, listed by `infomeasures._factors` and
+evaluated by `infomeasures._factor_density`.  `log_radial_density`, the radial
+factor at one point, has no caller in the package; the benchmark's tracer
+names it.
 """
 
 from __future__ import annotations
@@ -177,11 +178,6 @@ def log_radial_density(state: HyperState, space: Space):
     return log_density
 
 
-def radial_density(state: HyperState, space: Space, r: float) -> float:
-    """Radial factor of the density at radius r (no r^(D-1) Jacobian)."""
-    return float(np.exp(log_radial_density(state, space)(r)))
-
-
 def angular_weight_exponent(state: HyperState, j: int) -> float:
     """alpha_j = (D - j - 1)/2, the solid-angle weight exponent for axis j."""
     D = state.spec.dim
@@ -201,29 +197,6 @@ def angular_factor_params(state: HyperState, j: int) -> tuple[float, int, int]:
     aj = angular_weight_exponent(state, j)
     mj1 = _mu_abs(state, j + 1)
     return aj, _mu_abs(state, j) - mj1, mj1
-
-
-def log_cartesian_axis_density(state: CartesianState, i: int, space: Space, x):
-    """log of the 1-D density along axis i (0-based)."""
-    w = width(state, space)
-    n = state.n[i]
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    t = math.sqrt(w) * xa
-    m, s = specfun.eval_poly_scaled(PolySpec("hermite", n), t)
-    with np.errstate(divide="ignore"):
-        log_h2 = 2.0 * (np.log(np.abs(m)) + s)
-    return 0.5 * math.log(w) - t * t + log_h2
-
-
-def cartesian_density(state: CartesianState, space: Space, x) -> float:
-    """Full product density at the point x (length-D vector)."""
-    xa = np.asarray(x, dtype=float)
-    if xa.shape != (state.spec.dim,):
-        raise DomainError("point must have one coordinate per dimension")
-    tot = 0.0
-    for i in range(state.spec.dim):
-        tot += float(log_cartesian_axis_density(state, i, space, xa[i])[0])
-    return math.exp(tot)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import infomeasures, moments, specfun
-from .errors import DomainError
+from .errors import DomainError, _printable
 from .infomeasures import ENGINE_CLOSED
 from .states import HyperState, Space, at_unit_omega
 
@@ -29,11 +29,9 @@ class RelationReport:
 
     @staticmethod
     def build(relation_id: str, lhs: float, bound: float) -> "RelationReport":
-        lhs, bound = float(lhs), float(bound)
-        for x in (lhs, bound):
-            if not math.isfinite(x):
-                raise DomainError(f"{relation_id} is not finite in floating point: {x!r}")
-        slack = lhs - bound
+        lhs = _printable(f"{relation_id} lhs", lhs)
+        bound = _printable(f"{relation_id} bound", bound)
+        slack = _printable(f"{relation_id} slack", lhs - bound)
         tol = SATURATION_RTOL * max(1.0, abs(bound))
         return RelationReport(relation_id, lhs, bound, slack,
                               satisfied=bool(slack >= -tol),

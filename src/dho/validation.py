@@ -493,14 +493,25 @@ def check_saturation_census(preset="quick"):
 
 def discrepancy_reports() -> list[CheckResult]:
     out = []
-    # 1: Cartesian Gaussian width exponent
+    # 1: Cartesian Gaussian width exponent.  Both sides are the ground-state
+    # density at r = 0.7 on the x axis, read from the factor tables; each
+    # member is evaluated in its own variable
     om = 2.0
     hyp = HyperState(OscillatorSpec(om, 3), 0, (0, 0))
     cart = CartesianState(OscillatorSpec(om, 3), (0, 0, 0))
     r = 0.7
-    rho_h = (states.radial_density(hyp, Space.POSITION, r)
-             / (4 * math.pi))  # uniform angular factor |Y|^2 = 1/(4 pi)
-    rho_c = states.cartesian_density(cart, Space.POSITION, (r, 0.0, 0.0))
+
+    def log_parts(state, points):  # (ln J, L) of each member at its point
+        return [infomeasures._factor_density(f)[3](x)
+                for f, x in zip(infomeasures._factors(state)[1], points)]
+
+    # radial x = w r^2 (dx = 2 w r dr) and a uniform polar angle, over the
+    # azimuth's 2 pi and the volume element r^2
+    (j_rad, l_rad), (j_ang, l_ang) = log_parts(hyp, (om * r * r, 0.0))
+    rho_h = math.exp(j_rad + l_rad + j_ang + l_ang) * 2 * om * r / (2 * math.pi * r * r)
+    # each axis t = sqrt(w) x, dt = sqrt(w) dx
+    rho_c = math.prod(math.sqrt(om) * math.exp(j + l)
+                      for j, l in log_parts(cart, (math.sqrt(om) * r, 0.0, 0.0)))
     dev_adopted = _rel(rho_h, rho_c)
     width_alt = om ** 0.25
     rho_alt = (width_alt / math.pi) ** 1.5 * math.exp(-width_alt * r * r)

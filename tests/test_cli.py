@@ -404,6 +404,15 @@ def test_value_below_the_normal_float_range_is_a_sweep_row_error(omega, qspec, e
     assert refused["value"] is None
 
 
+def test_uncertainty_slack_below_the_normal_float_range_is_refused(capsys):
+    # stam's sides are 2.6e-299 here and their difference is subnormal
+    state = json.dumps({"kind": "hyper", "D": 3, "omega": 1e-300, "nr": 2, "mu": [1, 0]})
+    assert cli.main(["uncertainty", "--state", state]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("domain error: stam slack") and "below the normal float range" in err
+
+
 def test_zero_is_served_where_the_quantity_may_vanish():
     # a Renyi or Shannon entropy of 0.0 is a value, not an underflow
     state = cli.states.parse_state(GROUND3)

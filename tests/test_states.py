@@ -9,9 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dho import infomeasures, oracle, specfun, states
+from dho import infomeasures, oracle, states
 from dho.errors import DomainError, ParseError
-from dho.specfun import PolySpec
 from dho.states import CartesianState, HyperState, OscillatorSpec, Space
 
 
@@ -75,45 +74,30 @@ class TestEnergy:
         assert states.energy(h) == pytest.approx(states.energy(c), rel=1e-15)
 
 
+def _member_parts(state, points):
+    """(ln J, L) of each member of the state's factor table at its point."""
+    return [infomeasures._factor_density(f)[3](x)
+            for f, x in zip(infomeasures._factors(state)[1], points)]
+
+
 class TestDensities:
-    @pytest.mark.parametrize("nr,l,D,om", [
-        (0, 0, 3, 1.0), (2, 1, 3, 1.0), (4, 3, 6, 0.5), (6, 0, 2, 2.0), (3, 4, 2, 1.0)])
-    def test_radial_normalization(self, nr, l, D, om):
-        mu = tuple([l] + [0] * (D - 2)) if D > 2 else (l,)
-        st_ = hyper(om, D, nr, *mu)
-        for space in (Space.POSITION, Space.MOMENTUM):
-            w = om if space is Space.POSITION else 1.0 / om
-            spec = PolySpec("laguerre", nr, st_.alpha)
-            roots = np.sqrt(specfun.poly_roots(spec) / w) if nr else []
-
-            def f(r):
-                return (states.radial_density(st_, space, r) * r ** (D - 1)
-                        if r > 0 else 0.0)
-
-            est = oracle.integrate_adaptive(f, 0.0, math.inf, roots, tol=1e-12)
-            assert est.value == pytest.approx(1.0, abs=1e-11)
-
-    def test_momentum_is_rescaled_position(self):
-        st_ = hyper(2.0, 3, 2, 1, 0)
-        om = 2.0
-        for p in np.linspace(0.1, 3.0, 10):
-            gamma = states.radial_density(st_, Space.MOMENTUM, p)
-            rho = states.radial_density(st_, Space.POSITION, p / om)
-            assert gamma == pytest.approx(rho / om ** 3, rel=1e-12)
-
-    def test_angular_factors_normalized(self):
+    @pytest.mark.parametrize("state", [
+        hyper(1.0, 3, 2, 1, 0), hyper(1.0, 4, 5, 2, 1, 1), hyper(1.0, 5, 0, 3, 2, 1, -1),
+        hyper(1.0, 6, 1, *(0,) * 5), hyper(1.0, 2, 3, -4), hyper(1.0, 3, 0, 0, 0),
+        hyper(1.0, 6, 4, 3, 0, 0, 0, 0), hyper(1.0, 2, 6, 0), hyper(1.0, 2, 3, 4),
+        CartesianState(OscillatorSpec(0.7, 2), (8, 3)),
+        CartesianState(OscillatorSpec(1.0, 3), (0, 5, 12))])
+    def test_factor_densities_normalized(self, state):
         # every factor density of the oracle engine, e^L against J dx, has mass 1
-        for (D, nr, mu) in ((3, 2, (1, 0)), (4, 5, (2, 1, 1)), (5, 0, (3, 2, 1, -1)),
-                            (6, 1, (0,) * 5), (2, 3, (-4,))):
-            for f in infomeasures._factors(hyper(1.0, D, nr, *mu))[1]:
-                lo, hi, roots, log_parts = infomeasures._factor_density(f)
+        for f in infomeasures._factors(state)[1]:
+            lo, hi, roots, log_parts = infomeasures._factor_density(f)
 
-                def density(x):
-                    parts = log_parts(x)
-                    return 0.0 if parts is None else math.exp(parts[0] + parts[1])
+            def density(x):
+                parts = log_parts(x)
+                return 0.0 if parts is None else math.exp(parts[0] + parts[1])
 
-                est = oracle.integrate_adaptive(density, lo, hi, roots, tol=1e-12)
-                assert est.value == pytest.approx(1.0, abs=1e-11)
+            est = oracle.integrate_adaptive(density, lo, hi, roots, tol=1e-12)
+            assert est.value == pytest.approx(1.0, abs=1e-11)
 
     @pytest.mark.parametrize("D, omega, nr, mu", [
         (3, 1.0, 0, (0, 0)), (3, 1.7, 5, (0, 0)), (3, 0.6, 4, (2, -1)),
@@ -135,10 +119,9 @@ class TestDensities:
 
     def test_closures_refuse_points_outside_their_domain(self):
         st_ = hyper(1.0, 4, 2, 2, 1, 0)
-        with pytest.raises(DomainError):
-            states.log_radial_density(st_, Space.POSITION)(-1e-300)
-        with pytest.raises(DomainError):
-            states.radial_density(st_, Space.MOMENTUM, -1.0)
+        for space in Space:
+            with pytest.raises(DomainError):
+                states.log_radial_density(st_, space)(-1e-300)
         # the factor densities vanish off their supports
         radial, angular = infomeasures._factors(st_)[1][:2]
         for f, points in ((radial, (-1e-300, -2.0)), (angular, (1.0 + 2e-16, -1.5))):
@@ -148,8 +131,10 @@ class TestDensities:
     def test_radial_density_vanishes_at_the_origin_only_for_l_above_zero(self):
         for l in (1, 3):
             for space in Space:
-                assert states.radial_density(hyper(1.0, 3, 2, l, 0), space, 0.0) == 0.0
-        assert states.radial_density(hyper(1.0, 3, 2, 0, 0), Space.POSITION, 0.0) > 0.0
+                log_density = states.log_radial_density(hyper(1.0, 3, 2, l, 0), space)
+                assert log_density(0.0) == -math.inf
+        log_density = states.log_radial_density(hyper(1.0, 3, 2, 0, 0), Space.POSITION)
+        assert math.isfinite(log_density(0.0))
 
     def test_d3_l1_m0_factor_shape(self):
         st_ = hyper(1.0, 3, 0, 1, 0)
@@ -158,46 +143,36 @@ class TestDensities:
         ratios = [math.exp(log_parts(x)[1]) / (x * x) for x in (0.2, 0.5, -0.8)]
         assert ratios == pytest.approx([ratios[0]] * 3, rel=1e-12)
 
-    def test_cartesian_ground_peak(self):
-        for D in (1, 2, 4):
-            st_ = CartesianState(OscillatorSpec(1.0, D), (0,) * D)
-            val = states.cartesian_density(st_, Space.POSITION, (0.0,) * D)
-            assert val == pytest.approx(math.pi ** (-D / 2.0), rel=1e-13)
+    @pytest.mark.parametrize("D", [2, 3, 5])
+    def test_ground_equivalence_hyper_cartesian(self, D):
+        # one ground-state density from both factor tables.  Hyperspherical:
+        # the radial member at x = w r^2 (dx = 2 w r dr) and the angular
+        # members' L (their J dx is the solid angle's measure), over the
+        # azimuth's 2 pi and r^(D-1).  Cartesian: a member per axis at
+        # t = sqrt(w) x (dt = sqrt(w) dx).
+        om = 1.3
+        h = hyper(om, D, 0, *([0] * (D - 1)))
+        c = CartesianState(OscillatorSpec(om, D), (0,) * D)
 
-    def test_cartesian_axis_normalization(self):
-        st_ = CartesianState(OscillatorSpec(0.7, 2), (8, 3))
-        for i, space in ((0, Space.POSITION), (1, Space.MOMENTUM)):
-            f = lambda x: float(np.exp(states.log_cartesian_axis_density(st_, i, space, x))[0])
-            est = oracle.integrate_adaptive(f, -math.inf, math.inf, tol=1e-12)
-            assert est.value == pytest.approx(1.0, abs=1e-11)
+        def cartesian(x):
+            return math.prod(math.sqrt(om) * math.exp(j + l)
+                             for j, l in _member_parts(c, math.sqrt(om) * x))
 
-    def test_cartesian_momentum_rescale(self):
-        om = 1.7
-        st_ = CartesianState(OscillatorSpec(om, 2), (2, 1))
-        for p in ((0.3, -0.6), (1.1, 0.0)):
-            gamma = states.cartesian_density(st_, Space.MOMENTUM, p)
-            rho = states.cartesian_density(st_, Space.POSITION,
-                                           tuple(pi / om for pi in p))
-            assert gamma == pytest.approx(rho / om ** 2, rel=1e-12)
-
-    def test_ground_equivalence_hyper_cartesian(self):
+        assert cartesian(np.zeros(D)) == pytest.approx((om / math.pi) ** (D / 2.0), rel=1e-13)
         rng = np.random.default_rng(7)
-        for D in (2, 3, 5):
-            om = 1.3
-            h = hyper(om, D, 0, *([0] * (D - 1)))
-            c = CartesianState(OscillatorSpec(om, D), (0,) * D)
-            swave = 2 * math.pi ** (D / 2.0) / math.gamma(D / 2.0)
-            for _ in range(20):
-                x = rng.normal(size=D)
-                r = float(np.linalg.norm(x))
-                hyp_val = states.radial_density(h, Space.POSITION, r) / swave
-                cart_val = states.cartesian_density(c, Space.POSITION, tuple(x))
-                assert hyp_val == pytest.approx(cart_val, rel=1e-12)
+        for _ in range(20):
+            x = rng.normal(size=D)
+            r = float(np.linalg.norm(x))
+            # a uniform angular member's L is the same at every angle
+            (j_rad, l_rad), *angles = _member_parts(h, [om * r * r] + [0.0] * (D - 2))
+            hyp_val = (math.exp(j_rad + l_rad + sum(l for _, l in angles))
+                       * 2 * om * r / (2 * math.pi * r ** (D - 1)))
+            assert hyp_val == pytest.approx(cartesian(x), rel=1e-12)
 
     def test_rydberg_scale_density_finite(self):
         st_ = hyper(1.0, 3, 1000, 0, 0)
-        v = states.radial_density(st_, Space.POSITION, 30.0)
-        assert math.isfinite(v) and v >= 0.0
+        v = states.log_radial_density(st_, Space.POSITION)(30.0)
+        assert math.isfinite(v)
 
 
 class TestSerialization:

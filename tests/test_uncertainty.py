@@ -1,13 +1,14 @@
 """Uncertainty-relation reports: field invariants, reference cases, the grid."""
 
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dho import uncertainty
-from dho.errors import DomainError
+from dho.errors import DomainError, UnsupportedError
 from dho.states import CartesianState, HyperState, OscillatorSpec
 
 LN_EPI = 1.0 + math.log(math.pi)
@@ -18,9 +19,10 @@ def hyper(omega, D, nr, *mu):
 
 
 class TestReportInvariants:
-    @given(st.floats(-10, 10), st.floats(-10, 10))
+    @given(st.floats(-10, 10, allow_subnormal=False), st.floats(-10, 10, allow_subnormal=False))
     @settings(max_examples=60, deadline=None)
     def test_flags_consistent(self, lhs, bound):
+        assume(not 0.0 < abs(lhs - bound) < sys.float_info.min)  # refused below
         rep = uncertainty.RelationReport.build("x", lhs, bound)
         tol = uncertainty.SATURATION_RTOL * max(1.0, abs(bound))
         assert rep.satisfied == (rep.slack >= -tol)
@@ -28,10 +30,20 @@ class TestReportInvariants:
         assert rep.slack == lhs - bound
 
     @pytest.mark.parametrize("lhs, bound", [(math.inf, 1.0), (1.0, math.nan),
-                                            (-math.inf, 0.0)])
+                                            (-math.inf, 0.0), (1e308, -1e308)])
     def test_non_finite_sides_are_refused(self, lhs, bound):
         with pytest.raises(DomainError, match="not finite"):
             uncertainty.RelationReport.build("x", lhs, bound)
+
+    @pytest.mark.parametrize("lhs, bound, field", [
+        (1e-310, 0.0, "lhs"), (0.0, -5e-324, "bound"), (4e-308, 3e-308, "slack")])
+    def test_values_below_the_normal_float_range_are_refused(self, lhs, bound, field):
+        with pytest.raises(UnsupportedError, match=f"x {field} .* below the normal float range"):
+            uncertainty.RelationReport.build("x", lhs, bound)
+
+    def test_an_exact_zero_slack_is_a_value(self):
+        rep = uncertainty.RelationReport.build("x", 2.5e-300, 2.5e-300)
+        assert rep.slack == 0.0 and rep.saturated
 
     def test_unknown_relation(self):
         with pytest.raises(DomainError):
