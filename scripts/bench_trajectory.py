@@ -19,17 +19,24 @@ records its place in its pair ("order" 0 or 1).  Each checkout also gets a
 "layers" section: build times measured in one process with fresh caches,
 best of LAYER_REPEATS (Gauss-Laguerre rules, a member's roots and tanh-sinh
 panel evaluator, one entropy kernel, one integer-q L_q integral, one closed
-moment sum, and single three-term-recurrence passes over 1 to 100000 nodes;
-see LAYER_CODE).  It records numbers only: it sets
-no bound and gates nothing.
+moment sum, one Bessel norm constant of the Rydberg Renyi asymptotics, and
+single three-term-recurrence passes over 1 to 100000 nodes; see LAYER_CODE).
+It records numbers only: it sets no bound and gates nothing.
+
+Each checkout's processes keep their bytecode in a fresh directory of their
+own (PYTHONPYCACHEPREFIX, with PYTHONDONTWRITEBYTECODE dropped), removed at
+the end, so neither side imports from a __pycache__ that the other lacks:
+one left by a test run made a checkout import measurably faster.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -41,13 +48,14 @@ LAYER_CODE = """
 import json, sys, time
 import numpy as np
 sys.path.insert(0, "src")
-from dho import moments, oracle, specfun, states
+from dho import asymptotics, moments, oracle, specfun, states
 from dho.specfun import PolySpec
 
 def fresh():
     for name in ("_RULE_CACHE", "_ENTROPY_CACHE", "_MEMBER_CACHE", "_LQ_CACHE"):
         getattr(oracle, name, {}).clear()
     getattr(moments, "_MOMENT_CACHE", {}).clear()
+    asymptotics._BESSEL_CACHE.clear()
 
 def best(work):
     times = []
@@ -76,6 +84,8 @@ out["log_lq_integral.laguerre_0.5.degree_800.q_2_s"] = best(
 moment_state = states.parse_state('{"kind":"hyper","D":3,"omega":1,"nr":800,"mu":[0,0]}')
 out["radial_moment.D_3.n_r_800.k_1_s"] = best(
     lambda: moments.radial_moment(moment_state, 1.0))
+out["bessel_norm_constant.alpha_3.5.q_2_s"] = best(
+    lambda: asymptotics.bessel_norm_constant(3.5, -0.5, 2.0))
 
 def recurrence(n, x, derivative):
     spec = PolySpec("laguerre", n, 0.5)
@@ -100,11 +110,18 @@ def src_lines(root: Path) -> int:
                for p in sorted((root / "src" / "dho").glob("*.py")))
 
 
-def run_one(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def bytecode_env(prefix: str) -> dict:
+    """The environment with bytecode read from and written to prefix alone."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=prefix)
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
+
+
+def run_one(root: Path, workload: str, seed: int, seconds: float, env: dict) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", f"{seconds:g}", "--trace", "0"]
     t0 = time.perf_counter()
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, env=env)
     out = {"workload": workload, "seed": seed, "returncode": proc.returncode,
            "elapsed_s": round(time.perf_counter() - t0, 3)}
     lines = proc.stdout.splitlines()
@@ -118,10 +135,10 @@ def run_one(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return out
 
 
-def layers(root: Path) -> dict:
+def layers(root: Path, env: dict) -> dict:
     """Per-layer build times of the checkout at root (LAYER_CODE)."""
     proc = subprocess.run([sys.executable, "-c", LAYER_CODE], cwd=root,
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     if proc.returncode != 0:
         return {"error": proc.stderr.strip()[-500:]}
     return json.loads(proc.stdout)
@@ -138,25 +155,29 @@ def main(argv=None) -> int:
     root = args.root.resolve()
     spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     runs, parent_runs = [], []
-    sides = [("root", root, runs)]
-    if args.parent is not None:
-        sides.append(("parent", args.parent.resolve(), parent_runs))
-    pairs = [(w["name"], seed) for w in spec["workloads"] for seed in SEEDS]
-    for i, (workload, seed) in enumerate(pairs):
-        for order, (name, checkout, out) in enumerate(sides if i % 2 else sides[::-1]):
-            run = run_one(checkout, workload, seed, spec["run_seconds"])
-            if args.parent is not None:
-                run["order"] = order
-            out.append(run)
-            status = "ok" if "result" in run else f"failed (rc {run['returncode']})"
-            print(f"{workload} seed {seed} {name}: {status} in {run['elapsed_s']:.1f} s",
-                  file=sys.stderr)
-    record = {"pr": args.pr, "src_dho_lines": src_lines(root), "layers": layers(root),
-              "run_seconds": spec["run_seconds"], "seeds": list(SEEDS), "runs": runs}
-    if args.parent is not None:
-        parent = args.parent.resolve()
-        record["parent"] = {"src_dho_lines": src_lines(parent), "layers": layers(parent),
-                            "runs": parent_runs}
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        sides = [("root", root, runs, bytecode_env(f"{cache}/root"))]
+        if args.parent is not None:
+            sides.append(("parent", args.parent.resolve(), parent_runs,
+                          bytecode_env(f"{cache}/parent")))
+        pairs = [(w["name"], seed) for w in spec["workloads"] for seed in SEEDS]
+        for i, (workload, seed) in enumerate(pairs):
+            for order, (name, checkout, out, env) in enumerate(
+                    sides if i % 2 else sides[::-1]):
+                run = run_one(checkout, workload, seed, spec["run_seconds"], env)
+                if args.parent is not None:
+                    run["order"] = order
+                out.append(run)
+                status = "ok" if "result" in run else f"failed (rc {run['returncode']})"
+                print(f"{workload} seed {seed} {name}: {status} in "
+                      f"{run['elapsed_s']:.1f} s", file=sys.stderr)
+        record = {"pr": args.pr, "src_dho_lines": src_lines(root),
+                  "layers": layers(root, sides[0][3]), "run_seconds": spec["run_seconds"],
+                  "seeds": list(SEEDS), "runs": runs}
+        if args.parent is not None:
+            record["parent"] = {"src_dho_lines": src_lines(sides[1][1]),
+                                "layers": layers(sides[1][1], sides[1][3]),
+                                "runs": parent_runs}
     (REPO / f"BENCH_{args.pr}.json").write_text(
         json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     ok = all("result" in r for r in runs + parent_runs)

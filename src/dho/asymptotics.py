@@ -3,7 +3,10 @@
 Every result returns an AsymptoticValue carrying an order note describing the
 neglected terms, so callers can never mistake an asymptotic number for an
 exact one.  The Bessel-tail constant of the large-q Renyi regime is integrated
-zero-to-zero with an analytic envelope correction and memoized.
+between the exact zeros of J_alpha(2t) (McMahon starts, vectorized Newton
+steps on jv), one Gauss-Gegenbauer rule per zero-to-zero panel and one
+QUADPACK call on the first panel, with an analytic envelope correction for
+the tail, and memoized.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.special import gammaln, jv
 
@@ -175,15 +179,20 @@ def rydberg_shannon(state: HyperState, space: Space = Space.POSITION,
 
 
 _BESSEL_CACHE = oracle.BoundedCache(32)  # benchmark workloads use up to 2 constants
+# nodes of the Gauss-Gegenbauer rule on each zero-to-zero panel; at 12, each of
+# the first 15 panels is within 7.4e-14 of 30 digits and their sum within
+# 1.5e-14 (alpha 1.5 and 3.5, q 1.6, 2 and 2.5)
+BESSEL_PANEL_ORDER = 12
 
 
 def bessel_norm_constant(alpha: float, beta: float, q: float,
                          rtol: float = 1e-8) -> float:
     """C_B = 2 int_0^inf t^(2 beta + 1) |J_alpha(2t)|^(2q) dt.
 
-    Panels run zero-to-zero (McMahon boundaries); the truncated tail is
-    restored from the envelope mean of |cos|^(2q), which leaves a relative
-    error of order T^(2 beta + 1 - q).
+    Panels run zero-to-zero between the exact zeros of J_alpha(2t); the
+    truncated tail is restored from the envelope mean of |cos|^(2q), which
+    leaves a relative error of order T^(2 beta + 1 - q).  A constant that
+    has not settled to rtol at 4096 panels raises UnsupportedError.
     """
     if 2.0 * beta + 2.0 - q >= 0.0:
         raise DomainError("Bessel norm integral diverges: need q > 2 beta + 2")
@@ -191,35 +200,81 @@ def bessel_norm_constant(alpha: float, beta: float, q: float,
                                         lambda: _bessel_norm_integral(alpha, beta, q, rtol))
 
 
-def _bessel_norm_integral(alpha: float, beta: float, q: float, rtol: float) -> float:
-    def f(t):
-        return 2.0 * t ** (2.0 * beta + 1.0) * abs(jv(alpha, 2.0 * t)) ** (2.0 * q)
+def _bessel_zeros(alpha: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The zeros t of J_alpha(2t) reached from McMahon's start value for each
+    index k, and a mask of those that converged within a quarter of their
+    start (in 2t).  Newton steps on jv take J' = (J_(alpha-1) - J_(alpha+1))/2;
+    near a zero the error squares and shrinks by 1/(4t) per step.  McMahon's
+    expansion fails on the first zeros at large alpha (3 at alpha = 20.5, 10
+    at 40.5, 28 at 80.5, none up to 8.5), where Newton may wander to another
+    zero or not converge."""
+    b = (k + alpha / 2.0 - 0.25) * math.pi
+    mu = 4.0 * alpha * alpha
+    x = start = (b - (mu - 1.0) / (8.0 * b)
+                 - 4.0 * (mu - 1.0) * (7.0 * mu - 31.0) / (3.0 * (8.0 * b) ** 3))
+    orders = np.array([[alpha], [alpha - 1.0], [alpha + 1.0]])
+    for _ in range(20):
+        j = jv(orders, x)
+        step = 2.0 * j[0] / (j[1] - j[2])
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-8:
+            break
+    return 0.5 * x, (np.abs(step) <= 1e-8) & (np.abs(x - start) < 0.25)
 
+
+def _zero_panel_sum(alpha: float, beta: float, q: float, edges: np.ndarray) -> float:
+    """2 int t^(2 beta + 1) |J_alpha(2t)|^(2q) dt from edges[0] to edges[-1],
+    consecutive zeros of J_alpha(2t), by one Gauss rule of weight
+    (1 - s^2)^(2q) per panel.  The weight takes up the |t - z|^(2q) zeros at
+    both edges, so the rule sees (|J_alpha(2t)| / (1 - s^2))^(2q), which is
+    analytic on the panel for every real q."""
+    rule = oracle.gauss_rule("gegenbauer", BESSEL_PANEL_ORDER, 2.0 * q + 0.5)
+    s, w = rule.nodes, np.exp(rule.log_weights)
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    t = mid[:, None] + half[:, None] * s
+    g = t ** (2.0 * beta + 1.0) * (np.abs(jv(alpha, 2.0 * t)) / (1.0 - s * s)) ** (2.0 * q)
+    return 2.0 * float(np.sum(half * (g @ w)))
+
+
+def _bessel_norm_integral(alpha: float, beta: float, q: float, rtol: float) -> float:
     mean_cos = math.exp(gammaln(q + 0.5) - gammaln(q + 1.0)) / math.sqrt(math.pi)
     p = 2.0 * beta + 1.0 - q
 
     def tail(T):
         return 2.0 * mean_cos * math.pi ** (-q) * T ** (p + 1.0) / (-(p + 1.0))
 
-    # the panels up to the k-th boundary, summed in order; each doubling of
-    # the panel count adds only the new panels to the running sum
-    total, end, done, prev = 0.0, None, 0, None
+    # [0, first zero], with the endpoint power t^(2 beta + 1 + 2 alpha q), is
+    # one quad call; each doubling of the panel count adds the new zero
+    # panels to the running sum
+    total, end, done, value = 0.0, None, 0, math.nan
     for npanel in (512, 1024, 2048, 4096):
-        for k in range(done + 1, npanel + 1):
-            z = (k + alpha / 2.0 - 0.25) * math.pi / 2.0
-            if z > 0:
-                if end is None:
-                    total, _ = quad(f, 0.0, z, limit=200)
-                else:
-                    v, _ = quad(f, end, z, limit=50)
-                    total += v
-                end = z
-        done = npanel
-        value = total + tail(end)
-        if prev is not None and abs(value - prev) <= rtol * abs(value):
-            break
         prev = value
-    return value
+        zeros, ok = _bessel_zeros(alpha, np.arange(done + 1, npanel + 1, dtype=float))
+        if end is None:
+            # the first zero past the last one McMahon missed ends the quad panel
+            first = int(np.flatnonzero(~ok)[-1]) + 1 if not ok.all() else 0
+            if first >= zeros.size - 1:
+                raise UnsupportedError(
+                    f"no zero of J_alpha(2t) below panel {npanel} has a McMahon "
+                    f"start at alpha = {alpha}")
+            total, _ = quad(lambda t: 2.0 * t ** (2.0 * beta + 1.0)
+                            * abs(jv(alpha, 2.0 * t)) ** (2.0 * q),
+                            0.0, zeros[first], limit=200)
+            edges = zeros[first:]
+        elif not ok.all():
+            raise UnsupportedError(
+                f"McMahon's start misses a zero of J_alpha(2t) past panel {done} "
+                f"at alpha = {alpha}")
+        else:
+            edges = np.concatenate([[end], zeros])
+        total += _zero_panel_sum(alpha, beta, q, edges)
+        end, done = edges[-1], npanel
+        value = total + tail(end)
+        if abs(value - prev) <= rtol * abs(value):  # False while prev is nan
+            return value
+    raise UnsupportedError(
+        f"the Bessel norm constant at alpha = {alpha:g}, beta = {beta:g}, q = {q:g} moved "
+        f"by {abs(value - prev) / abs(value):.1e} at {done} panels, above rtol {rtol}")
 
 
 def _power_regime_constant(beta: float, q: float) -> float:

@@ -7,8 +7,9 @@ to a few thousand) stay finite.  lq_integral, the weighted L_q integral of
 an orthonormal Hermite, Laguerre or Gegenbauer member, and
 polynomial_entropy share one family table: Gauss rules for integer q,
 vectorized tanh-sinh panels between the roots otherwise, with the member
-evaluated by specfun.panel_evaluator (a Taylor series about each interior
-panel's midpoint, the recurrence on the outer panels); a member's roots and
+evaluated by specfun.panel_evaluator on one row of nodes per root panel (a
+Taylor series about each interior panel's midpoint, the recurrence on the
+outer panels); a member's roots and
 evaluator are built once and kept in _MEMBER_CACHE, and each L_q integral
 and polynomial entropy once in _LQ_CACHE and _ENTROPY_CACHE.  These
 integrals are the omega-free kernels of the spreading measures (omega only
@@ -280,7 +281,9 @@ def _tanh_sinh_level(level: int):
 
 def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
                                 max_level: int = 11) -> IntegralEstimate:
-    """Tanh-sinh composite over the panel edges; f_vec takes an ndarray.
+    """Tanh-sinh composite over the panel edges; f_vec maps an ndarray of
+    shape (npanel, k) whose row p lies in panel p (between the p-th and
+    (p+1)-th sorted edge) to the values there, in the same shape.
 
     Endpoint singularities (the t^2 ln t^2 kind at polynomial roots) are
     absorbed by the double-exponential clustering; each refinement level
@@ -288,17 +291,17 @@ def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
     the first, f_vec sees only the nodes the level adds, and each total is
     still summed over the full array of values.  Where tanh rounds a node to
     u = +-1 (about half of them, |t| > 3.19) its x is the panel edge
-    mid +- half: f_vec sees each panel's two edges once, at the first level,
-    and those values fill every such node.  A total that is not finite raises
-    UnsupportedError.
+    mid +- half: at the first level each row ends in its panel's two edges,
+    as two extra columns, and those values fill every such node.  A total
+    that is not finite raises UnsupportedError.
     """
     if tol is None:
         tol = default_tolerance()
     edges = np.asarray(sorted(edges), dtype=float)
     if len(edges) < 2:
         raise DomainError("need at least one panel")
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
     npanel = len(mid)
     prev = vals = total = None
     diff = math.inf  # no estimate until two levels have run
@@ -306,26 +309,26 @@ def integrate_panels_vectorized(f_vec, edges, tol: float | None = None,
         u, w, odd, reuse = _tanh_sinh_level(level)
         fresh = odd if vals is not None else np.ones_like(odd)
         inner = fresh & (np.abs(u) < 1.0)
-        x = (mid[:, None] + half[:, None] * u[inner][None, :]).ravel()
+        x = mid + half * u[inner]
         if vals is None:
-            x = np.concatenate([x, mid - half, mid + half])
+            x = np.concatenate([x, mid - half, mid + half], axis=1)
         fx = np.asarray(f_vec(x), dtype=float)
         if vals is None:
-            lo_vals, hi_vals = fx[x.size - 2 * npanel:].reshape(2, npanel, 1)
+            lo_vals, hi_vals = fx[:, -2:-1], fx[:, -1:]
         new = np.empty((npanel, len(u)))
-        new[:, inner] = fx[:npanel * np.count_nonzero(inner)].reshape(npanel, -1)
+        new[:, inner] = fx[:, :np.count_nonzero(inner)]
         new[:, fresh & (u == -1.0)] = lo_vals
         new[:, fresh & (u == 1.0)] = hi_vals
         if vals is not None:
             new[:, ~odd] = vals[:, reuse]
         vals = new
         with np.errstate(over="ignore", invalid="ignore"):
-            total = float(np.sum((half[:, None] * w[None, :]) * vals))
+            total = float(np.sum((half * w) * vals))
         if not math.isfinite(total):  # tol |total| would pass any difference
             raise UnsupportedError("the tanh-sinh panel integral leaves the float range")
         diff = math.inf if prev is None else abs(total - prev)
         if diff <= max(tol * abs(total), ABS_FLOOR):
-            return IntegralEstimate(total, diff, len(mid) * len(u))
+            return IntegralEstimate(total, diff, npanel * len(u))
         prev = total
     raise ConvergenceError("tanh-sinh refinement exhausted", value=total, error_estimate=diff)
 

@@ -13,12 +13,12 @@ The scaled three-term recurrence (`_recurrence`, one coefficient table
 through the confluent Christoffel-Darboux identity, their log weights).
 `scaled_evaluator` repeats its steps on one float, in the same bits, for the
 QUADPACK integrands that ask for one point at a time.  `panel_evaluator`
-serves the tanh-sinh kernels between consecutive roots at O(1) per node: a
-Taylor series about each panel's midpoint, whose coefficients follow from the
-family's second-order ODE (the local series of Glaser, Liu & Rokhlin, SIAM J.
-Sci. Comput. 29, 2007) and whose start values come from one recurrence pass
-over the midpoints; each panel starts afresh, so no error is carried from one
-panel to the next.
+serves the tanh-sinh kernels between consecutive roots, one row of nodes per
+root panel, at O(1) per node: a Taylor series about each panel's midpoint,
+whose coefficients follow from the family's second-order ODE (the local
+series of Glaser, Liu & Rokhlin, SIAM J. Sci. Comput. 29, 2007) and whose
+start values come from one recurrence pass over the midpoints; each panel
+starts afresh, so no error is carried from one panel to the next.
 """
 
 from __future__ import annotations
@@ -38,8 +38,10 @@ EULER_GAMMA = 0.5772156649015329
 
 FAMILIES = ("hermite", "laguerre", "gegenbauer")
 
-# nodes per Horner pass in panel_evaluator: each Taylor term makes a few passes
-# over its arrays, and blocks of this size keep them in L2 cache
+# nodes per Horner pass in panel_evaluator: each Taylor term makes two passes
+# over its arrays, and blocks of whole rows up to this size keep them in L2
+# cache (Laguerre 800, 801 rows of 400 or 800 nodes: 30-34% faster than one
+# pass; medians of 12, 2-core VM)
 RECURRENCE_BLOCK = 32768
 # terms of the Taylor series panel_evaluator sums on each root panel
 TAYLOR_TERMS = 48
@@ -364,34 +366,40 @@ def _taylor_panels(spec: PolySpec, roots: np.ndarray):
 
 
 def panel_evaluator(spec: PolySpec, roots: np.ndarray):
-    """x -> (mantissa, log_scale) of spec on an ndarray, for the root-panel kernels.
+    """x -> (mantissa, log_scale) of spec, for the root-panel kernels.
 
-    roots are spec's roots, ascending.  Interior panels that _taylor_panels
-    serves evaluate a TAYLOR_TERMS-term series about their midpoint (O(1)
-    work per node, found by searchsorted; a node on a root may take either
-    neighbour); every other node, and every node below TAYLOR_MIN_DEGREE,
-    goes through eval_poly_scaled.
+    roots are spec's roots, ascending, and x is an ndarray of shape
+    (n + 1, k) whose row p lies in root panel p: (-inf, roots[0]] for p = 0,
+    [roots[p-1], roots[p]] for 0 < p < n, [roots[n-1], inf) for p = n.  Rows
+    of interior panels that _taylor_panels serves evaluate a
+    TAYLOR_TERMS-term series about their midpoint (O(1) work per node); every
+    other row, and every row below TAYLOR_MIN_DEGREE, goes through
+    eval_poly_scaled.
     """
     if spec.degree < TAYLOR_MIN_DEGREE:
         return lambda x: eval_poly_scaled(spec, x)
     centre, half, coeffs, scale, taylor = _taylor_panels(spec, roots)
+    served = np.flatnonzero(taylor)
+    rest = np.flatnonzero(~taylor)
+    centre, half, scale = centre[served, None], half[served, None], scale[served, None]
+    coeffs = coeffs[:, served, None]
 
     def evaluate(x):
-        x = np.asarray(x, dtype=float).ravel()
-        panel = np.searchsorted(roots, x)
-        served = taylor[panel]
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[0] != taylor.size:
+            raise DomainError(f"panel_evaluator takes one row per root panel "
+                              f"({taylor.size}), got shape {x.shape}")
         m, logs = np.empty(x.shape), np.empty(x.shape)
-        if not served.all():
-            m[~served], logs[~served] = eval_poly_scaled(spec, x[~served])
-        where = np.flatnonzero(served)
-        for i in range(0, where.size, RECURRENCE_BLOCK):
-            at = where[i:i + RECURRENCE_BLOCK]
-            p = panel[at]
-            s = (x[at] - centre[p]) / half[p]
-            acc = coeffs[-1, p]
-            for row in coeffs[-2::-1]:
-                acc = acc * s + row[p]
-            m[at], logs[at] = acc, scale[p]
+        m[rest], logs[rest] = eval_poly_scaled(spec, x[rest])
+        rows = max(1, RECURRENCE_BLOCK // max(x.shape[1], 1))
+        for i in range(0, served.size, rows):
+            at = slice(i, i + rows)
+            s = (x[served[at]] - centre[at]) / half[at]
+            acc = coeffs[-1, at] * s + coeffs[-2, at]
+            for row in coeffs[-3::-1]:
+                acc *= s
+                acc += row[at]
+            m[served[at]], logs[served[at]] = acc, scale[at]
         return m, logs
 
     return evaluate

@@ -2,6 +2,8 @@
 
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
 
 from dho import asymptotics as asy
@@ -182,18 +184,64 @@ class TestRydbergEntropies:
 
     def test_bessel_constant_integrates_each_panel_once(self, monkeypatch):
         bounds, quad = [], asy.quad
+        calls, panel_sum = [], asy._zero_panel_sum
 
         def counted(f, a, b, **kwargs):
             bounds.append((a, b))
             return quad(f, a, b, **kwargs)
 
+        def recorded(alpha, beta, q, edges):
+            calls.append(edges)
+            return panel_sum(alpha, beta, q, edges)
+
         monkeypatch.setattr(asy, "quad", counted)
+        monkeypatch.setattr(asy, "_zero_panel_sum", recorded)
         value = asy._bessel_norm_integral(0.5, -0.5, 3.0, 1e-8)
-        # the panel count doubles from 512 until the value settles
-        assert len(bounds) in (1024, 2048, 4096)
-        assert len(set(bounds)) == len(bounds)
-        assert all(b0[1] == b1[0] for b0, b1 in zip(bounds, bounds[1:]))
+        # [0, first zero] is the one quad panel; each doubling from 512
+        # panels sums only its new zero panels, each starting where the last
+        # call ended, until the value settles
+        assert bounds == [(0.0, calls[0][0])]
+        assert all(a[-1] == b[0] for a, b in zip(calls, calls[1:]))
+        edges = np.concatenate([calls[0]] + [c[1:] for c in calls[1:]])
+        assert edges.size in (1024, 2048, 4096)
+        assert np.all(np.diff(edges) > 0.0)
+        # the zeros of J_(1/2)(2t), sin(2t)/sqrt(t), are k pi / 2
+        k = np.arange(1, edges.size + 1)
+        assert np.max(np.abs(edges / (k * math.pi / 2.0) - 1.0)) <= 1e-14
         assert value == pytest.approx(0.10881702767803182, rel=1e-15)
+
+    @pytest.mark.parametrize("alpha, missed", [(1.5, 0), (3.5, 0), (20.5, 3)])
+    def test_bessel_zeros_match_40_digits(self, alpha, missed):
+        k = np.array([1, 2, 3, 4, 8, 16, 100, 511, 512, 2048, 4096])
+        zeros, ok = asy._bessel_zeros(alpha, k.astype(float))
+        # McMahon's start misses the first zeros at large alpha, and says so
+        assert np.array_equal(ok, k > missed)
+        with mp.workdps(40):
+            ref = np.array([float(mp.besseljzero(alpha, int(i)) / 2) for i in k[ok]])
+        assert np.max(np.abs(zeros[ok] / ref - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [1.5, 3.5])
+    @pytest.mark.parametrize("q", [1.6, 2.0, 2.5])
+    def test_zero_panel_sum_matches_30_digits(self, alpha, q):
+        beta = (1.0 - q) / 2.0  # D = 3
+        # for integer 2q the integrand is analytic on each closed panel, so
+        # Gauss-Legendre serves (4x faster); else the zeros are branch points
+        method = "gauss-legendre" if (2 * q).is_integer() else "tanh-sinh"
+        with mp.workdps(30):
+            zeros = [mp.besseljzero(alpha, k) / 2 for k in range(1, 17)]
+            ref = 2 * mp.quad(lambda t: t ** (2 * beta + 1) * abs(mp.besselj(alpha, 2 * t))
+                              ** (2 * q), zeros, method=method)
+        edges = asy._bessel_zeros(alpha, np.arange(1.0, 17.0))[0]
+        got = asy._zero_panel_sum(alpha, beta, q, edges)
+        assert got == pytest.approx(float(ref), rel=1e-13)
+
+    @pytest.mark.parametrize("l, D, q", [(8, 3, 1.6), (8, 4, 1.353)])
+    def test_unsettled_bessel_constant_is_refused(self, l, D, q, monkeypatch):
+        # the last doubling moved C_B by more than rtol; it was served
+        monkeypatch.setattr(asy, "_BESSEL_CACHE", oracle.BoundedCache(4))
+        with pytest.raises(UnsupportedError, match="above rtol 1e-08"):
+            asy.rydberg_norm_asymptotic(400, l, D, q)
+        assert len(asy._BESSEL_CACHE) == 0
 
     def test_requires_d_above_2(self):
         with pytest.raises(UnsupportedError):

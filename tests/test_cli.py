@@ -330,6 +330,18 @@ def test_rydberg_asymptotics_out_of_the_float_range_are_refused_by_name(quantity
     assert err == f"domain error: {name} at k = 1000.0 leaves the float range\n"
 
 
+def test_unsettled_bessel_constant_is_refused(capsys):
+    # at 4096 panels the last doubling still moved C_B by more than its rtol
+    # 1e-8, and the Renyi entropy was served from it
+    state = '{"kind":"hyper","D":3,"omega":1,"nr":400,"mu":[8,0]}'
+    assert cli.main(["compute", "--state", state, "--quantity", "renyi", "--q", "1.6",
+                     "--engine", "asymptotic"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("domain error: the Bessel norm constant at alpha = 8.5")
+    assert err.endswith("above rtol 1e-08\n")
+
+
 @pytest.mark.parametrize("engine", ["closed", "oracle"])
 def test_moment_whose_omega_free_part_overflows_is_served(engine, capsys):
     # <r^400> at omega = 10 is 10^-200 Gamma(201.5) / Gamma(1.5) = 1.26e176; the

@@ -526,8 +526,8 @@ def _all_nodes_reference(f_vec, edges, tol, max_level=11):
     prev = None
     for level in range(4, max_level + 1):
         u, w = _all_level_nodes(level)
-        x = (mid[:, None] + half[:, None] * u[None, :]).ravel()
-        vals = np.asarray(f_vec(x), dtype=float).reshape(len(mid), len(u))
+        x = mid[:, None] + half[:, None] * u[None, :]
+        vals = np.asarray(f_vec(x), dtype=float)
         total = float(np.sum((half[:, None] * w[None, :]) * vals))
         if prev is not None and abs(total - prev) <= max(tol * abs(total), oracle.ABS_FLOOR):
             return oracle.IntegralEstimate(total, abs(total - prev), len(mid) * len(u)), x
@@ -582,6 +582,11 @@ class TestNestedLevels:
         assert est == ref  # value, error estimate and node count, exactly
         assert len(seen) > 1  # refinement went past the first level
         assert est.subdivisions == final_x.size
+        # row p of every call lies in panel p, between the rows of final_x's
+        # first and last columns (the panel edges)
+        for x in seen:
+            assert x.shape[0] == npanel
+            assert np.all((x >= final_x[:, :1]) & (x <= final_x[:, -1:]))
         # f_vec saw each node inside a panel of the final level once, and each
         # panel's two edges once (as a multiset): tanh rounds about half of
         # the nodes to u = +-1, which sit exactly on the edges
@@ -590,9 +595,40 @@ class TestNestedLevels:
                  if u.size == rows.shape[1])
         assert u[0] == -1.0 and u[-1] == 1.0
         expected = np.concatenate([rows[:, np.abs(u) < 1.0].ravel(), rows[:, 0], rows[:, -1]])
-        got = np.concatenate(seen)
+        got = np.concatenate([x.ravel() for x in seen])
         assert np.array_equal(np.sort(got), np.sort(expected))
         assert got.size < 0.6 * final_x.size
+
+
+# (kernel, family, degree, parameter, q, a, value.hex()), recorded before the
+# root kernels took one row per panel; the degree 50 member takes the
+# recurrence, the rest the Taylor panels
+KERNEL_TABLE = [
+    ("entropy", "laguerre", 50, 0.5, None, None, "-0x1.7a6b5f299e4ccp+6"),
+    ("entropy", "laguerre", 100, 0.5, None, None, "-0x1.8339340c94fe6p+7"),
+    ("entropy", "laguerre", 800, 0.5, None, None, "-0x1.8da4678af30d3p+10"),
+    ("entropy", "laguerre", 300, 7.0, None, None, "-0x1.18a07c9d6aba9p+9"),
+    ("entropy", "hermite", 200, None, None, None, "-0x1.8a754fb79903ap+7"),
+    ("entropy", "hermite", 600, None, None, None, "-0x1.2a5c2e22569d6p+9"),
+    ("entropy", "gegenbauer", 150, 1.0, None, None, "-0x1.1566200aa1d96p-1"),
+    ("entropy", "gegenbauer", 400, 3.5, None, None, "-0x1.fb8b51a594868p+1"),
+    ("lq", "laguerre", 800, 0.5, 0.8, 0.5, "0x1.291a8cb0b7794p+3"),
+    ("lq", "laguerre", 200, 3.5, 1.6, 3.5, "0x1.c15f226389c58p+1"),
+    ("lq", "hermite", 300, None, 0.6, 0.0, "0x1.0e12a322743cep+2"),
+    ("lq", "gegenbauer", 200, 1.5, 1.3, 1.0, "0x1.4bee318de65e0p+1"),
+]
+
+
+@pytest.mark.parametrize("kernel, family, degree, parameter, q, a, recorded", KERNEL_TABLE,
+                         ids=[f"{k}-{f}-{n}" for k, f, n, *_ in KERNEL_TABLE])
+def test_root_kernels_keep_their_recorded_bits(kernel, family, degree, parameter, q, a,
+                                               recorded, monkeypatch):
+    monkeypatch.setattr(oracle, "_ENTROPY_CACHE", oracle.BoundedCache(4))
+    monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(4))
+    spec = PolySpec(family, degree, parameter)
+    value = (oracle.polynomial_entropy(spec) if kernel == "entropy"
+             else oracle.lq_integral(spec, q, a))
+    assert value.hex() == recorded
 
 
 class TestExhaustedRefinement:

@@ -417,16 +417,17 @@ class TestPanelEvaluator:
         assert served.size > 790
         evaluate = specfun.panel_evaluator(spec, roots)
         s = np.array([-0.97, -0.4, 0.0, 0.5, 0.99])
+        rows = centre[:, None] + half[:, None] * s
+        m, logs = evaluate(rows)
+        rm, rlogs = specfun.eval_poly_scaled(spec, rows)
         for p in (served[0], served[served.size // 2], served[-1]):
-            x = centre[p] + half[p] * s
-            m, logs = evaluate(x)
-            rm, rlogs = specfun.eval_poly_scaled(spec, x)
+            x = rows[p]
             with mp.workdps(40):
                 ref = [_mp_classical(family, 800, param, v) for v in x.tolist()]
                 amp = max(abs(r) for r in ref)
                 for i, r in enumerate(ref):
-                    err = abs(mp.mpf(float(m[i])) * mp.exp(float(logs[i])) - r)
-                    rec = abs(mp.mpf(float(rm[i])) * mp.exp(float(rlogs[i])) - r)
+                    err = abs(mp.mpf(float(m[p, i])) * mp.exp(float(logs[p, i])) - r)
+                    rec = abs(mp.mpf(float(rm[p, i])) * mp.exp(float(rlogs[p, i])) - r)
                     assert err <= max(10 * rec, 1e-10 * amp), (p, s[i])
 
     def test_wide_panel_near_the_turning_point_takes_the_recurrence(self):
@@ -437,10 +438,21 @@ class TestPanelEvaluator:
         assert widest == 799 and not taylor[widest]
         # the series is cut, not the distance to x = 0
         assert half[widest] <= 0.5 * centre[widest]
-        x = centre[widest] + half[widest] * np.linspace(-0.9, 0.9, 11)
+        x = centre[:, None] + half[:, None] * np.linspace(-0.9, 0.9, 11)
         got = specfun.panel_evaluator(spec, roots)(x)
         ref = specfun.eval_poly_scaled(spec, x)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        assert np.array_equal(got[0][widest], ref[0][widest])
+        assert np.array_equal(got[1][widest], ref[1][widest])
+
+    def test_row_blocks_are_bit_identical(self, monkeypatch):
+        spec = PolySpec("laguerre", 300, 0.5)
+        roots = specfun.poly_roots(spec)
+        centre, half, _, _, _ = specfun._taylor_panels(spec, roots)
+        x = centre[:, None] + half[:, None] * np.linspace(-1.0, 1.0, 7)
+        whole = specfun.panel_evaluator(spec, roots)(x)
+        monkeypatch.setattr(specfun, "RECURRENCE_BLOCK", 50)  # 7 rows a block
+        blocked = specfun.panel_evaluator(spec, roots)(x)
+        assert np.array_equal(whole[0], blocked[0]) and np.array_equal(whole[1], blocked[1])
 
     def test_panel_next_to_the_singular_point_takes_the_recurrence(self):
         for spec in (PolySpec("laguerre", 800, 0.5), PolySpec("gegenbauer", 800, 1.0)):
@@ -451,7 +463,9 @@ class TestPanelEvaluator:
     def test_small_degrees_are_the_recurrence_bit_for_bit(self, family, param):
         spec = PolySpec(family, specfun.TAYLOR_MIN_DEGREE - 1, param)
         roots = specfun.poly_roots(spec)
-        x = np.linspace(roots[0], roots[-1], 1001)
+        # one row per root panel; the outer ones reach a unit past the roots
+        edges = np.concatenate([[roots[0] - 1.0], roots, [roots[-1] + 1.0]])
+        x = np.linspace(edges[:-1], edges[1:], 13, axis=1)
         got = specfun.panel_evaluator(spec, roots)(x)
         ref = specfun.eval_poly_scaled(spec, x)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
@@ -459,9 +473,15 @@ class TestPanelEvaluator:
     def test_nodes_on_roots_and_outer_panels(self):
         spec = PolySpec("hermite", 200)
         roots = specfun.poly_roots(spec)
-        x = np.concatenate([[roots[0] - 1.0], roots, [roots[-1] + 1.0]])
-        m, logs = specfun.panel_evaluator(spec, roots)(x)
+        # each root is the last node of one row and the first of the next
+        edges = np.concatenate([[roots[0] - 1.0], roots, [roots[-1] + 1.0]])
+        x = np.stack([edges[:-1], edges[1:]], axis=1)
+        evaluate = specfun.panel_evaluator(spec, roots)
+        m, logs = evaluate(x)
         rm, rlogs = specfun.eval_poly_scaled(spec, x)
         peak = np.max(np.abs(rm * np.exp(rlogs)))
         assert np.max(np.abs(m * np.exp(logs) - rm * np.exp(rlogs))) < 1e-12 * peak
-        assert m[0] == rm[0] and m[-1] == rm[-1]  # outer panels: the recurrence
+        # outer panels: the recurrence
+        assert np.array_equal(m[0], rm[0]) and np.array_equal(m[-1], rm[-1])
+        with pytest.raises(DomainError, match="one row per root panel"):
+            evaluate(x.ravel())
