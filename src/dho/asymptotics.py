@@ -101,25 +101,17 @@ def rydberg_heisenberg(k: float, n_r: int) -> AsymptoticValue:
 
 
 def highdim_moment(k: float, D: int, omega: float, n_r: int = 0, l: int = 0,
-                   form: str = "refined", space: Space = Space.POSITION) -> AsymptoticValue:
-    """Parameter-asymptotic moment at fixed l.
-
-    form 'refined': sqrt(2 pi) e^-alpha alpha^(alpha + n_r + (k+1)/2) /
-    Gamma(n_r + l + D/2) * omega^(-k/2); form 'leading': (D / (2 omega))^(k/2).
-    """
+                   space: Space = Space.POSITION) -> AsymptoticValue:
+    """Parameter-asymptotic moment at fixed l: sqrt(2 pi) e^-alpha
+    alpha^(alpha + n_r + (k+1)/2) / Gamma(n_r + l + D/2) * omega^(-k/2)."""
     note = "parameter asymptotics, relative error O(1/D)"
     if D < HIGH_DIM_COMFORT:
         note += f"; D = {D} is below the comfortable range (>= {HIGH_DIM_COMFORT})"
-    if form == "leading":
-        value = (D / (2.0 * omega)) ** (k / 2.0)
-    elif form == "refined":
-        alpha = l + D / 2.0 - 1.0
-        logv = (0.5 * math.log(2.0 * math.pi) - alpha
-                + (alpha + n_r + (k + 1.0) / 2.0) * math.log(alpha)
-                - gammaln(n_r + l + D / 2.0) - (k / 2.0) * math.log(omega))
-        value = math.exp(logv)
-    else:
-        raise DomainError(f"unknown form {form!r}")
+    alpha = l + D / 2.0 - 1.0
+    logv = (0.5 * math.log(2.0 * math.pi) - alpha
+            + (alpha + n_r + (k + 1.0) / 2.0) * math.log(alpha)
+            - gammaln(n_r + l + D / 2.0) - (k / 2.0) * math.log(omega))
+    value = math.exp(logv)
     if space is Space.MOMENTUM:
         value *= omega ** k
     return AsymptoticValue(value, note)
@@ -179,25 +171,27 @@ def rydberg_shannon(state: HyperState, space: Space = Space.POSITION,
 
 
 _BESSEL_CACHE = oracle.BoundedCache(32)  # benchmark workloads use up to 2 constants
+# relative change of the Bessel norm constant between two panel doublings at
+# which it is served
+BESSEL_RTOL = 1e-8
 # nodes of the Gauss-Gegenbauer rule on each zero-to-zero panel; at 12, each of
 # the first 15 panels is within 7.4e-14 of 30 digits and their sum within
 # 1.5e-14 (alpha 1.5 and 3.5, q 1.6, 2 and 2.5)
 BESSEL_PANEL_ORDER = 12
 
 
-def bessel_norm_constant(alpha: float, beta: float, q: float,
-                         rtol: float = 1e-8) -> float:
+def bessel_norm_constant(alpha: float, beta: float, q: float) -> float:
     """C_B = 2 int_0^inf t^(2 beta + 1) |J_alpha(2t)|^(2q) dt.
 
     Panels run zero-to-zero between the exact zeros of J_alpha(2t); the
     truncated tail is restored from the envelope mean of |cos|^(2q), which
     leaves a relative error of order T^(2 beta + 1 - q).  A constant that
-    has not settled to rtol at 4096 panels raises UnsupportedError.
+    has not settled to BESSEL_RTOL at 4096 panels raises UnsupportedError.
     """
     if 2.0 * beta + 2.0 - q >= 0.0:
         raise DomainError("Bessel norm integral diverges: need q > 2 beta + 2")
-    return _BESSEL_CACHE.get_or_compute((float(alpha), float(beta), float(q), rtol),
-                                        lambda: _bessel_norm_integral(alpha, beta, q, rtol))
+    return _BESSEL_CACHE.get_or_compute((float(alpha), float(beta), float(q)),
+                                        lambda: _bessel_norm_integral(alpha, beta, q))
 
 
 def _bessel_zeros(alpha: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -236,7 +230,7 @@ def _zero_panel_sum(alpha: float, beta: float, q: float, edges: np.ndarray) -> f
     return 2.0 * float(np.sum(half * (g @ w)))
 
 
-def _bessel_norm_integral(alpha: float, beta: float, q: float, rtol: float) -> float:
+def _bessel_norm_integral(alpha: float, beta: float, q: float) -> float:
     mean_cos = math.exp(gammaln(q + 0.5) - gammaln(q + 1.0)) / math.sqrt(math.pi)
     p = 2.0 * beta + 1.0 - q
 
@@ -244,8 +238,9 @@ def _bessel_norm_integral(alpha: float, beta: float, q: float, rtol: float) -> f
         return 2.0 * mean_cos * math.pi ** (-q) * T ** (p + 1.0) / (-(p + 1.0))
 
     # [0, first zero], with the endpoint power t^(2 beta + 1 + 2 alpha q), is
-    # one quad call; each doubling of the panel count adds the new zero
-    # panels to the running sum
+    # one quad call at relative 1e-13 (at QUADPACK's default epsabs it was up
+    # to 1.8e-11 off 30 digits); each doubling of the panel count adds the
+    # new zero panels to the running sum
     total, end, done, value = 0.0, None, 0, math.nan
     for npanel in (512, 1024, 2048, 4096):
         prev = value
@@ -259,7 +254,7 @@ def _bessel_norm_integral(alpha: float, beta: float, q: float, rtol: float) -> f
                     f"start at alpha = {alpha}")
             total, _ = quad(lambda t: 2.0 * t ** (2.0 * beta + 1.0)
                             * abs(jv(alpha, 2.0 * t)) ** (2.0 * q),
-                            0.0, zeros[first], limit=200)
+                            0.0, zeros[first], epsabs=0.0, epsrel=1e-13, limit=200)
             edges = zeros[first:]
         elif not ok.all():
             raise UnsupportedError(
@@ -270,11 +265,12 @@ def _bessel_norm_integral(alpha: float, beta: float, q: float, rtol: float) -> f
         total += _zero_panel_sum(alpha, beta, q, edges)
         end, done = edges[-1], npanel
         value = total + tail(end)
-        if abs(value - prev) <= rtol * abs(value):  # False while prev is nan
+        if abs(value - prev) <= BESSEL_RTOL * abs(value):  # False while prev is nan
             return value
     raise UnsupportedError(
         f"the Bessel norm constant at alpha = {alpha:g}, beta = {beta:g}, q = {q:g} moved "
-        f"by {abs(value - prev) / abs(value):.1e} at {done} panels, above rtol {rtol}")
+        f"by {abs(value - prev) / abs(value):.1e} at {done} panels, "
+        f"above rtol {BESSEL_RTOL}")
 
 
 def _power_regime_constant(beta: float, q: float) -> float:

@@ -27,14 +27,14 @@ from .states import HyperState, Space
 EXIT_PARSE, EXIT_DOMAIN, EXIT_CONVERGENCE = 2, 3, 4
 
 ENGINES = ("closed", "oracle", "asymptotic")
-REGIMES = ("rydberg", "highdim")
-MODES = ("leading", "as-published")
-# sweep engine string -> (engine, regime, mode); None leaves the quantity
-# spec's own "regime" / "mode" in force
-SWEEP_ENGINES = {**{e: (e, None, None) for e in ENGINES},
-                 "asymptotic:rydberg": ("asymptotic", "rydberg", None),
-                 "asymptotic:highdim": ("asymptotic", "highdim", None),
+# sweep engine string -> the (engine, regime, mode) of compute's --engine,
+# --regime and --mode: the string is a sweep's one regime selector
+SWEEP_ENGINES = {**{e: (e, "rydberg", "leading") for e in ENGINES},
+                 "asymptotic:rydberg": ("asymptotic", "rydberg", "leading"),
+                 "asymptotic:highdim": ("asymptotic", "highdim", "leading"),
                  "asymptotic:highdim-published": ("asymptotic", "highdim", "as-published")}
+# the keys a sweep quantity spec may carry
+QUANTITY_KEYS = ("id", "k", "q", "s")
 # keys a sweep "states" spec of each kind must carry, and the output formats
 STATE_KEYS = {"hyper": ("D", "omega", "nr", "mu"), "cartesian": ("omega", "n")}
 OUTPUTS = ("json", "csv")
@@ -206,37 +206,32 @@ def _expand_states(spec: dict) -> list:
             for combo in itertools.product(*axes)]
 
 
-def _resolve_engine(request, qspec: dict) -> tuple[str, str, str]:
-    """The (engine, regime, mode) that compute's --engine/--regime/--mode give,
-    for a sweep engine string and the quantity spec's "regime" / "mode"."""
-    if not isinstance(request, str) or request not in SWEEP_ENGINES:
-        raise ParseError(f"unknown engine {request!r} in sweep config; "
-                         f"known: {sorted(SWEEP_ENGINES)}")
-    regime, mode = qspec.get("regime", "rydberg"), qspec.get("mode", "leading")
-    for name, value, known in (("regime", regime, REGIMES), ("mode", mode, MODES)):
-        if value not in known:
-            raise ParseError(f"unknown {name} {value!r} in sweep config; known: {known}")
-    engine, fixed_regime, fixed_mode = SWEEP_ENGINES[request]
-    return engine, fixed_regime or regime, fixed_mode or mode
-
-
 def _sweep_rows(config: dict, args) -> tuple[list[dict], bool]:
-    requests = []  # (quantity spec, engine string, resolved engine), config order
+    for eng in config["engines"]:
+        if not isinstance(eng, str) or eng not in SWEEP_ENGINES:
+            raise ParseError(f"unknown engine {eng!r} in sweep config; "
+                             f"known: {sorted(SWEEP_ENGINES)}")
+    requests = []  # (quantity spec, engine string), config order
     for qspec in config["quantities"]:
         qspec = {"id": qspec} if isinstance(qspec, str) else qspec
         qid = qspec.get("id") if isinstance(qspec, dict) else qspec
         if not isinstance(qid, str) or qid not in QUANTITIES:
             raise ParseError(f"unknown quantity {qid!r} in sweep config; "
                              f"known: {sorted(QUANTITIES)}")
-        requests += [(qspec, eng, _resolve_engine(eng, qspec))
-                     for eng in config["engines"]]
+        unknown = sorted(set(qspec) - set(QUANTITY_KEYS))
+        if unknown:
+            raise ParseError(f"unknown keys {unknown} in sweep quantity {qid!r}; known: "
+                             f"{list(QUANTITY_KEYS)}, and the engine string, one of "
+                             f"{sorted(SWEEP_ENGINES)}, sets the regime and mode")
+        requests += [(qspec, eng) for eng in config["engines"]]
     space = config.get("space", "position")
     if space not in [sp.value for sp in Space]:
         raise ParseError(f"unknown space {space!r} in sweep config")
     space = Space(space)
     rows = []
     for st in _expand_states(config["states"]):
-        for qspec, eng, (engine, regime, mode) in requests:
+        for qspec, eng in requests:
+            engine, regime, mode = SWEEP_ENGINES[eng]
             ns = argparse.Namespace(k=qspec.get("k"), q=qspec.get("q"),
                                     s=qspec.get("s", 0.0), regime=regime, mode=mode,
                                     tol=args.tol)
@@ -368,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--q", type=float, help="Renyi order")
     c.add_argument("--s", type=float, default=0.0,
                    help="Rydberg limit of l/n_r (asymptotic moments)")
-    c.add_argument("--regime", default="rydberg", choices=REGIMES)
-    c.add_argument("--mode", default="leading", choices=MODES,
+    c.add_argument("--regime", default="rydberg", choices=("rydberg", "highdim"))
+    c.add_argument("--mode", default="leading", choices=("leading", "as-published"),
                    help="high-D Shannon variant")
     c.add_argument("--tol", type=float, default=None, help="oracle tolerance")
     c.set_defaults(fn=cmd_compute)

@@ -23,7 +23,6 @@ substitution.
 from __future__ import annotations
 
 import math
-import os
 import threading
 import warnings
 from collections import OrderedDict
@@ -52,17 +51,8 @@ GAUSS_MAX_ORDER = 12000
 
 
 def default_tolerance() -> float:
-    """Library default, overridable through the HO_ORACLE_TOL variable."""
-    raw = os.environ.get("HO_ORACLE_TOL")
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise DomainError(f"HO_ORACLE_TOL is not a number: {raw!r}") from exc
-    if not tol > 0.0:
-        raise DomainError("HO_ORACLE_TOL must be positive")
-    return tol
+    """The library's oracle tolerance; --tol is the one per-command setting."""
+    return DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -118,25 +108,22 @@ class BoundedCache(OrderedDict):
 _RULE_CACHE = BoundedCache(512)  # benchmark workloads use up to 392 rules
 
 
-def gauss_rule(family: str, order: int, *parameters: float) -> QuadratureRule:
-    """Gauss rule of the weight of PolySpec(family, order, *parameters).
+def gauss_rule(family: str, order: int, parameter: float | None = None) -> QuadratureRule:
+    """Gauss rule of the weight of PolySpec(family, order, parameter).
 
-    hermite: weight e^{-x^2} on R, no parameters.
+    hermite: weight e^{-x^2} on R, no parameter.
     laguerre: weight x^alpha e^{-x} on [0, inf), parameter alpha > -1.
     gegenbauer: weight (1-x^2)^(lambda-1/2) on [-1, 1], parameter lambda > -1/2.
-    PolySpec refuses any other family or parameter (DomainError), and so does
-    this function more than one parameter; orders above GAUSS_MAX_ORDER raise
-    UnsupportedError.
+    PolySpec refuses any other family or parameter (DomainError); orders
+    above GAUSS_MAX_ORDER raise UnsupportedError.
     """
-    if len(parameters) > 1:
-        raise DomainError(f"{family!r} takes at most one parameter, got {len(parameters)}")
     if order < 1:
         raise DomainError("order must be >= 1")
     if order > GAUSS_MAX_ORDER:
         raise UnsupportedError(
             f"Gauss rules are bounded to order <= {GAUSS_MAX_ORDER} (got "
             f"{order if order < 1e9 else 'over 1e9'}); their work grows as order^2")
-    params = tuple(float(p) for p in parameters)
+    params = () if parameter is None else (float(parameter),)
     return _RULE_CACHE.get_or_compute(
         (family, params, int(order)),
         lambda: QuadratureRule(*specfun.gauss_nodes(PolySpec(family, int(order), *params),

@@ -1,8 +1,10 @@
 """Special functions and polynomial linearization machinery.
 
-Hermite / Laguerre / Gegenbauer polynomials, terminating hypergeometric sums,
-the finite Lauricella-A sum of the paper's integer-order Renyi form, the
-Dougall Gegenbauer square linearization, and exact Wigner 3j symbols.
+Hermite / Laguerre / Gegenbauer polynomials, terminating hypergeometric sums
+at unit argument, the general pFq (mpmath's hyper at 30 digits, for the
+validate-only Hermite root sums), the finite Lauricella-A sum of the paper's
+integer-order Renyi form, the Dougall Gegenbauer square linearization, and
+exact Wigner 3j symbols (cached).
 
 Every polynomial is the orthonormal member of its family, evaluated as a
 mantissa over a per-node log scale, so any degree and parameter stays finite.
@@ -476,53 +478,12 @@ def hyp_unit_terms(numerators: Sequence[float], denominators: Sequence[float]) -
     return terms
 
 
-def hyp_pFq(numerators: Sequence[float], denominators: Sequence[float], z: float,
-            tol: float = 1e-16, max_terms: int = 100000) -> float:
-    """Generalized hypergeometric series pFq(num; den; z).
+def hyp_pFq(numerators: Sequence[float], denominators: Sequence[float], z: float) -> float:
+    """Generalized hypergeometric function pFq(num; den; z), by mpmath at 30 digits."""
+    import mpmath as mp
 
-    Terminating series are summed exactly; convergent series are summed with a
-    cancellation guard (series whose partial terms exceed the result by > 1e3
-    are re-evaluated in extended precision via mpmath).  1F1 with z < -30 goes
-    through Kummer's transformation first.
-    """
-    num = [float(a) for a in numerators]
-    den = [float(b) for b in denominators]
-    p, q = len(num), len(den)
-    if p == 1 and q == 1 and z < -30.0:
-        # Kummer: 1F1(a; b; z) = e^z 1F1(b - a; b; -z), positive-term series
-        return math.exp(z) * hyp_pFq([den[0] - num[0]], den, -z, tol=tol)
-    if p > q + 1 and not any(a <= 0 and a == math.floor(a) for a in num):
-        raise UnsupportedError("divergent pFq request")
-    terms = [1.0]
-    term = 1.0
-    maxabs = 1.0
-    for j in range(max_terms):
-        fac = 1.0
-        for a in num:
-            fac *= a + j
-        for b in den:
-            bj = b + j
-            if bj == 0.0:
-                raise DomainError("pFq denominator pochhammer hits a pole")
-            fac /= bj
-        term *= fac * z / (j + 1.0)
-        if term == 0.0:
-            break
-        terms.append(term)
-        maxabs = max(maxabs, abs(term))
-        if abs(term) < tol * max(1.0, abs(math.fsum(terms[-4:]))) and j > 3:
-            # two consecutive negligible terms end the sum
-            if abs(terms[-2]) < tol:
-                break
-    else:
-        raise UnsupportedError("pFq series did not converge within term budget")
-    s = math.fsum(terms)
-    if maxabs > 1e3 * max(abs(s), 1e-300):
-        import mpmath as mp
-
-        with mp.workdps(40):
-            s = float(mp.hyper(num, den, z))
-    return s
+    with mp.workdps(30):
+        return float(mp.hyper(list(numerators), list(denominators), z))
 
 
 def lauricella_FA_finite(q: int, nu: int, n: int) -> float:
@@ -590,8 +551,9 @@ def gegenbauer_square_linearize(n: int, lam: float,
 # Wigner 3j
 
 
+@lru_cache(maxsize=4096)
 def wigner_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
-    """Wigner 3j symbol, exact rational Racah sum (integer arguments).
+    """Wigner 3j symbol, exact rational Racah sum (integer arguments), cached.
 
     Returns 0 for selection-rule violations rather than raising.
     """
@@ -625,8 +587,3 @@ def wigner_3j(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
     mag2 = pre * total * total
     val = math.sqrt(mag2.numerator / mag2.denominator)
     return sign * (1.0 if total > 0 else -1.0) * val
-
-
-@lru_cache(maxsize=4096)
-def wigner_3j_cached(j1: int, j2: int, j3: int, m1: int, m2: int, m3: int) -> float:
-    return wigner_3j(j1, j2, j3, m1, m2, m3)

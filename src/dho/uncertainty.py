@@ -2,7 +2,8 @@
 
 All left sides and bounds reuse the same measure engines as the rest of the
 package; no checker carries bespoke math.  The saturation tolerance is 1e-9
-relative, with the entropic inputs computed tighter than that.
+relative, with the entropic inputs computed at oracle.DEFAULT_TOL (1e-11),
+tighter than that.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from . import infomeasures, moments, specfun
+from . import infomeasures, moments, oracle, specfun
 from .errors import DomainError, _printable
 from .infomeasures import ENGINE_CLOSED
 from .states import HyperState, Space, at_unit_omega
@@ -86,38 +87,39 @@ def _fisher_product_central(state: HyperState, **_) -> RelationReport:
     return RelationReport.build("fisher_product_central", lhs, bound)
 
 
-def _entropy_sum(state, tol) -> float:
-    pos = infomeasures.shannon(state, Space.POSITION, ENGINE_CLOSED, tol=tol)
-    mom = infomeasures.shannon(state, Space.MOMENTUM, ENGINE_CLOSED, tol=tol)
+def _entropy_sum(state) -> float:
+    pos = infomeasures.shannon(state, Space.POSITION, ENGINE_CLOSED, tol=oracle.DEFAULT_TOL)
+    mom = infomeasures.shannon(state, Space.MOMENTUM, ENGINE_CLOSED, tol=oracle.DEFAULT_TOL)
     return pos.value + mom.value
 
 
-def _bbm(state, tol: float = 1e-11, **_) -> RelationReport:
+def _bbm(state, **_) -> RelationReport:
     D = state.spec.dim
-    return RelationReport.build("bbm", _entropy_sum(state, tol),
+    return RelationReport.build("bbm", _entropy_sum(state),
                                 D * (1.0 + math.log(math.pi)))
 
 
-def _rudnicki_central(state: HyperState, tol: float = 1e-11, **_) -> RelationReport:
+def _rudnicki_central(state: HyperState, **_) -> RelationReport:
     """Central-potential Shannon bound assembled from digamma terms plus the
     same angular-entropy engine used for the left side."""
     from scipy.special import gammaln
 
     D, l = state.spec.dim, state.l
-    ey = infomeasures.angular_shannon(state, tol=tol)
+    ey = infomeasures.angular_shannon(state, tol=oracle.DEFAULT_TOL)
     bound = (2.0 * l + D
              + 2.0 * (gammaln(l + D / 2.0) - math.log(2.0))
              - (2 * l + D - 1.0) * specfun.digamma(l + D / 2.0)
              + (D - 1.0) * (specfun.digamma((2 * l + D) / 4.0) + math.log(2.0))
              + 2.0 * ey)
-    return RelationReport.build("rudnicki_central", _entropy_sum(state, tol), bound)
+    return RelationReport.build("rudnicki_central", _entropy_sum(state), bound)
 
 
-def _renyi_conjugate(state, q: float = 2.0, tol: float = 1e-11, **_) -> RelationReport:
+def _renyi_conjugate(state, q: float = 2.0, **_) -> RelationReport:
     order = infomeasures.RenyiOrder(q)
     q_star = order.conjugate
-    pos = infomeasures.renyi(state, q, Space.POSITION, ENGINE_CLOSED, tol=tol)
-    mom = infomeasures.renyi(state, q_star, Space.MOMENTUM, ENGINE_CLOSED, tol=tol)
+    pos = infomeasures.renyi(state, q, Space.POSITION, ENGINE_CLOSED, tol=oracle.DEFAULT_TOL)
+    mom = infomeasures.renyi(state, q_star, Space.MOMENTUM, ENGINE_CLOSED,
+                             tol=oracle.DEFAULT_TOL)
     D = state.spec.dim
     bound = D * math.log(math.pi * q ** (1.0 / (2 * q - 2.0))
                          * q_star ** (1.0 / (2 * q_star - 2.0)))
@@ -152,7 +154,7 @@ def check(relation_id: str, state, **params) -> RelationReport:
     return fn(state, **params)
 
 
-def check_all(state, q: float = 2.0, tol: float = 1e-11) -> list[RelationReport]:
+def check_all(state, q: float = 2.0) -> list[RelationReport]:
     """Every relation applicable to the state, in registry order."""
-    return [check(rid, state, q=q, tol=tol) for rid in RELATIONS
+    return [check(rid, state, q=q) for rid in RELATIONS
             if rid not in HYPER_ONLY or isinstance(state, HyperState)]

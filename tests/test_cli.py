@@ -3,7 +3,6 @@
 import argparse
 import json
 import math
-import os
 import subprocess
 import sys
 import threading
@@ -614,6 +613,43 @@ def test_sweep_unknown_engine_regime_or_mode_is_parse_error(engines, qspec, tmp_
     assert _sweep(tmp_path, capsys, config) == (2, [])
 
 
+@pytest.mark.parametrize("extra", [{"regime": "highdim"}, {"mode": "as-published"},
+                                   {"regim": "highdim"}, {"K": 2}])
+def test_sweep_quantity_key_outside_id_k_q_s_is_parse_error(extra, tmp_path, capsys):
+    # the engine string is a sweep's one regime selector; a misspelt "regim"
+    # used to be ignored, serving the Rydberg <r^2> in place of the high-D one
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "states": {"kind": "hyper", "D": 60, "omega": 1.0, "nr": [0], "mu": [[0] * 59]},
+        "quantities": [{"id": "moment", "k": 2, **extra}],
+        "engines": ["closed", "asymptotic"]}))
+    assert cli.main(["sweep", "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"unknown keys {sorted(extra)}" in err
+    assert "['id', 'k', 'q', 's']" in err and "asymptotic:highdim-published" in err
+
+
+@pytest.mark.parametrize("qspec", [{"id": "moment", "k": 2}, {"id": "shannon"}])
+def test_highdim_sweep_rows_equal_compute(qspec, tmp_path, capsys):
+    mu = [2, 1] + [0] * 57
+    state = {"kind": "hyper", "D": 60, "omega": 1.5, "nr": 1, "mu": mu}
+    rc, rows = _sweep(tmp_path, capsys, {
+        "states": {**state, "nr": [1], "mu": [mu]}, "quantities": [qspec],
+        "engines": ["asymptotic:highdim", "asymptotic:highdim-published"]})
+    assert rc == 0 and [r["error"] for r in rows] == ["", ""]
+    extra = ["--k", "2"] if "k" in qspec else []
+    for row, mode in zip(rows, ("leading", "as-published")):
+        assert cli.main(["compute", "--state", json.dumps(state), "--quantity", qspec["id"],
+                         "--engine", "asymptotic", "--regime", "highdim", "--mode", mode]
+                        + extra) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert (row["value"], row["order_note"]) == (rec["value"], rec["order_note"])
+        assert row["engine"] == "asymptotic" and row["state"] == state
+    if qspec["id"] == "shannon":  # the published variant is another formula
+        assert rows[0]["value"] != rows[1]["value"]
+
+
 def test_sweep_non_finite_parameter_is_row_error(tmp_path, capsys):
     # Python's json writes and reads Infinity; the row is refused and echoes q as null
     config = dict(SMALL_SWEEP, quantities=[{"id": "renyi", "q": math.inf}])
@@ -770,15 +806,3 @@ def test_validate_quick_deterministic_and_discrepancy_count(tmp_path):
                for s in statuses)
     report = json.loads((tmp_path / "r1.json").read_text())
     assert len(report) == len(recs)
-
-
-def test_env_tolerance_accepted():
-    proc = subprocess.run(
-        [sys.executable, "-m", "dho.cli", "compute", "--state", GROUND3,
-         "--quantity", "shannon", "--engine", "oracle"],
-        capture_output=True, text=True,
-        env={"HO_ORACLE_TOL": "1e-9", "PATH": "/usr/bin:/bin",
-             "PYTHONPATH": os.environ.get("PYTHONPATH", "")})
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["value"] == pytest.approx(
-        1.5 * (1 + math.log(math.pi)), abs=1e-7)

@@ -116,7 +116,7 @@ class TestGrid:
                         if D == 2 and l != m:
                             continue
                         st_ = hyper(1.0, D, nr, *mu)
-                        for rep in uncertainty.check_all(st_, q=2.0, tol=1e-11):
+                        for rep in uncertainty.check_all(st_, q=2.0):
                             assert rep.satisfied, (rep, st_)
 
     def test_ground_saturation_census(self):
