@@ -28,6 +28,7 @@ def _hyper(D, nr, mu):
 SMALL = [_hyper(2, 3, [2]), _hyper(3, 2, [1, 0]), _hyper(4, 1, [1, 1, 0]),
          _hyper(5, 2, [2, 1, 0, 0]), _hyper(6, 1, [1, 0, 0, 0, 0])]
 LARGE = [_hyper(3, 100, [0, 0]), _hyper(3, 200, [3, 1]), _hyper(6, 100, [0, 0, 0, 0, 0])]
+FAR = [_hyper(3, 0, [400, 0]), _hyper(200, 0, [0] * 199)]
 CART = [json.dumps({"kind": "cartesian", "omega": w, "n": n})
         for w, n in ((1.0, [8]), (2.0, [3, 2]), (0.5, [1, 0, 2]))]
 # kept here rather than read from cli.QUANTITIES so the corpus stays fixed
@@ -70,7 +71,12 @@ def corpus():
                          (SMALL[:2], ["renyi", "--q", "0.7", "--engine", "oracle"]),
                          (SMALL[3:], ["moment", "--k", "2", "--engine", "asymptotic",
                                       "--regime", "highdim"]),
-                         (LARGE, ["shannon", "--space", "momentum"])):
+                         (LARGE, ["shannon", "--space", "momentum"]),
+                         # far-peak regime: the weighted density lives far past
+                         # the last root (x ~ l + D/2, or a/q at small q)
+                         (FAR[:1], ["shannon", "--engine", "closed"]),
+                         (FAR[:1], ["shannon", "--engine", "oracle"]),
+                         (FAR[1:], ["renyi", "--q", "0.1", "--engine", "closed"])):
         runs += [["compute", "--state", st, "--quantity"] + tail for st in states]
     runs += [["uncertainty", "--state", st] for st in SMALL[:3] + CART[1:]]
     runs += [["sweep", "--config", name] for name in SWEEPS]

@@ -123,7 +123,7 @@ def hermite_entropy_oracle(n: int, tol: float | None = None) -> oracle.IntegralE
             return 0.0
         return math.exp(-x * x) * h2 * math.log(h2)
 
-    return oracle.integrate_adaptive(f, -math.inf, math.inf,
+    return oracle.integrate_adaptive(f, *oracle.support(spec, 0.0, 1.0),
                                      singular_points=roots, tol=tol)
 
 
@@ -221,10 +221,10 @@ def _entropy(state, space: Space, q: float | None, tol: float | None,
 # enter; a round of query-entropy's operations uses 135 keys
 _ORACLE_CACHE = oracle.BoundedCache(256)
 
-# per family: the support of the member's variable, b(x) and decay(x)
-_VARIABLES = {"hermite": (-math.inf, math.inf, lambda x: 1.0, lambda x: x * x),
-              "laguerre": (0.0, math.inf, lambda x: x, lambda x: x),
-              "gegenbauer": (-1.0, 1.0, lambda x: (1.0 - x) * (1.0 + x), lambda x: 0.0)}
+# per family: b(x) and decay(x) of the member's variable
+_VARIABLES = {"hermite": (lambda x: 1.0, lambda x: x * x),
+              "laguerre": (lambda x: x, lambda x: x),
+              "gegenbauer": (lambda x: (1.0 - x) * (1.0 + x), lambda x: 0.0)}
 
 
 def _oracle_sum(constant: float, factors: list[_Factor], q: float | None,
@@ -237,17 +237,16 @@ def _oracle_sum(constant: float, factors: list[_Factor], q: float | None,
 
 
 def _factor_density(f: _Factor):
-    """(lo, hi, roots, log_parts) of one factor's density in the member's own
-    variable: a Hermite axis t, the radial x = w r^2 or an angle x = cos theta.
+    """log_parts of one factor's density in the member's own variable: a
+    Hermite axis t, the radial x = w r^2 or an angle x = cos theta.
 
     The density is e^L against J dx = b^(a0 - a2) dx, with
     L = ln y^2 + a1 ln b - decay; b = 1, x or 1 - x^2 and decay = t^2, x or 0
     by family.  log_parts(x) is (ln J, L) at x, or None where the density
-    vanishes (or x lies outside the support).
+    vanishes (or x lies outside the family's domain).
     """
     y = specfun.scaled_evaluator(f.spec)
-    roots = specfun.poly_roots(f.spec).tolist() if f.spec.degree > 0 else []
-    lo, hi, b, decay = _VARIABLES[f.spec.family]
+    b, decay = _VARIABLES[f.spec.family]
     jac, a1 = f.a0 - f.a2, f.a1
 
     def log_parts(x):
@@ -258,19 +257,24 @@ def _factor_density(f: _Factor):
         lb = math.log(bx)
         return jac * lb, 2.0 * (math.log(abs(m)) + s) + a1 * lb - decay(x)
 
-    return lo, hi, roots, log_parts
+    return log_parts
 
 
 def _factor_integral(f: _Factor, q: float | None, tol: float) -> tuple[float, float]:
-    """(term, error estimate) of one factor, by QUADPACK split at its roots.
+    """(term, error estimate) of one factor, by QUADPACK over oracle.support
+    split at its roots.
 
     Shannon (q None): -int J e^L L dx and QUADPACK's error.  Renyi:
-    ln(int J e^(qL) dx) / (1 - q), which is lq_integral's integrand at
-    a0 + a1 q - a2, and the relative error over |1 - q|; the integrand is
-    divided by its peak over a coarse grid, in log space, so that QUADPACK's
-    absolute floor is relative to the integrand.
+    ln(int J e^(qL) dx) / (1 - q), and the relative error over |1 - q|.
+    J e^(qL) is lq_integral's integrand at a0 + a1 q - a2, the support's
+    exponent (at q = 1 for Shannon).  The Renyi integrand is divided by its
+    peak over a coarse grid, in log space, so that QUADPACK's absolute floor
+    is relative to the integrand.
     """
-    lo, hi, roots, log_parts = _factor_density(f)
+    log_parts = _factor_density(f)
+    roots = specfun.poly_roots(f.spec).tolist() if f.spec.degree > 0 else []
+    qs = 1.0 if q is None else q
+    lo, hi = oracle.support(f.spec, f.a0 + f.a1 * qs - f.a2, qs)
     if q is None:
         def integrand(x):
             parts = log_parts(x)
@@ -298,14 +302,13 @@ def _factor_integral(f: _Factor, q: float | None, tol: float) -> tuple[float, fl
 
 def _peak_grid(lo: float, hi: float, roots: list[float]) -> list[float]:
     """Coarse points at which to find an integrand's log peak: three in each
-    root panel, the outer roots (or 0), and from them geometric runs that
-    approach a finite end of the support or recede towards an infinite one."""
+    root panel, the outer roots (or 0), and from each outer root geometric
+    runs that approach its end of the support and return towards the root."""
     first, last = (roots[0], roots[-1]) if roots else (0.0, 0.0)
     points = [a + (c - a) * t for a, c in zip(roots, roots[1:]) for t in (0.25, 0.5, 0.75)]
     for start, end in ((first, lo), (last, hi)):
-        points += ([start + math.copysign(2.0 ** k, end) for k in range(-40, 13)]
-                   if math.isinf(end) else
-                   [start + (end - start) * (1.0 - 2.0 ** -k) for k in range(1, 41)])
+        points += [start + (end - start) * t
+                   for k in range(1, 41) for t in (1.0 - 2.0 ** -k, 2.0 ** -k)]
     return points + [first, last]
 
 

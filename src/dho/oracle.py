@@ -14,10 +14,11 @@ evaluator are built once and kept in _MEMBER_CACHE, and each L_q integral
 and polynomial entropy once in _LQ_CACHE and _ENTROPY_CACHE.  These
 integrals are the omega-free kernels of the spreading measures (omega only
 rescales the variable), so their keys hold the member, q, the weight
-exponent and, for the tanh-sinh routes, the tolerance.  The adaptive
-QUADPACK integrator serves only the independent oracle routes: it splits at
-supplied singular points and maps infinite tails by an exponential
-substitution.
+exponent and, for the tanh-sinh routes, the tolerance.  support() is the one
+rule for where a member's weighted power lives; the tanh-sinh kernels and the
+oracle engine's QUADPACK integrals both take their finite ranges from it.  The
+adaptive QUADPACK integrator serves only the independent oracle routes: it
+splits at supplied singular points, one QUADPACK call per panel.
 """
 
 from __future__ import annotations
@@ -157,47 +158,14 @@ def _panel_quad(f, a: float, b: float, epsabs: float, epsrel: float):
     return val, err, int(info.get("last", 1)), ok
 
 
-def _find_truncation(f, a: float, direction: float) -> float:
-    """Walk outward until |f| has fallen below 1e-20 of the peak seen."""
-    peak = 0.0
-    step = 1.0
-    x = a + direction * step
-    last_good = x
-    quiet = 0
-    for _ in range(200):
-        v = abs(f(x))
-        peak = max(peak, v, 1e-300)
-        if v < 1e-20 * peak:
-            quiet += 1
-            if quiet >= 2:
-                return x
-        else:
-            quiet = 0
-            last_good = x
-        step *= 1.6
-        x = a + direction * step
-    return max(last_good + direction * step, x) if direction > 0 else x
-
-
-def _tail_integral(f, a: float, sign: float, epsabs: float, epsrel: float):
-    """Integral over [a, +inf) (sign=+1) or (-inf, a] (sign=-1)."""
-    g = (lambda v: f(a + v)) if sign > 0 else (lambda v: f(a - v))
-    V = abs(_find_truncation(g, 0.0, 1.0))
-    V = max(V, 2.0)
-    v1, e1, n1, ok1 = _panel_quad(g, 0.0, 1.0, epsabs, epsrel)
-    # x = a +/- e^u substitution on the far part
-    h = lambda u: g(math.exp(u)) * math.exp(u)
-    v2, e2, n2, ok2 = _panel_quad(h, 0.0, math.log(V), epsabs, epsrel)
-    return v1 + v2, e1 + e2, n1 + n2, ok1 and ok2
-
-
 def integrate_adaptive(f, lo: float, hi: float, singular_points=(),
                        tol: float | None = None) -> IntegralEstimate:
     """Adaptive integral of f over [lo, hi] with interior singular points.
 
     The domain is split at every supplied singular point so each panel sees at
-    most a one-sided integrable singularity; +-inf endpoints are handled by
-    truncation plus exponential substitution.
+    most a one-sided integrable singularity, and each panel is one QUADPACK
+    call (which maps an infinite end itself; the package passes finite
+    supports, from support()).
     """
     if tol is None:
         tol = default_tolerance()
@@ -211,16 +179,7 @@ def integrate_adaptive(f, lo: float, hi: float, singular_points=(),
     for a, b in zip(edges[:-1], edges[1:]):
         if a == b:
             continue
-        if math.isinf(a) and math.isinf(b):
-            v1, e1, n1, k1 = _tail_integral(f, 0.0, 1.0, ABS_FLOOR, tol)
-            v2, e2, n2, k2 = _tail_integral(f, 0.0, -1.0, ABS_FLOOR, tol)
-            v, e, n, k = v1 + v2, e1 + e2, n1 + n2, k1 and k2
-        elif math.isinf(b):
-            v, e, n, k = _tail_integral(f, a, 1.0, ABS_FLOOR, tol)
-        elif math.isinf(a):
-            v, e, n, k = _tail_integral(f, b, -1.0, ABS_FLOOR, tol)
-        else:
-            v, e, n, k = _panel_quad(f, a, b, ABS_FLOOR, tol)
+        v, e, n, k = _panel_quad(f, a, b, ABS_FLOOR, tol)
         total += v
         err += e
         panels += n
@@ -337,15 +296,31 @@ def _build_member(spec: PolySpec):
     return roots, specfun.panel_evaluator(spec, roots)
 
 
+def support(spec: PolySpec, a: float, q: float) -> tuple[float, float]:
+    """(lo, hi), the finite range over which both engines integrate w y^(2q)
+    of lq_integral (weight exponent a).  Laguerre: past the last root (below
+    4n + 2 alpha + 2) it is about x^(a + 2qn) e^(-qx), whose peak a/q + 2n may
+    lie further out; edge is the larger, and hi adds 12 peak widths
+    sqrt(edge / q) and 60 decay lengths 1/q.  Hermite: 12 widths 1/sqrt(q)
+    past the last root.  Gegenbauer: [-1, 1]."""
+    n = spec.degree
+    if spec.family == "laguerre":
+        edge = max(4.0 * n + 2.0 * spec.parameter + 2.0, a / q + 2.0 * n)
+        return 0.0, edge + 12.0 * math.sqrt(edge) / math.sqrt(q) + 60.0 / q
+    if spec.family == "gegenbauer":
+        return -1.0, 1.0
+    span = math.sqrt(2.0 * n + 1.0) + 12.0 / math.sqrt(q)
+    return -span, span
+
+
 def _root_panel_integral(spec: PolySpec, a: float, q: float, integrand,
                          tol: float | None) -> float:
-    """int integrand(lw, ln y^2) dx over the family support by tanh-sinh panels.
+    """int integrand(lw, ln y^2) dx over support(spec, a, q) by tanh-sinh panels.
 
     y = spec is an orthonormal member and lw the log weight: a ln x - q x
     (laguerre), a ln(1 - x^2) (gegenbauer), -q x^2 (hermite).  Panel edges sit
-    at the roots of y; infinite supports are truncated where the weighted
-    power of y has decayed below ~1e-22.  Nodes where y or the weight
-    vanishes contribute 0.  Degrees above PANEL_MAX_DEGREE raise
+    at the roots of y and the two ends of the support.  Nodes where y or the
+    weight vanishes contribute 0.  Degrees above PANEL_MAX_DEGREE raise
     UnsupportedError before any work is done.
     """
     n = spec.degree
@@ -353,26 +328,19 @@ def _root_panel_integral(spec: PolySpec, a: float, q: float, integrand,
         raise UnsupportedError(
             f"the tanh-sinh panel kernels are bounded to degree <= {PANEL_MAX_DEGREE} "
             f"(got {n}); their work grows as degree^2")
+    lo, hi = support(spec, a, q)
     if spec.family == "laguerre":
-        edge = 4.0 * n + 2.0 * spec.parameter + 2.0
-        lo, hi = 0.0, edge + 12.0 * math.sqrt(edge) / math.sqrt(q) + 60.0 / q
-
         def log_weight(x):
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(x > 0, a * np.log(np.abs(x)) - q * x, -np.inf)
 
     elif spec.family == "gegenbauer":
-        lo, hi = -1.0, 1.0
-
         def log_weight(x):
             t = 1.0 - x * x
             with np.errstate(divide="ignore", invalid="ignore"):
                 return np.where(t > 0, a * np.log(np.abs(t)), -np.inf)
 
     else:
-        span = math.sqrt(2.0 * n + 1.0) + 12.0 / math.sqrt(q)
-        lo, hi = -span, span
-
         def log_weight(x):
             return -q * (x * x)
 
@@ -380,7 +348,7 @@ def _root_panel_integral(spec: PolySpec, a: float, q: float, integrand,
 
     def f_vec(x):
         m, sc = evaluate(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ln_y2 = 2.0 * (np.log(np.abs(m)) + sc)
             lw = log_weight(x)
             out = integrand(lw, ln_y2)

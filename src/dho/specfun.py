@@ -128,7 +128,7 @@ def log_abs_binomial(x: float, m: int) -> tuple[float, float]:
         return math.lgamma(m - x) - math.lgamma(m + 1.0) - math.lgamma(-x), float((-1) ** m)
     if x == math.floor(x) and x < m:
         return -math.inf, 0.0
-    y = x - m + 1.0
+    y = x - (m - 1.0)  # one rounding: exact at m = 1, where x may be tiny
     if y <= 0.0:
         # 1/Gamma(y) = sin(pi y) Gamma(1 - y) / pi, with sin(pi y) taken from
         # x - round(x), exact where y itself has lost x's fraction

@@ -501,7 +501,7 @@ def discrepancy_reports() -> list[CheckResult]:
     r = 0.7
 
     def log_parts(state, points):  # (ln J, L) of each member at its point
-        return [infomeasures._factor_density(f)[3](x)
+        return [infomeasures._factor_density(f)(x)
                 for f, x in zip(infomeasures._factors(state)[1], points)]
 
     # radial x = w r^2 (dx = 2 w r dr) and a uniform polar angle, over the

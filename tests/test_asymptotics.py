@@ -20,7 +20,7 @@ def hyper(omega, D, nr, *mu):
 
 class TestRydbergMoments:
     def test_k0_is_one(self):
-        assert asy.rydberg_moment(0.0, 500).value == pytest.approx(1.0, rel=1e-14)
+        assert asy.rydberg_moment(0.0, 500).value == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_k1_reference(self):
         got = asy.rydberg_moment(1.0, 1000).value
@@ -33,7 +33,7 @@ class TestRydbergMoments:
             resids.append(abs(exact - asy.rydberg_moment(2.0, nr).value) / exact)
         assert resids[1] < resids[0]
         # relative residual is exactly (l + D/2)/(2 n_r + l + D/2) here
-        assert resids[0] == pytest.approx(1.5 / 201.5, rel=1e-10)
+        assert resids[0] == pytest.approx(1.5 / 201.5, rel=1e-10, abs=0.0)
 
     def test_k_below_validity_raises(self):
         with pytest.raises(UnsupportedError):
@@ -62,7 +62,7 @@ class TestRydbergHeisenberg:
         assert asy.rydberg_heisenberg(2.0, 100).value == pytest.approx(40000.0, rel=1e-12)
 
     def test_k0(self):
-        assert asy.rydberg_heisenberg(0.0, 100).value == pytest.approx(1.0, rel=1e-13)
+        assert asy.rydberg_heisenberg(0.0, 100).value == pytest.approx(1.0, rel=1e-13, abs=0.0)
 
     def test_ratio_approaches_one(self):
         ratios = []
@@ -79,7 +79,7 @@ class TestHighDimMoments:
         for D in (10, 100, 1000):
             for om in (0.5, 2.0):
                 exact = moments.radial_moment(hyper(om, D, 0, *([0] * (D - 1))), 2.0)
-                assert D / (2.0 * om) == pytest.approx(exact, rel=1e-13)
+                assert D / (2.0 * om) == pytest.approx(exact, rel=1e-13, abs=0.0)
                 assert abs(asy.highdim_moment(2.0, D, om).value / exact - 1.0) < 2.5 / D
 
     def test_refined_form_k1(self):
@@ -160,7 +160,7 @@ class TestRydbergEntropies:
         # (q-1) D/2 - q = 0 at q = D/(D-2): D=6 -> q = 1.5
         a, _ = asy.rydberg_norm_asymptotic(100, 0, 6, 1.5)
         b, _ = asy.rydberg_norm_asymptotic(10000, 0, 6, 1.5)
-        assert a == pytest.approx(b, rel=1e-12)
+        assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     def test_norm_transition_regime(self):
         val, regime = asy.rydberg_norm_asymptotic(500, 0, 3, 1.5)
@@ -209,7 +209,7 @@ class TestRydbergEntropies:
         # the zeros of J_(1/2)(2t), sin(2t)/sqrt(t), are k pi / 2
         k = np.arange(1, edges.size + 1)
         assert np.max(np.abs(edges / (k * math.pi / 2.0) - 1.0)) <= 1e-14
-        assert value == pytest.approx(0.10881702767803182, rel=1e-15)
+        assert value == pytest.approx(0.10881702767803182, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("alpha, missed", [(1.5, 0), (3.5, 0), (20.5, 3)])
     def test_bessel_zeros_match_40_digits(self, alpha, missed):

@@ -263,7 +263,7 @@ def test_renyi_whose_angular_moment_leaves_the_float_range_is_served(q, engine, 
                      "--engine", engine]) == 0
     qf = float(q)
     exact = 1.5 * math.log(math.pi * qf ** (1.0 / (qf - 1.0)))
-    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(exact, rel=1e-15)
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(exact, rel=1e-15, abs=0.0)
 
 
 def test_renyi_below_the_float_range_edge_is_still_served(capsys):
@@ -286,7 +286,7 @@ def test_renyi_whose_factor_integral_leaves_the_float_range_is_served(state, q, 
     # space.  References: mpmath quadrature of the factor densities
     assert cli.main(["compute", "--state", state, "--quantity", "renyi", "--q", q,
                      "--engine", engine]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(value, rel=1e-14)
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("state, extra, name", [
@@ -359,7 +359,7 @@ def test_moment_whose_omega_free_part_overflows_is_served(engine, capsys):
 ])
 def test_value_below_the_float_range_edge_is_still_served(extra, value, capsys):
     assert cli.main(["compute", "--state", GROUND3, *extra]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(value, rel=1e-14)
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("state, extra", [
@@ -465,11 +465,20 @@ def test_failed_kernel_value_is_not_printed_as_the_quantity(capsys):
     assert json.loads(capsys.readouterr()[0])["value"] == pytest.approx(8.7606353575, rel=1e-10)
 
 
+def test_refused_real_q_kernel_writes_one_stderr_line():
+    # the D = 300 ground state at q = 0.2: the closed kernel's exp leaves the
+    # float range, and the refusal is the only line on stderr
+    state = json.dumps({"kind": "hyper", "D": 300, "omega": 1.0, "nr": 0, "mu": [0] * 299})
+    rc, out, err = run_cli("compute", "--state", state, "--quantity", "renyi", "--q", "0.2")
+    assert rc == 3 and out == ""
+    assert err == "domain error: the tanh-sinh panel integral leaves the float range\n"
+
+
 def test_closed_disequilibrium_at_high_l():
     state = '{"kind":"hyper","D":3,"omega":1,"nr":2,"mu":[12,0]}'
     rc, out, _ = run_cli("compute", "--state", state, "--quantity", "disequilibrium")
     assert rc == 0
-    assert json.loads(out)["value"] == pytest.approx(6.899545060696685e-3, rel=1e-13)
+    assert json.loads(out)["value"] == pytest.approx(6.899545060696685e-3, rel=1e-13, abs=0.0)
 
 
 def test_closed_values_take_one_route(monkeypatch, capsys):
@@ -523,7 +532,7 @@ def test_uncertainty_verdicts_do_not_depend_on_omega(omega, nr, mu, capsys):
         assert (got[rid]["lhs"], got[rid]["bound"]) == (ref[rid]["lhs"], ref[rid]["bound"])
     # stam prints its omega-scaled sides
     for key in ("lhs", "bound"):
-        assert got["stam"][key] == pytest.approx(omega * ref["stam"][key], rel=1e-12)
+        assert got["stam"][key] == pytest.approx(omega * ref["stam"][key], rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("omega", [1e-200, 1e-12, 1e12, 1e200])

@@ -44,12 +44,12 @@ class TestRenyiOrder:
 class TestFisher:
     def test_ground_stam_values(self):
         g = hyper(1.0, 3, 0, 0, 0)
-        assert im.fisher(g, Space.POSITION).value == pytest.approx(6.0, rel=1e-14)
-        assert im.fisher(g, Space.MOMENTUM).value == pytest.approx(6.0, rel=1e-14)
+        assert im.fisher(g, Space.POSITION).value == pytest.approx(6.0, rel=1e-14, abs=0.0)
+        assert im.fisher(g, Space.MOMENTUM).value == pytest.approx(6.0, rel=1e-14, abs=0.0)
 
     def test_excited_example(self):
         st_ = hyper(2.0, 3, 1, 1, 1)
-        assert im.fisher(st_, Space.POSITION).value == pytest.approx(28.0, rel=1e-14)
+        assert im.fisher(st_, Space.POSITION).value == pytest.approx(28.0, rel=1e-14, abs=0.0)
 
     def test_product_omega_free(self):
         for om in (0.5, 1.0, 2.0):
@@ -95,7 +95,7 @@ class TestShannonCartesian:
         for D in (1, 2, 3, 6):
             st_ = cart(1.0, *([0] * D))
             assert im.shannon_cartesian(st_).value == pytest.approx(
-                (D / 2.0) * (1.0 + LN_PI), rel=1e-13)
+                (D / 2.0) * (1.0 + LN_PI), rel=1e-13, abs=0.0)
 
     def test_one_dim_excited(self):
         got = im.shannon_cartesian(cart(1.0, 1)).value
@@ -228,11 +228,11 @@ class TestRenyi:
             for D in (1, 3):
                 st_ = cart(1.0, *([0] * D))
                 assert im.renyi_cartesian(st_, q).value == pytest.approx(
-                    (D / 2.0) * math.log(math.pi * q ** (1.0 / (q - 1))), rel=1e-13)
+                    (D / 2.0) * math.log(math.pi * q ** (1.0 / (q - 1))), rel=1e-13, abs=0.0)
 
     def test_ground_d1_q2_reference(self):
         assert im.renyi_cartesian(cart(1.0, 0), 2).value == pytest.approx(
-            0.5 * math.log(2 * math.pi), rel=1e-13)
+            0.5 * math.log(2 * math.pi), rel=1e-13, abs=0.0)
 
     def test_closed_requires_integer_q(self):
         # real q has no closed form: the closed engine's panel value carries the
@@ -314,20 +314,20 @@ class TestDisequilibrium:
         for (l, m) in ((0, 0), (2, 2), (3, -3)):
             st_ = HyperState(OscillatorSpec(1.0, 2), 1, (m if l == abs(m) else l,))
             assert im.disequilibrium_angular(st_) == pytest.approx(
-                1.0 / (2 * math.pi), rel=1e-14)
+                1.0 / (2 * math.pi), rel=1e-14, abs=0.0)
 
     def test_ground_d3(self):
         st_ = hyper(1.0, 3, 0, 0, 0)
         assert im.disequilibrium_radial(st_) == pytest.approx(
-            2.0 ** -0.5 / math.gamma(1.5), rel=1e-13)
+            2.0 ** -0.5 / math.gamma(1.5), rel=1e-13, abs=0.0)
         assert im.disequilibrium_angular(st_) == pytest.approx(
-            1.0 / (4 * math.pi), rel=1e-13)
+            1.0 / (4 * math.pi), rel=1e-13, abs=0.0)
         assert im.disequilibrium(st_).value == pytest.approx(
-            (2 * math.pi) ** -1.5, rel=1e-12)
+            (2 * math.pi) ** -1.5, rel=1e-12, abs=0.0)
 
     def test_swave_angular_is_quarter_pi_not_zero(self):
         assert im.disequilibrium_angular_3j(0, 0) == pytest.approx(
-            1.0 / (4 * math.pi), rel=1e-14)
+            1.0 / (4 * math.pi), rel=1e-14, abs=0.0)
 
     def test_closed_vs_oracle_grid(self):
         for (nr, l, D) in ((0, 0, 2), (2, 1, 3), (4, 3, 5), (6, 4, 5)):
@@ -354,7 +354,7 @@ class TestDisequilibrium:
     def test_omega_scaling(self):
         base = im.disequilibrium(hyper(1.0, 3, 1, 1, 1)).value
         scaled = im.disequilibrium(hyper(2.0, 3, 1, 1, 1)).value
-        assert scaled == pytest.approx(base * 2.0 ** 1.5, rel=1e-11)
+        assert scaled == pytest.approx(base * 2.0 ** 1.5, rel=1e-11, abs=0.0)
 
     @pytest.mark.parametrize("l", [10, 12, 16, 20])
     def test_high_l_d3_matches_3j_product(self, l):
@@ -362,12 +362,12 @@ class TestDisequilibrium:
         for m in (0, l // 2, -l):
             st_ = hyper(1.0, 3, 2, l, m)
             product = im.disequilibrium_radial(st_) * im.disequilibrium_angular_3j(l, m)
-            assert im.disequilibrium(st_).value == pytest.approx(product, rel=1e-12)
+            assert im.disequilibrium(st_).value == pytest.approx(product, rel=1e-12, abs=0.0)
 
     def test_nr150_matches_triple_sum_product(self):
         st_ = hyper(1.0, 3, 150, 2, 1)
         product = im.disequilibrium_radial(st_) * im.disequilibrium_angular(st_)
-        assert im.disequilibrium(st_).value == pytest.approx(product, rel=1e-12)
+        assert im.disequilibrium(st_).value == pytest.approx(product, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("nr", [260, 1000])
     def test_rydberg_nr_matches_panel_route(self, nr):
@@ -379,7 +379,7 @@ class TestDisequilibrium:
                                            lambda lw, ln_y2: np.exp(lw + 2.0 * ln_y2), None)
         expected = 2.0 * norm * im.angular_entropic_moment(st_, 2.0)
         served = im.disequilibrium(st_)
-        assert served.value == pytest.approx(expected, rel=1e-10)
+        assert served.value == pytest.approx(expected, rel=1e-10, abs=0.0)
         assert served.engine == ENGINE_CLOSED and served.error_estimate is None
 
     @pytest.mark.parametrize("name", ["disequilibrium_radial", "disequilibrium_angular"])
@@ -407,14 +407,14 @@ class TestDisequilibrium:
     def test_product_forms_at_their_bounds(self):
         st_ = hyper(1.0, 10, 200, 80, *[0] * 8)
         exact = 2.0 * oracle.weighted_Lq_norm(200, 80, 10, 2.0)
-        assert im.disequilibrium_radial(st_) == pytest.approx(exact, rel=1e-12)
+        assert im.disequilibrium_radial(st_) == pytest.approx(exact, rel=1e-12, abs=0.0)
         for mu in ((6, 0), (6, 6)):
             st_ = hyper(1.0, 3, 0, *mu)
             assert im.disequilibrium_angular(st_) == pytest.approx(
-                im.angular_entropic_moment(st_, 2.0), rel=1e-12)
+                im.angular_entropic_moment(st_, 2.0), rel=1e-12, abs=0.0)
         st_ = hyper(1.0, 4, 0, 6, 3, -1)
         assert im.disequilibrium_angular(st_) == pytest.approx(
-            im.angular_entropic_moment(st_, 2.0), rel=1e-12)
+            im.angular_entropic_moment(st_, 2.0), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("D", [2, 3, 5])
     @pytest.mark.parametrize("l", [0, 2])
@@ -564,7 +564,7 @@ def test_factor_log_density_matches_mpmath(state, index, points):
     b, decay = {"hermite": (lambda x: 1, lambda x: x * x),
                 "laguerre": (lambda x: x, lambda x: x),
                 "gegenbauer": (lambda x: 1 - x * x, lambda x: 0)}[f.spec.family]
-    log_parts = im._factor_density(f)[3]
+    log_parts = im._factor_density(f)
     for x in points:
         with mp.workdps(40):
             xm = mp.mpf(x)
@@ -612,6 +612,64 @@ def test_closed_and_oracle_agree_within_their_stated_errors(state, q, space):
     else:
         closed, orc = (im.renyi(state, q, space, engine) for engine in (ENGINE_CLOSED,
                                                                            ENGINE_ORACLE))
+    assert abs(closed.value - orc.value) <= _stated(closed) + _stated(orc)
+
+
+@pytest.mark.parametrize("omega", [1.0, 1.7])
+@pytest.mark.parametrize("D", [50, 200, 400, 1000])
+def test_high_dimensional_ground_state_closed_forms_on_both_engines(D, omega):
+    # the mass sits near x = D/2 (x = a/q at small q), far past the one
+    # (degree-0) root panel: R_q = (D/2) ln(pi q^(1/(q-1)) / omega),
+    # S = (D/2)(1 + ln pi - ln omega).  The oracle's 998 angular factor logs
+    # leave its Shannon and q = 2 values up to 2.1e-13 off at D = 1000.
+    st_ = hyper(omega, D, 0, *[0] * (D - 1))
+    for engine in (ENGINE_CLOSED, ENGINE_ORACLE):
+        rel = 2.5e-13 if engine == ENGINE_ORACLE and D == 1000 else 1e-13
+        shannon = im.shannon(st_, Space.POSITION, engine)
+        exact = (D / 2.0) * (1.0 + LN_PI - math.log(omega))
+        assert shannon.value == pytest.approx(exact, rel=rel, abs=0.0)
+        for q in (0.1, 0.2, 0.5, 2, 5):
+            exact = (D / 2.0) * math.log(math.pi * q ** (1.0 / (q - 1.0)) / omega)
+            try:
+                value = im.renyi(st_, q, Space.POSITION, engine).value
+            except UnsupportedError as refusal:
+                # only the closed real-q kernel refuses, where its exp overflows
+                assert engine == ENGINE_CLOSED and q < 1 and D >= 300, (D, q)
+                assert "leaves the float range" in str(refusal)
+                continue
+            assert value == pytest.approx(exact, rel=rel, abs=0.0), (engine, q)
+
+
+@pytest.mark.parametrize("D, q, miss", [(3, 2000.0, 0.01), (1000, 1.0, 25.0),
+                                        (1000, 2.0, 20.0), (300, 0.2, 3.0)])
+def test_peak_grid_scales_near_the_radial_peak(D, q, miss):
+    # ground-state radial integrand x^a e^(-qx), a = D/2 - 1, peaks at a/q
+    # (2.5e-4 at q = 2000, about 500 at D = 1000); the grid's best point lies
+    # within miss nats of it, so the scaled integrand stays far inside the
+    # float range (e^709)
+    a = D / 2.0 - 1.0
+    lo, hi = oracle.support(specfun.PolySpec("laguerre", 0, a), a, q)
+    log_f = lambda x: a * math.log(x) - q * x if x > 0.0 else -math.inf
+    assert 0.0 <= log_f(a / q) - max(map(log_f, im._peak_grid(lo, hi, []))) < miss
+    if D == 3:
+        exact = (D / 2.0) * math.log(math.pi * q ** (1.0 / (q - 1.0)))
+        value = im.renyi(hyper(1.0, D, 0, 0, 0), q, Space.POSITION, ENGINE_ORACLE).value
+        assert value == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("mu, q", [((400, 0), None), ((400, 0), 2.0), ((400, 400), None),
+                                   ((400, 400), 0.7), ((400, 400), 2.0)])
+def test_far_peak_radial_member_engines_agree(mu, q):
+    # D = 3, l = 400: x^400.5 e^(-x) peaks at x = 400, far past the origin,
+    # where the oracle's outward walk once stopped at x = 1.6 (1.29 for 8.70).
+    # mu_2 = 400 has the same radial member and a degree-0 angular one, so
+    # its oracle skips the 7 s QUADPACK pass over the 401 Legendre panels
+    st_ = hyper(1.0, 3, 0, *mu)
+    if q is None:
+        closed, orc = (im.shannon(st_, Space.POSITION, e) for e in (ENGINE_CLOSED, ENGINE_ORACLE))
+    else:
+        closed, orc = (im.renyi(st_, q, Space.POSITION, e) for e in (ENGINE_CLOSED, ENGINE_ORACLE))
+    assert orc.engine == ENGINE_ORACLE
     assert abs(closed.value - orc.value) <= _stated(closed) + _stated(orc)
 
 

@@ -24,21 +24,21 @@ def hyper(omega, D, nr, l, m=None):
 class TestClosedForm:
     def test_k0_is_one(self):
         for st_ in (hyper(1.0, 3, 0, 0), hyper(2.0, 6, 4, 3), hyper(0.5, 2, 2, 1)):
-            assert moments.radial_moment(st_, 0.0) == pytest.approx(1.0, rel=1e-14)
+            assert moments.radial_moment(st_, 0.0) == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_r2_reference(self):
         st_ = hyper(1.0, 3, 1, 2)
-        assert moments.radial_moment(st_, 2.0) == pytest.approx(5.5, rel=1e-14)
+        assert moments.radial_moment(st_, 2.0) == pytest.approx(5.5, rel=1e-14, abs=0.0)
 
     def test_rminus2_reference(self):
         # omega / (L + 1/2) with L = l + (D-3)/2
         for nr in (0, 2, 5):
             st_ = hyper(2.0, 3, nr, 1)
-            assert moments.radial_moment(st_, -2.0) == pytest.approx(4.0 / 3.0, rel=1e-13)
+            assert moments.radial_moment(st_, -2.0) == pytest.approx(4.0 / 3.0, rel=1e-13, abs=0.0)
 
     def test_r4_ground(self):
         st_ = hyper(1.0, 3, 0, 0)
-        assert moments.radial_moment(st_, 4.0) == pytest.approx(3.75, rel=1e-14)
+        assert moments.radial_moment(st_, 4.0) == pytest.approx(3.75, rel=1e-14, abs=0.0)
 
     def test_existence_condition(self):
         with pytest.raises(DomainError):
@@ -50,7 +50,7 @@ class TestClosedForm:
         st_ = hyper(2.0, 5, 2, 1)
         for k in (-2.0, 1.0, 2.0, 3.5):
             assert moments.radial_moment(st_, k, Space.MOMENTUM) == pytest.approx(
-                2.0 ** k * moments.radial_moment(st_, k), rel=1e-14)
+                2.0 ** k * moments.radial_moment(st_, k), rel=1e-14, abs=0.0)
 
     @given(st.integers(0, 8), st.integers(0, 4), st.sampled_from([2, 3, 6]),
            st.sampled_from([-1.0, 1.0, 2.0, 3.0]), st.floats(0.2, 4.0))
@@ -60,13 +60,13 @@ class TestClosedForm:
             return
         ref = moments.radial_moment(hyper(1.0, D, nr, l), k)
         val = moments.radial_moment(hyper(omega, D, nr, l), k)
-        assert val == pytest.approx(omega ** (-k / 2.0) * ref, rel=1e-12)
+        assert val == pytest.approx(omega ** (-k / 2.0) * ref, rel=1e-12, abs=0.0)
 
     def test_dual_form_agreement(self):
         for (nr, l, D, k) in ((10, 0, 3, 1.0), (10, 5, 12, 3.0), (8, 2, 6, -1.0)):
             a = moments.moment_3f2_form(hyper(1.0, D, nr, l), k)
             b = moments.radial_moment(hyper(1.0, D, nr, l), k)
-            assert a == pytest.approx(b, rel=1e-12)
+            assert a == pytest.approx(b, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("nr", [22, 26, 28, 30, 31, 32])
     @pytest.mark.parametrize("k", [-1.5, -1.0, 0.5, 1.0])
@@ -74,7 +74,7 @@ class TestClosedForm:
         # the alternating 3F2 loses up to ~1e-10 here; the finite sum does not
         st_ = hyper(1.0, 3, nr, 0)
         assert moments.radial_moment(st_, k) == pytest.approx(
-            moments.oracle_radial_moment(st_, k), rel=1e-12)
+            moments.oracle_radial_moment(st_, k), rel=1e-12, abs=0.0)
 
     def test_dual_form_still_catches_a_wrong_sum(self, monkeypatch):
         # the served value is the finite sum alone; validate holds the 3F2 check
@@ -202,13 +202,13 @@ class TestRecurrence:
         m0 = 1.0
         mm2 = moments.radial_moment(st_, -2.0)
         m2 = moments.recurrence_step(st_, 0.0, m0, mm2)
-        assert m2 == pytest.approx((2 * st_.n + 3) / 2.0, rel=1e-13)
+        assert m2 == pytest.approx((2 * st_.n + 3) / 2.0, rel=1e-13, abs=0.0)
 
     def test_r4_ground_value(self):
         st_ = hyper(1.0, 3, 0, 0)
         m2 = moments.radial_moment(st_, 2.0)
         m4 = moments.recurrence_step(st_, 2.0, m2, 1.0)
-        assert m4 == pytest.approx(3.75, rel=1e-13)
+        assert m4 == pytest.approx(3.75, rel=1e-13, abs=0.0)
 
     def test_matches_closed_form_on_grid(self):
         for D in (2, 3, 6):
@@ -235,7 +235,7 @@ class TestReflection:
                                   (1, 2, 6, 0.7, 2.0), (4, 2, 4, 1.0, 1.5)):
             st_ = hyper(om, D, nr, l)
             assert moments.reflection_moment(st_, k) == pytest.approx(
-                moments.radial_moment(st_, -k - 2.0), rel=1e-11)
+                moments.radial_moment(st_, -k - 2.0), rel=1e-11, abs=0.0)
 
     def test_rminus3_relation(self):
         for nr in range(0, 5):
@@ -262,7 +262,7 @@ class TestHeisenberg:
         for D in (2, 3, 4, 6):
             st_ = hyper(1.0, D, 0, 0)
             assert moments.heisenberg_product(st_, 2.0) == pytest.approx(
-                (D / 2.0) ** 2, rel=1e-13)
+                (D / 2.0) ** 2, rel=1e-13, abs=0.0)
 
     def test_omega_invariance(self):
         vals = [moments.heisenberg_product(hyper(om, 4, 2, 2), 3.0)

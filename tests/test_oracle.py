@@ -24,17 +24,17 @@ class TestGaussRules:
     def test_hermite_order_1(self):
         r = oracle.gauss_rule("hermite", 1)
         assert r.nodes.tolist() == [0.0]
-        assert np.exp(r.log_weights)[0] == pytest.approx(math.sqrt(math.pi), rel=1e-15)
+        assert np.exp(r.log_weights)[0] == pytest.approx(math.sqrt(math.pi), rel=1e-15, abs=0.0)
 
     def test_laguerre0_order_1(self):
         r = oracle.gauss_rule("laguerre", 1, 0.0)
-        assert r.nodes[0] == pytest.approx(1.0, rel=1e-14)
-        assert np.exp(r.log_weights)[0] == pytest.approx(1.0, rel=1e-14)
+        assert r.nodes[0] == pytest.approx(1.0, rel=1e-14, abs=0.0)
+        assert np.exp(r.log_weights)[0] == pytest.approx(1.0, rel=1e-14, abs=0.0)
 
     def test_legendre_order_2(self):
         r = oracle.gauss_rule("gegenbauer", 2, 0.5)
-        assert r.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], rel=1e-14)
-        assert np.exp(r.log_weights) == pytest.approx([1.0, 1.0], rel=1e-14)
+        assert r.nodes == pytest.approx([-1 / math.sqrt(3), 1 / math.sqrt(3)], rel=1e-14, abs=0.0)
+        assert np.exp(r.log_weights) == pytest.approx([1.0, 1.0], rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("order", [4, 13, 33])
     def test_hermite_exactness(self, order):
@@ -52,7 +52,7 @@ class TestGaussRules:
         for k in range(0, 2 * order - 1):
             got = float(np.sum(np.exp(r.log_weights) * r.nodes ** k))
             exact = math.exp(gammaln(k + 1.0 + alpha))
-            assert got == pytest.approx(exact, rel=1e-12)
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("lam", [0.0, 0.5, 2.0])
     def test_gegenbauer_exactness(self, lam):
@@ -343,9 +343,67 @@ class TestAdaptive:
         monkeypatch.setattr(oracle, "quad", counted)
         est = infomeasures.hermite_entropy_oracle(2)
         assert est.value == pytest.approx(infomeasures.hermite_entropy(2), rel=1e-10)
-        # two infinite tails (two substitution panels each) plus one panel
+        # two finite tails, out to the ends of the support, plus one panel
         # between the two roots of H_2
-        assert len(calls) == 5
+        assert len(calls) == 3
+
+
+def _quadpack_lq_ratio(spec: PolySpec, q: int, a: float, stretch: float = 1.0) -> float:
+    """QUADPACK of w y^(2q) over support(spec, a, q) (its ends times
+    stretch), split at the roots, over exp(log_lq_integral), whose Gauss rule
+    covers the whole line."""
+    lo, hi = (stretch * end for end in oracle.support(spec, a, q))
+    evaluate = specfun.scaled_evaluator(spec)
+    log_ref = oracle.log_lq_integral(spec, q, a)
+
+    def f(x):
+        m, s = evaluate(x)
+        if m == 0.0 or spec.family == "laguerre" and x <= 0.0:
+            return 0.0
+        lw = a * math.log(x) - q * x if spec.family == "laguerre" else -q * x * x
+        return math.exp(lw + 2.0 * q * (math.log(abs(m)) + s) - log_ref)
+
+    roots = specfun.poly_roots(spec) if spec.degree > 0 else ()
+    return oracle.integrate_adaptive(f, lo, hi, roots, tol=1e-13).value
+
+
+class TestSupport:
+    """support() is shared by both engines, so it is checked on its own."""
+
+    @pytest.mark.parametrize("a", [0.5, 49.0, 199.0, 499.0])
+    @pytest.mark.parametrize("q", [0.05, 0.1, 0.5, 1.0, 5.0])
+    def test_laguerre_tail_past_hi_is_negligible(self, a, q):
+        # degree 0: w y^(2q) ~ x^a e^(-qx), whose mass past hi is Q(a + 1, q hi);
+        # alpha near -1 gives the narrowest support
+        lo, hi = oracle.support(PolySpec("laguerre", 0, -0.9), a, q)
+        assert lo == 0.0
+        assert mp.gammainc(a + 1.0, q * hi, mp.inf, regularized=True) < 1e-20
+
+    def test_ends_by_family(self):
+        assert oracle.support(PolySpec("gegenbauer", 7, 1.5), 3.0, 0.3) == (-1.0, 1.0)
+        lo, hi = oracle.support(PolySpec("hermite", 12), 0.0, 4.0)
+        assert lo == -hi == -(5.0 + 6.0)
+        # the bound of the root panel kernels wherever a/q + 2n <= 4n + 2 alpha + 2
+        edge = 4.0 * 6 + 2.0 * 2.5 + 2.0
+        assert oracle.support(PolySpec("laguerre", 6, 2.5), 2.5, 1.5) == (
+            0.0, edge + 12.0 * math.sqrt(edge) / math.sqrt(1.5) + 60.0 / 1.5)
+
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    @pytest.mark.parametrize("spec, a", [
+        (PolySpec("laguerre", 0, 0.5), 0.5), (PolySpec("laguerre", 0, 0.5), 49.0),
+        (PolySpec("laguerre", 3, 0.5), 60.0), (PolySpec("laguerre", 7, 10.5), 20.5),
+        (PolySpec("laguerre", 60, 1.5), 1.5), (PolySpec("laguerre", 200, 0.5), 0.5),
+        (PolySpec("hermite", 0), 0.0), (PolySpec("hermite", 7), 0.0),
+        (PolySpec("hermite", 60), 0.0), (PolySpec("hermite", 200), 0.0)])
+    def test_quadpack_over_the_support_matches_gauss(self, spec, a, q):
+        ratio = _quadpack_lq_ratio(spec, q, a)
+        # nothing is left past the ends: doubling them moves the integral by
+        # QUADPACK's rounding only (up to 1.4e-14 here)
+        assert _quadpack_lq_ratio(spec, q, a, 2.0) == pytest.approx(ratio, rel=1e-13, abs=0.0)
+        # the float recurrence of Laguerre degree 200 leaves the Gauss side
+        # 2.6e-12 off at q = 3 (a rule 50 orders higher moves it that much)
+        rel = 5e-12 if spec.family == "laguerre" and spec.degree == 200 else 1e-12
+        assert ratio == pytest.approx(1.0, rel=rel, abs=0.0)
 
 
 class TestWeightedNorm:
@@ -358,7 +416,7 @@ class TestWeightedNorm:
 
     def test_ground_q2_d2(self):
         # constant polynomial: int_0^inf e^{-2x} dx = 1/2
-        assert oracle.weighted_Lq_norm(0, 0, 2, 2.0) == pytest.approx(0.5, rel=1e-13)
+        assert oracle.weighted_Lq_norm(0, 0, 2, 2.0) == pytest.approx(0.5, rel=1e-13, abs=0.0)
 
     def test_gauss_vs_adaptive(self):
         for (nr, l, D, q) in ((1, 0, 3, 2.0), (3, 1, 5, 2.0), (2, 2, 4, 3.0)):
@@ -411,7 +469,7 @@ class TestLqIntegral:
             mass = mp.sqrt(mp.pi) * mp.gamma(lam + 0.5) / mp.gamma(lam + 1)
             exact = float(mass ** (-q) * mp.beta(0.5, a + 1))
         got = oracle.lq_integral(PolySpec("gegenbauer", 0, lam), q, a)
-        assert got == pytest.approx(exact, rel=1e-13)
+        assert got == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("spec,q,a", [
         (PolySpec("gegenbauer", 3, 2.0), 2.0 / 3.0, 1.2),
@@ -421,7 +479,7 @@ class TestLqIntegral:
     ])
     def test_real_q_matches_mpmath(self, spec, q, a):
         exact = float(_mp_lq_integral(spec, q, a))
-        assert oracle.lq_integral(spec, q, a) == pytest.approx(exact, rel=1e-13)
+        assert oracle.lq_integral(spec, q, a) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("spec,q,a", [
         (PolySpec("hermite", 2, None), 2, 0.0),
@@ -436,7 +494,7 @@ class TestLqIntegral:
     ])
     def test_integer_q_matches_mpmath(self, spec, q, a):
         exact = float(_mp_lq_integral(spec, q, a))
-        assert oracle.lq_integral(spec, q, a) == pytest.approx(exact, rel=1e-13)
+        assert oracle.lq_integral(spec, q, a) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("spec,a", [
         (PolySpec("gegenbauer", 3, 2.0), 1.2),
@@ -447,7 +505,7 @@ class TestLqIntegral:
     def test_integer_q_gauss_rule_matches_panels(self, spec, a, q):
         panels = oracle._root_panel_integral(
             spec, a, float(q), lambda lw, ln_y2: np.exp(lw + q * ln_y2), None)
-        assert oracle.lq_integral(spec, q, a) == pytest.approx(panels, rel=1e-12)
+        assert oracle.lq_integral(spec, q, a) == pytest.approx(panels, rel=1e-12, abs=0.0)
 
     def test_q_must_be_positive(self):
         with pytest.raises(DomainError):
@@ -477,7 +535,7 @@ class TestTaylorPanels:
         monkeypatch.setattr(oracle, "_LQ_CACHE", oracle.BoundedCache(4))
         monkeypatch.setattr(specfun, "TAYLOR_MIN_DEGREE", spec.degree + 1)  # recurrence everywhere
         for got, ref in zip(taylor, kernels()):
-            assert got == pytest.approx(ref, rel=1e-12)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 class TestPolynomialEntropy:

@@ -58,8 +58,8 @@ class TestReportInvariants:
 class TestReferenceCases:
     def test_heisenberg_central_ground_d4(self):
         rep = uncertainty.check("heisenberg_central", hyper(1.0, 4, 0, 0, 0, 0))
-        assert rep.lhs == pytest.approx(4.0, rel=1e-13)
-        assert rep.bound == pytest.approx(4.0, rel=1e-13)
+        assert rep.lhs == pytest.approx(4.0, rel=1e-13, abs=0.0)
+        assert rep.bound == pytest.approx(4.0, rel=1e-13, abs=0.0)
         assert rep.saturated
 
     def test_bbm_cartesian_ground_d3(self):
