@@ -147,7 +147,7 @@ def _axis_root_sums(n: int) -> float:
 
 
 class _Factor(NamedTuple):
-    """An orthonormal member, its lq_integral weight exponent a0 + a1 q - a2
+    """An orthonormal member, its lq_integral weight exponent(q) = a0 + a1 q - a2
     (summed in the order that keeps the bits of D/2 + l q - 1 and
     q mu_{j+1} + alpha_j - 1/2) and shift(), the exact term beside its Shannon
     entropy kernel; only Shannon requests call it (digamma loads scipy.special)."""
@@ -157,6 +157,9 @@ class _Factor(NamedTuple):
     a1: int
     a2: float
     shift: Callable[[], float]
+
+    def exponent(self, q: float) -> float:
+        return self.a0 + self.a1 * q - self.a2
 
 
 def _factors(state) -> tuple[float, list[_Factor]]:
@@ -186,7 +189,7 @@ def _angular_shift(aj: float, mj: int, mj1: int) -> float:
 
 def _log_lq(f: _Factor, q: float, tol: float | None) -> float:
     """ln lq_integral of the factor; one that leaves the float range is refused."""
-    log_value = oracle.log_lq_integral(f.spec, q, f.a0 + f.a1 * q - f.a2, tol=tol)
+    log_value = oracle.log_lq_integral(f.spec, q, f.exponent(q), tol=tol)
     if not math.isfinite(log_value):
         raise UnsupportedError(f"the {f.spec.family.capitalize()} lq_integral of degree "
                                f"{f.spec.degree} leaves the float range at this q")
@@ -262,26 +265,38 @@ def _factor_density(f: _Factor):
 
 def _factor_integral(f: _Factor, q: float | None, tol: float) -> tuple[float, float]:
     """(term, error estimate) of one factor, by QUADPACK over oracle.support
-    split at its roots.
-
-    Shannon (q None): -int J e^L L dx and QUADPACK's error.  Renyi:
-    ln(int J e^(qL) dx) / (1 - q), and the relative error over |1 - q|.
-    J e^(qL) is lq_integral's integrand at a0 + a1 q - a2, the support's
-    exponent (at q = 1 for Shannon).  The Renyi integrand is divided by its
-    peak over a coarse grid, in log space, so that QUADPACK's absolute floor
-    is relative to the integrand.
+    split at its roots.  Shannon (q None): ln m - int J e^L L dx / m over the
+    numerical mass m = int J e^L dx, which cancels the rounding of L's log
+    normalization (lgamma(401.5) is 1.25 ulp off at D = 3, l = 400).  Renyi:
+    ln(int J e^(qL) dx) / (1 - q), asking QUADPACK for tol |1 - q| (clipped
+    to [1e-3 tol, tol]; it stalls below), whose relative error over |1 - q|
+    is the estimate.  J e^(qL) is lq_integral's integrand at f.exponent(q),
+    the support's exponent (at q = 1 for Shannon).  The Renyi integrand is
+    divided by its peak over a coarse grid, in log space, so that QUADPACK's
+    absolute floor is relative to the integrand.
     """
     log_parts = _factor_density(f)
     roots = specfun.poly_roots(f.spec).tolist() if f.spec.degree > 0 else []
-    qs = 1.0 if q is None else q
-    lo, hi = oracle.support(f.spec, f.a0 + f.a1 * qs - f.a2, qs)
+    qs, rel = (1.0, tol) if q is None else (q, tol * min(1.0, max(abs(1.0 - q), 1e-3)))
+    lo, hi = oracle.support(f.spec, f.exponent(qs), qs)
     if q is None:
-        def integrand(x):
-            parts = log_parts(x)
-            return 0.0 if parts is None else -math.exp(parts[0] + parts[1]) * parts[1]
+        density = {}  # J e^L by node: the mass integral revisits these nodes
 
-        est = oracle.integrate_adaptive(integrand, lo, hi, singular_points=roots, tol=tol)
-        return est.value, est.abs_error_estimate
+        def moment(x):
+            parts = log_parts(x) or (-math.inf, 0.0)
+            rho = density[x] = math.exp(parts[0] + parts[1])
+            return rho * parts[1]
+
+        def mass_density(x):
+            if x not in density:
+                moment(x)
+            return density[x]
+
+        est = oracle.integrate_adaptive(moment, lo, hi, roots, tol)
+        mass = oracle.integrate_adaptive(mass_density, lo, hi, roots, tol)
+        m, dm = mass.value, mass.abs_error_estimate
+        return (math.log(m) - est.value / m,
+                (est.abs_error_estimate + dm * (1.0 + abs(est.value) / m)) / m)
 
     def log_integrand(x):
         parts = log_parts(x)
@@ -293,7 +308,7 @@ def _factor_integral(f: _Factor, q: float | None, tol: float) -> tuple[float, fl
     if abs(peak) < 2.0 ** 52:  # beyond, the log integrand has no digit below the point
         with refuse_overflow(name):
             est = oracle.integrate_adaptive(lambda x: math.exp(log_integrand(x) - peak),
-                                            lo, hi, singular_points=roots, tol=tol)
+                                            lo, hi, singular_points=roots, tol=rel)
     if est is None or not 0.0 < est.value < math.inf:
         raise UnsupportedError(f"{name} leaves the float range at q = {q!r}")
     return ((peak + math.log(est.value)) / (1.0 - q),

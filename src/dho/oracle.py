@@ -152,10 +152,7 @@ def _panel_quad(f, a: float, b: float, epsabs: float, epsrel: float):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         out = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=300, full_output=1)
-    val, err = out[0], out[1]
-    info = out[2]
-    ok = len(out) < 4
-    return val, err, int(info.get("last", 1)), ok
+    return out[0], out[1], int(out[2].get("last", 1)), len(out) < 4
 
 
 def integrate_adaptive(f, lo: float, hi: float, singular_points=(),
@@ -172,13 +169,8 @@ def integrate_adaptive(f, lo: float, hi: float, singular_points=(),
     pts = sorted(p for p in set(float(p) for p in singular_points)
                  if np.isfinite(p) and lo < p < hi)
     edges = [lo] + pts + [hi]
-    total = 0.0
-    err = 0.0
-    panels = 0
-    ok = True
+    total, err, panels, ok = 0.0, 0.0, 0, True
     for a, b in zip(edges[:-1], edges[1:]):
-        if a == b:
-            continue
         v, e, n, k = _panel_quad(f, a, b, ABS_FLOOR, tol)
         total += v
         err += e
@@ -330,15 +322,12 @@ def _root_panel_integral(spec: PolySpec, a: float, q: float, integrand,
             f"(got {n}); their work grows as degree^2")
     lo, hi = support(spec, a, q)
     if spec.family == "laguerre":
-        def log_weight(x):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(x > 0, a * np.log(np.abs(x)) - q * x, -np.inf)
+        def log_weight(x):  # f_vec's errstate covers the logs here
+            return np.where(x > 0, a * np.log(np.abs(x)) - q * x, -np.inf)
 
     elif spec.family == "gegenbauer":
         def log_weight(x):
-            t = 1.0 - x * x
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(t > 0, a * np.log(np.abs(t)), -np.inf)
+            return np.where(x * x < 1.0, a * np.log(np.abs(1.0 - x * x)), -np.inf)
 
     else:
         def log_weight(x):

@@ -113,7 +113,7 @@ def binomial(x: float, m: int) -> float:
         return 0.0
     out = 1.0
     for t in range(1, m + 1):
-        out *= (x - m + t) / t
+        out *= (x - (m - t)) / t  # one rounding per factor: x may be tiny
     return out
 
 

@@ -289,6 +289,33 @@ def test_renyi_whose_factor_integral_leaves_the_float_range_is_served(state, q, 
     assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(value, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("state, space", [
+    ('{"kind":"hyper","D":2,"omega":1,"nr":3,"mu":[2]}', "position"),
+    ('{"kind":"hyper","D":3,"omega":1,"nr":2,"mu":[1,0]}', "position"),
+    ('{"kind":"hyper","D":4,"omega":1,"nr":1,"mu":[1,1,0]}', "position"),
+    ('{"kind":"hyper","D":5,"omega":1,"nr":2,"mu":[2,1,0,0]}', "position"),
+    ('{"kind":"hyper","D":6,"omega":1,"nr":1,"mu":[1,0,0,0,0]}', "position"),
+    ('{"kind":"cartesian","omega":1,"n":[8]}', "position"),
+    ('{"kind":"cartesian","omega":2,"n":[3,2]}', "position"),
+    ('{"kind":"cartesian","omega":0.5,"n":[1,0,2]}', "position"),
+    ('{"kind":"cartesian","omega":0.5,"n":[1,0]}', "momentum"),
+    ('{"kind":"cartesian","omega":1,"n":[2,1]}', "momentum"),
+    ('{"kind":"cartesian","omega":0.5,"n":[0,3]}', "momentum"),
+])
+def test_oracle_entropy_estimates_stay_within_the_tolerance(state, space, capsys):
+    # the states of the CLI corpus, less D = 3, mu (400, 0), whose degree-400
+    # angular factor takes seconds per request (test_infomeasures checks its
+    # Shannon estimate).  QUADPACK is asked for tol |1 - q| on a Renyi factor
+    # integral where |1 - q| < 1, so the printed estimate of ln I / (1 - q)
+    # keeps tol (at q = 0.7 it read 1.04x without)
+    for extra in ([], ["--q", "0.7"], ["--q", "2"]):
+        quantity = "renyi" if extra else "shannon"
+        assert cli.main(["compute", "--state", state, "--quantity", quantity, *extra,
+                         "--space", space, "--engine", "oracle"]) == 0
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["error_estimate"] <= 1e-11 * max(1.0, abs(rec["value"])), extra
+
+
 @pytest.mark.parametrize("state, extra, name", [
     (GROUND3, ["--quantity", "renyi", "--q", "1e308", "--engine", "oracle"],
      "the Laguerre factor integral of degree 0"),

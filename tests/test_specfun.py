@@ -240,9 +240,9 @@ class TestGammaFamily:
                 b = specfun.binomial(x, m)
                 lg, sign = specfun.log_abs_binomial(x, m)
                 assert sign == math.copysign(1.0, b)
-                # the product form loses x's digits in x - m + t (8e-8 at x = 1e-9)
                 exact = float(abs(mp.binomial(mp.mpf(x), m)))
                 assert math.exp(lg) == pytest.approx(exact, rel=1e-13, abs=0.0)
+                assert abs(b) == pytest.approx(exact, rel=1e-13, abs=0.0), (x, m)
 
     def test_log_abs_binomial_where_x_minus_m_rounds_onto_a_pole(self):
         # x - m + 1 can round to a non-positive integer, losing x's fraction

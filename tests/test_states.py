@@ -91,7 +91,7 @@ class TestDensities:
         # every factor density of the oracle engine, e^L against J dx, has mass 1
         for f in infomeasures._factors(state)[1]:
             log_parts = infomeasures._factor_density(f)
-            lo, hi = oracle.support(f.spec, f.a0 + f.a1 - f.a2, 1.0)
+            lo, hi = oracle.support(f.spec, f.exponent(1.0), 1.0)
             roots = specfun.poly_roots(f.spec) if f.spec.degree > 0 else ()
 
             def density(x):
