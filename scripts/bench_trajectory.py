@@ -19,8 +19,11 @@ records its place in its pair ("order" 0 or 1).  Each checkout also gets a
 "layers" section: build times measured in one process with fresh caches,
 best of LAYER_REPEATS (Gauss-Laguerre rules, a member's roots and tanh-sinh
 panel evaluator, one entropy kernel, one integer-q L_q integral, one closed
-moment sum, one Bessel norm constant of the Rydberg Renyi asymptotics, and
-single three-term-recurrence passes over 1 to 100000 nodes; see LAYER_CODE).
+moment sum, one Bessel norm constant of the Rydberg Renyi asymptotics,
+single three-term-recurrence passes over 1 to 100000 nodes, and the small
+degrees of query-entropy and query-closed: eval_poly_scaled at degree 6,
+fresh Gauss rules of order 8 and 31, and scaled_evaluator per point; see
+LAYER_CODE).
 It records numbers only: it sets no bound and gates nothing.
 
 Each checkout's processes keep their bytecode in a fresh directory of their
@@ -101,6 +104,26 @@ for size in (1602, 52, 1):  # 52: about the nodes its second pass takes, near 0
         recurrence(1602, starts[:size].copy(), True))
 out["recurrence.laguerre_0.5.degree_800.value_100000_nodes_s"] = best(
     recurrence(800, np.linspace(0.0, 3400.0, 100000), False))
+
+def per_call(work, calls):  # seconds per call, best of the repeats of `calls` calls
+    return round(best(lambda: [work() for _ in range(calls)]) / calls, 9)
+
+def fresh_rule(*args):
+    oracle._RULE_CACHE.clear()
+    return oracle.gauss_rule(*args)
+
+# the small degrees of query-entropy and query-closed
+small = PolySpec("laguerre", 6, 2.5)
+nodes = np.linspace(0.0, 40.0, 400)
+out["eval_poly_scaled.laguerre_2.5.degree_6.400_nodes_s"] = per_call(
+    lambda: specfun.eval_poly_scaled(small, nodes), 200)
+out["gauss_rule.hermite.order_8_s"] = per_call(lambda: fresh_rule("hermite", 8), 100)
+out["gauss_rule.laguerre_1.5.order_31_s"] = per_call(
+    lambda: fresh_rule("laguerre", 31, 1.5), 50)
+evaluate = specfun.scaled_evaluator(small)
+points = np.linspace(0.0, 60.0, 4000).tolist()
+out["scaled_evaluator.laguerre_2.5.degree_6.per_point_s"] = per_call(
+    lambda: [evaluate(v) for v in points], 2) / len(points)
 print(json.dumps(out))
 """ % LAYER_REPEATS
 

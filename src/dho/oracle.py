@@ -41,13 +41,14 @@ RYDBERG_TOL = 1e-8  # for radial quantum numbers in the hundreds and beyond
 ABS_FLOOR = 1e-14
 # Highest degree the tanh-sinh panel kernels accept.  Their root finding and
 # Taylor start values grow as degree^2, the panel nodes as degree: with fresh
-# caches the Hermite, Laguerre and Gegenbauer entropy kernels and real-q
-# lq_integral take 0.05-0.10 s at 800, 0.21-0.39 s at 2000 (peak RSS 116 MB)
-# and 0.6-1.0 s at 4000 (161 MB; 2-core VM, best of 3).
+# caches the Hermite, Laguerre (alpha 1/2) and Gegenbauer (lambda 1) entropy
+# kernels and lq_integral at q = 0.7 take 0.05-0.08 s at 800, 0.20-0.31 s at
+# 2000 (peak RSS 113 MB) and 0.59-0.82 s at 4000 (179 MB; 2-core VM, best of 3).
 PANEL_MAX_DEGREE = 2000
-# Highest order gauss_rule builds; weighted_Lq_norm at q = 2 takes 0.13 s at
-# order 2002, 0.47 s at 4002, 1.8 s at 8002 and 4.1 s at 12000 (2-core VM,
-# best of 3; the tridiagonal eigenvalues are about half of it from 4002 up).
+# Highest order gauss_rule builds; weighted_Lq_norm at q = 2 (D = 3, l = 0)
+# takes 0.11 s at order 2002, 0.39 s at 4002, 1.4 s at 8002 and 3.0 s at
+# 12000 (2-core VM, best of 3; the tridiagonal eigenvalues are about three
+# quarters of it).
 GAUSS_MAX_ORDER = 12000
 
 

@@ -7,7 +7,8 @@ integer-order Renyi form, the Dougall Gegenbauer square linearization, and
 exact Wigner 3j symbols (cached).
 
 Every polynomial is the orthonormal member of its family, evaluated as a
-mantissa over a per-node log scale, so any degree and parameter stays finite.
+mantissa over a per-node log scale that moves in whole powers of two, so any
+degree and parameter stays finite.
 The scaled three-term recurrence (`_recurrence`, one coefficient table
 `_jacobi_coeffs`) costs O(n) per node.  It serves `eval_poly_scaled`, and
 `gauss_nodes` for roots and the Gauss-Hermite, -Laguerre and -Gegenbauer rules
@@ -47,12 +48,20 @@ FAMILIES = ("hermite", "laguerre", "gegenbauer")
 RECURRENCE_BLOCK = 32768
 # terms of the Taylor series panel_evaluator sums on each root panel
 TAYLOR_TERMS = 48
-# lowest degree at which panel_evaluator sums those series.  Entropy kernels,
-# fresh caches, best of 11 (2-core VM), series / recurrence: 15.5 / 11.9 ms at
-# degree 49, 34.7 / 33.6 at 80, 41.9 / 44.4 at 100, 55.2 / 70.5 at 128; end to
-# end 49 and 80 are level (sweep-rydberg ops/s, medians of 10 alternating
-# pairs: 49.6 at 80, 46.7 at 49; 80 faster in 5)
+# lowest degree at which panel_evaluator sums those series.  Hermite, Laguerre
+# (alpha 1/2) and Gegenbauer (lambda 1) entropy kernels together, fresh
+# caches, best of 11 (2-core VM), series / recurrence: 7.6 / 6.5 ms at degree
+# 49, 9.6 / 9.8 at 64, 11.1 / 13.8 at 80, 13.4 / 20.3 at 100, 17.8 / 29.9 at
+# 128; with the earlier, costlier recurrence, end to end 49 and 80 were level
+# (sweep-rydberg ops/s, medians of 10 alternating pairs: 49.6 at 80, 46.7 at
+# 49; 80 faster in 5)
 TAYLOR_MIN_DEGREE = 80
+# _recurrence and scaled_evaluator scale a node's mantissas down by a power of
+# two once the largest reaches 2^RESCALE_BITS; _recurrence tests for that once
+# per run of steps that cannot carry a value RUN_BITS bits further
+RESCALE_BITS = 400
+RUN_BITS = 500
+LN2 = math.log(2.0)
 # largest index space ((n - nu)/2 + 1)^(2q) lauricella_FA_finite sums term by term
 LAURICELLA_MAX_TERMS = 100_000
 
@@ -182,10 +191,25 @@ def _recurrence(x, diag, off, n, log_mass, derivative=False):
     """Orthonormal p_n, p_{n-1}, p_n', p_{n-1}' at x by the three-term recurrence.
 
     Returns the four mantissas and their one shared per-node log scale
-    (value = mantissa * exp(scale)), each shaped like x.  Whenever |p_n| (or,
-    with `derivative`, max(|p_n|, |p_n'|)) passes 1e120 the mantissas are
-    divided down and the scale grows, so any degree and parameter stays
-    finite.  Without `derivative` the derivative mantissas are the scalar 0.
+    (value = mantissa * exp(scale)), each shaped like x.  A node's scale is
+    (-log_mass/2 + 0.0) + e ln 2 with one integer e: 0 while its largest
+    value (of p_n and p_{n-1}, and with `derivative` their derivatives) stays
+    below 2^RESCALE_BITS, otherwise the exponent that puts its largest
+    mantissa in [0.5, 1).  On the way, a node whose largest mantissa has
+    reached 2^RESCALE_BITS is scaled down by a power of two, which is exact,
+    so the bits do not depend on when that happened (unless a mantissa falls
+    below about 2^-1000 of its node's largest, where scaling rounds it).
+    Without `derivative` the derivative mantissas are the scalar 0.
+
+    Per step, max(|p_k|, |p_{k-1}|) (with `derivative`, of the derivatives
+    too) grows by at most (|x - a_k| + b_{k-1} (+ 1)) / b_k, so by at most
+    G = (max |x| + max |a_k| + max b_k (+ 1)) / min b_k over the n steps.  So
+    the test is made once every `every` steps, as many as cannot take a value
+    from 2^RESCALE_BITS past 2^(RESCALE_BITS + RUN_BITS) (an intermediate sum
+    is at most max b_k times larger), and neither the test nor the closing
+    exponent rule is run when G^n stays below 2^(RESCALE_BITS - 1).  Those
+    bounds cost a few operations on floats, which matters at the degrees
+    below about 5 that many calls have.
 
     A step is a fixed handful of numpy calls written in place into buffers
     made once, since the per-call overhead, not the arithmetic, is the cost
@@ -205,40 +229,54 @@ def _recurrence(x, diag, off, n, log_mass, derivative=False):
         x = np.concatenate((x, x))
         blocks = np.zeros((2, 3 * m))
         blocks[:, :m] = -0.0
+        state = blocks[:, m:].reshape(2, 2, m)
         prev, cur = blocks[:, m:]
         prev_shift, cur_shift = blocks[:, :2 * m]
     else:
-        prev, cur = np.zeros((2, m))
+        state = np.zeros((2, 1, m))
+        prev, cur = state[:, 0]
     cur[:m] = 1.0
-    logs = np.full(m, -0.5 * log_mass)
-    t, sizes = np.empty(x.size), np.empty(x.size)
-    size = np.empty(m) if derivative else sizes
-    size_p, size_d, big = sizes[:m], sizes[m:], np.empty(m, bool)
+    t, exps, limit, checked = np.empty(x.size), 0, 2.0 ** RESCALE_BITS, False
+    if n and m:
+        a, b = diag[:n].tolist(), off[:n].tolist()
+        # G = 2^bits, NaN for a NaN node (max keeps its first argument)
+        bits = math.log2(max((np.abs(x).max() + max(map(abs, a)) + max(b)
+                              + derivative) / min(b), 1.0))
+        checked = not n * bits < RESCALE_BITS - 1
+        if checked:
+            room = RUN_BITS - math.log2(max(max(b), 1.0))
+            every = int(room // bits) if room > bits else 1  # NaN, inf: 1
     subtract, multiply, add, divide = np.subtract, np.multiply, np.add, np.divide
-    limit, b_prev = np.array(1e120), np.array(0.0)
+    next_check = every - 1 if checked else n
     for k in range(n):
         b_next = off[k, ...]
-        # ((x - a_k) cur (+ [0, p]) - b_{k-1} prev) / b_k, into prev's buffer
+        # ((x - a_k) cur (+ [0, p]) - b_{k-1} prev) / b_k, into prev's buffer;
+        # prev is 0 at k = 0, where subtracting b_{-1} prev = 0 changes no bit
         subtract(x, diag[k, ...], t)
         multiply(t, cur, t)
         if derivative:
             add(t, cur_shift, t)
-        multiply(b_prev, prev, prev)
-        subtract(t, prev, t)
+        if k:
+            multiply(b_prev, prev, prev)
+            subtract(t, prev, t)
         divide(t, b_next, prev)
         prev, cur, prev_shift, cur_shift = cur, prev, cur_shift, prev_shift
-        np.absolute(cur, sizes)
-        if derivative:
-            np.maximum(size_p, size_d, out=size)  # keyword: positional out is slow here
-        # count_nonzero: a fifth of the call cost of .any() at one node
-        if np.count_nonzero(np.greater(size, limit, big)):
-            sc = np.where(big, size, 1.0)
-            logs += np.log(sc)
-            if derivative:
-                sc = np.concatenate((sc, sc))
-            prev /= sc
-            cur /= sc
         b_prev = b_next
+        if k == next_check:
+            next_check += every
+            size = np.abs(state).max(axis=(0, 1))  # each node's largest mantissa
+            big = size >= limit
+            # count_nonzero: a fifth of the call cost of .any() at one node
+            if np.count_nonzero(big):
+                shift = np.where(big, np.frexp(size)[1], 0)
+                np.ldexp(state, -shift, out=state)
+                exps = exps + shift
+    logs = np.full(m, -0.5 * log_mass + 0.0)
+    if checked:
+        top = np.frexp(np.abs(state).max(axis=(0, 1)))[1] + exps
+        keep = np.where(top > RESCALE_BITS, top, 0)
+        np.ldexp(state, exps - keep, out=state)
+        logs += keep * LN2
     logs = logs.reshape(shape)
     if not derivative:
         return cur.reshape(shape), prev.reshape(shape), 0.0, 0.0, logs
@@ -411,25 +449,31 @@ def scaled_evaluator(spec: PolySpec):
     """x -> (mantissa, log_scale) of spec at one float x, in eval_poly_scaled's bits.
 
     The coefficient table is built once, here.  The loop repeats
-    _recurrence's steps in their order, rescale rule included; the rescale
-    takes its logarithm from numpy, as _recurrence does, since numpy's log
-    and math.log can differ in the last bit.
+    _recurrence's steps in their order and tests |p_n| at every step, so a
+    run that never reaches 2^RESCALE_BITS returns as it stands; otherwise it
+    ends on _recurrence's exponent rule.
     """
     n = spec.degree
     diag, off = _jacobi_coeffs(spec, max(n + 1, 2))
     diag, off = diag.tolist(), off.tolist()
     steps = tuple(zip(diag[:n], [0.0] + off[:n - 1], off[:n]))
-    log_scale = -0.5 * _log_weight_mass(spec)
+    log_scale = -0.5 * _log_weight_mass(spec) + 0.0
 
     def evaluate(x: float) -> tuple[float, float]:
-        p_prev, p_cur, logs = 0.0, 1.0, log_scale
+        p_prev, p_cur, exp = 0.0, 1.0, 0
         for d, b_prev, b_next in steps:
             p_prev, p_cur = p_cur, ((x - d) * p_cur - b_prev * p_prev) / b_next
-            if abs(p_cur) > 1e120:
-                sc = abs(p_cur)
-                p_prev, p_cur = p_prev / sc, p_cur / sc
-                logs = logs + float(np.log(sc))
-        return p_cur, logs
+            # |p_cur| >= 2^RESCALE_BITS, exactly and without a call (a
+            # constant: 2.0 ** 800 is folded when compiled)
+            if p_cur * p_cur >= 2.0 ** 800:
+                shift = math.frexp(p_cur)[1]
+                p_prev, p_cur = math.ldexp(p_prev, -shift), math.ldexp(p_cur, -shift)
+                exp += shift
+        if not exp:
+            return p_cur, log_scale
+        top = math.frexp(max(abs(p_cur), abs(p_prev)))[1] + exp
+        keep = top if top > RESCALE_BITS else 0
+        return math.ldexp(p_cur, exp - keep), log_scale + keep * LN2
 
     return evaluate
 

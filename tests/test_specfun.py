@@ -116,24 +116,39 @@ def test_float_evaluator_is_bit_identical_to_eval_poly_scaled(family, param, deg
 
 def _reference_recurrence(x, diag, off, n, log_mass, derivative=False):
     """The loop _recurrence replaced, one temporary per operation: the same
-    operations on the same operands in the same order."""
-    logs = np.full_like(x, -0.5 * log_mass)
-    p_cur = np.ones_like(x)
-    p_prev = d_prev = d_cur = 0.0
+    operations on the same operands in the same order, with the rescale test
+    made at every step.  A node whose largest value (of p_n and p_{n-1}, and
+    with `derivative` their derivatives) reaches 2^400 is scaled down by the
+    power of two that puts it in [0.5, 1); at the end its exponent is 0 if
+    the largest stays below 2^400, otherwise the one that puts it in
+    [0.5, 1)."""
+    logs = np.full_like(x, -0.5 * log_mass + 0.0)
+    p_cur, p_prev = np.ones_like(x), np.zeros_like(x)
+    d_cur = d_prev = np.zeros_like(x)
+    exps = np.zeros(x.shape, int)
+
+    def largest():
+        values = (p_cur, p_prev, d_cur, d_prev) if derivative else (p_cur, p_prev)
+        return np.max(np.abs(values), axis=0)
+
     for k in range(n):
         b_next = off[k]
         b_prev = off[k - 1] if k > 0 else 0.0
         if derivative:
             d_prev, d_cur = d_cur, ((x - diag[k]) * d_cur + p_cur - b_prev * d_prev) / b_next
         p_prev, p_cur = p_cur, ((x - diag[k]) * p_cur - b_prev * p_prev) / b_next
-        big = (np.maximum(np.abs(p_cur), np.abs(d_cur)) if derivative
-               else np.abs(p_cur)) > 1e120
-        if np.any(big):
-            sc = np.where(big, np.maximum(np.abs(p_cur), np.abs(d_cur)), 1.0)
-            p_prev, p_cur = p_prev / sc, p_cur / sc
-            if derivative:
-                d_prev, d_cur = d_prev / sc, d_cur / sc
-            logs = logs + np.log(sc)
+        big = largest()
+        shift = np.where(big >= 2.0 ** 400, np.frexp(big)[1], 0)
+        p_cur, p_prev = np.ldexp(p_cur, -shift), np.ldexp(p_prev, -shift)
+        d_cur, d_prev = np.ldexp(d_cur, -shift), np.ldexp(d_prev, -shift)
+        exps = exps + shift
+    top = np.frexp(largest())[1] + exps
+    keep = np.where(top > 400, top, 0)
+    p_cur, p_prev = np.ldexp(p_cur, exps - keep), np.ldexp(p_prev, exps - keep)
+    d_cur, d_prev = np.ldexp(d_cur, exps - keep), np.ldexp(d_prev, exps - keep)
+    logs = logs + keep * math.log(2.0)
+    if not derivative:
+        return p_cur, p_prev, 0.0, 0.0, logs
     return p_cur, p_prev, d_cur, d_prev, logs
 
 
@@ -179,9 +194,29 @@ def test_recurrence_is_the_reference_loop_bit_for_bit(family, param, degree, der
         evaluate = specfun.scaled_evaluator(spec)
         scalar = np.array([evaluate(v) for v in x.tolist()])
     assert np.array_equal(_bits(scalar[:, 0], x.shape), _bits(mant, x.shape))
-    # equal as numbers: a rescale anywhere in an array adds log 1 = +0.0 to
-    # every node's scale, so a -0.0 start there reads +0.0
-    assert np.array_equal(scalar[:, 1], logs, equal_nan=True)
+    assert np.array_equal(_bits(scalar[:, 1], x.shape), _bits(logs, x.shape))
+
+
+def test_a_node_that_passes_the_rescale_bound_and_falls_back_keeps_its_bits():
+    # Hermite 600 at |x| ~ 23.58: max(|p_k|, |p_{k-1}|) passes 2^400 at steps
+    # 279-288 only, near the turning point, and ends near 2^398.  Alone, these
+    # nodes are tested about every 100 steps (none of them in 279-288); next
+    # to x = 1e100, whose growth bound leaves no room, at every step
+    spec = PolySpec("hermite", 600)
+    diag, off = specfun._jacobi_coeffs(spec, 601)
+    log_mass = specfun._log_weight_mass(spec)
+    x = np.array([23.58, -23.585])
+    start = -0.5 * log_mass
+    assert np.all(_reference_recurrence(x, diag, off, 284, log_mass)[4] > start)
+    assert np.all(_reference_recurrence(x, diag, off, 600, log_mass)[4] == start)
+    for derivative in (False, True):
+        ref = _reference_recurrence(x, diag, off, 600, log_mass, derivative)
+        alone = specfun._recurrence(x, diag, off, 600, log_mass, derivative)
+        beside = specfun._recurrence(np.append(x, 1e100), diag, off, 600, log_mass,
+                                     derivative)
+        for g, h, r in zip(alone, beside, ref):
+            assert np.array_equal(_bits(g, x.shape), _bits(r, x.shape))
+            assert np.array_equal(_bits(h, (3,))[:2], _bits(r, x.shape))
 
 
 class TestRoots:
